@@ -21,16 +21,15 @@ from .maps import (MAP_NAMES, PhasePoint, Trajectory, TorusMap, iterate,
 from .partitions import (MC_ESTIMATORS, MEASURE_MODES, CellWord,
                          GridPartition, HksEstimate, McConfig,
                          MeasureEstimate, RefinementRecord, WordTable,
-                         entropy_nats, fit_slope, h_mu, h_mu_ratio,
+                         entropy_nats, fit_line, h_mu, h_mu_ratio,
                          hks_estimate, partition_entropy, refine,
                          refine_series)
 from .pipeline import (VERDICTS, ClassicalSource, DecayReport,
                        PrescriptionRun, QuantumSource, decay_detect,
                        mu_via_quantum, prescription_run, quantum_fit_onset,
                        semiclassical_h_mu)
-from .symbols import (OMEGA, CoherentState, PolySymbol, SymplecticConvention,
-                      hbar_expansion_check, moyal_bracket, pairing,
-                      poisson_bracket, star_product)
+from .symbols import (CoherentState, PolySymbol, hbar_expansion_check,
+                      moyal_bracket, pairing, poisson_bracket, star_product)
 
 __version__ = "0.1.0"
 
@@ -39,13 +38,13 @@ __all__ = [
     "CoherentState", "ConfigurationError", "DecayReport", "GamowSpec",
     "GridPartition", "HksEstimate", "LyapunovSpectrum", "MAP_NAMES",
     "MC_ESTIMATORS", "MEASURE_MODES", "McConfig", "MeasureEstimate",
-    "OMEGA", "PesinReport", "PhasePoint", "PolySymbol", "PrescriptionRun",
+    "PesinReport", "PhasePoint", "PolySymbol", "PrescriptionRun",
     "QuantumSource", "RefinementRecord", "ResourceLimitError",
-    "SymplecticConvention", "Trajectory", "TorusMap",
+    "Trajectory", "TorusMap",
     "UnsupportedOperationError", "VERDICTS", "WordTable", "chain_trace",
     "decay_bounds", "decay_detect", "eigenvalues", "entropy_nats",
     "evolution_factors", "evolve_matrix_oracle", "evolve_operator",
-    "fit_slope", "h_mu", "h_mu_ratio", "hks_estimate", "iterate",
+    "fit_line", "h_mu", "h_mu_ratio", "hks_estimate", "iterate",
     "lyapunov_spectrum", "make_cell_operators", "make_map",
     "moyal_bracket", "mu_via_quantum", "off_mass_ratio", "pairing",
     "partition_entropy", "pesin_residual", "poisson_bracket",

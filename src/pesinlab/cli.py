@@ -17,15 +17,17 @@ import json
 import math
 import os
 import sys
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Optional
 
 import numpy as np
 
 from . import serialize
 from .errors import (ConfigurationError, ResourceLimitError,
                      UnsupportedOperationError)
-from .gamow import BiorthOperator, GamowSpec, evolve_operator, \
-    make_cell_operators, off_mass_ratio
+from .gamow import GamowSpec, evolve_operator, make_cell_operators, \
+    off_mass_ratio
 from .lyapunov import lyapunov_spectrum, pesin_residual, positive_sum_field
 from .maps import MAP_NAMES, PhasePoint, make_map
 from .partitions import (MC_ESTIMATORS, MEASURE_MODES, GridPartition,
@@ -42,32 +44,98 @@ GENERATIONS = ("random", "prescribed")
 # within a couple of orders of magnitude of the sample count.
 DEFAULT_ESTIMATOR = "chao_shen"
 
-_COMMON = {"out": ".", "seed": None, "threads": 1, "format": "both"}
+LYAP, KS, PESIN, PRESC, GAMOW = ("lyapunov", "ks-entropy", "pesin",
+                                 "prescription", "gamow-evolve")
+_ALL = (LYAP, KS, PESIN, PRESC, GAMOW)
+_REFINE = (KS, PESIN, PRESC)
+_OPERATOR = (PRESC, GAMOW)
+_ECHO_ALL = ("any", "classical", "gamow")
 
-_LYAP_DEFAULTS = {**_COMMON, "map": None, "steps": 10000, "x0": None,
-                  "samples": 10}
-_KS_DEFAULTS = {**_COMMON, "map": None, "grid": None, "depth": None,
-                "mode": "exact", "mc_samples": 1_000_000, "estimator": None,
-                "ladder": None, "include_words": None}
-_PESIN_DEFAULTS = {**_KS_DEFAULTS, "lyap_steps": 10000, "samples": 10}
-_PRESC_DEFAULTS = {**_COMMON, "source": None,
-                   "map": None, "grid": None, "mode": "exact",
-                   "mc_samples": 1_000_000, "estimator": None,
-                   "omega0": 1.0, "gamma0": 0.1, "hbar": 1.0, "alpha": 1.0,
-                   "cells": 4, "n_max": 32, "off_scale": 3e-4,
-                   "total_mass": 0.95, "spread": 0.2, "support": None,
-                   "depth": None, "word_budget": 4096, "r2_threshold": 0.99,
-                   "onset": None}
-_GAMOW_DEFAULTS = {**_COMMON, "omega0": 1.0, "gamma0": 0.1, "hbar": 1.0,
-                   "alpha": 1.0, "n_max": 32, "cells": 4, "cell": 0,
-                   "j": 10, "generation": "random", "off_scale": 3e-4,
-                   "total_mass": 0.95, "spread": 0.2, "support": None}
 
-_PRESC_SHARED = ("source", "depth", "word_budget", "r2_threshold", "onset",
-                 "seed")
-_PRESC_CLASSICAL = ("map", "grid", "mode", "mc_samples", "estimator")
-_PRESC_GAMOW = ("omega0", "gamma0", "hbar", "alpha", "cells", "n_max",
-                "off_scale", "total_mass", "spread", "support")
+@dataclass(frozen=True)
+class Param:
+    """One configuration key, accepted as --key-name and in --config files.
+
+    kind is int, float, choice, text (parsed by the command), switch (a
+    flag that stores True) or file (config file only, absent unless given).
+    A default of None means the command derives the value.  echo names the
+    key's group in the echoed config: prescription writes the "any" group
+    plus its source's group; the other commands write every group.  None
+    never echoes.
+    """
+
+    key: str
+    kind: str
+    commands: tuple[str, ...]
+    default: object = None
+    low: Optional[float] = None
+    high: Optional[int] = None
+    strict: bool = False       # exclude low itself
+    choices: tuple[str, ...] = ()
+    echo: Optional[str] = "any"
+    help: Optional[str] = None
+    flagless: tuple[str, ...] = ()  # commands that take it from files only
+
+
+PARAMS = (
+    Param("out", "text", _ALL, ".", echo=None, help="output directory"),
+    Param("seed", "int", _ALL, low=0, high=2 ** 64 - 1,
+          help="RNG seed (default: PESINLAB_SEED or 0)"),
+    Param("format", "choice", _ALL, "both", choices=FORMATS, echo=None,
+          help="output file formats"),
+    Param("source", "choice", (PRESC,), choices=SOURCES),
+    Param("map", "choice", (LYAP,) + _REFINE, choices=MAP_NAMES,
+          echo="classical"),
+    Param("steps", "int", (LYAP,), 10000, low=100, help="orbit length"),
+    Param("x0", "text", (LYAP,), help="starting point, e.g. 0.3,0.7"),
+    Param("samples", "int", (LYAP, PESIN), 10, low=1,
+          help="random orbits to average"),
+    Param("grid", "text", _REFINE, echo="classical",
+          help="partition grid, e.g. 2x1 or 8x8"),
+    Param("depth", "int", _REFINE, help="refinement depth n_max"),
+    Param("mode", "choice", _REFINE, "exact", choices=MEASURE_MODES,
+          echo="classical", help="measure backend"),
+    Param("mc_samples", "int", _REFINE, 1_000_000, low=1, echo="classical",
+          help="Monte Carlo sample count"),
+    Param("estimator", "choice", _REFINE, choices=MC_ESTIMATORS,
+          echo="classical", help="entropy estimator for mc mode"),
+    Param("ladder", "text", (KS, PESIN),
+          help="comma list of grids, e.g. 2x1,2x2,4x4"),
+    Param("include_words", "switch", (KS, PESIN), flagless=(PESIN,),
+          help="embed per-word measures in the JSON output"),
+    Param("lyap_steps", "int", (PESIN,), 10000, low=100,
+          help="orbit length for the exponent side"),
+    Param("omega0", "float", _OPERATOR, 1.0, low=0.0, strict=True,
+          echo="gamow", help="real part of the levels"),
+    Param("gamma0", "float", _OPERATOR, 0.1, low=0.0, strict=True,
+          echo="gamow", help="decay width of the levels"),
+    Param("hbar", "float", _OPERATOR, 1.0, low=0.0, strict=True,
+          echo="gamow"),
+    Param("alpha", "float", _OPERATOR, 1.0, low=0.0, strict=True,
+          echo="gamow", help="time step per chain link"),
+    Param("n_max", "int", _OPERATOR, 32, low=2, echo="gamow",
+          help="operator truncation dimension"),
+    Param("cells", "int", _OPERATOR, 4, low=2, echo="gamow",
+          help="number of cell operators"),
+    Param("off_scale", "float", _OPERATOR, 3e-4, low=0.0, echo="gamow",
+          help="scale of random off-diagonal coefficients"),
+    Param("total_mass", "float", _OPERATOR, 0.95, low=0.0, strict=True,
+          echo="gamow", help="sum of the random (0,0) weights"),
+    Param("spread", "float", _OPERATOR, 0.2, low=0.0, echo="gamow",
+          help="relative spread of the random (0,0) weights"),
+    Param("support", "int", _OPERATOR, low=1, echo="gamow",
+          help="index block actually populated by random draws"),
+    Param("word_budget", "int", (PRESC,), 4096, low=1,
+          help="max symbol words to track"),
+    Param("r2_threshold", "float", (PRESC,), 0.99, low=0.0,
+          help="minimum R^2 for an exponential verdict"),
+    Param("onset", "int", (PRESC,), low=0, help="first depth used in fits"),
+    Param("cell", "int", (GAMOW,), 0, low=0, help="operator index to evolve"),
+    Param("j", "int", (GAMOW,), 10, low=0, help="number of evolution steps"),
+    Param("generation", "choice", (GAMOW,), "random", choices=GENERATIONS),
+    Param("tables", "file", _OPERATOR, echo=None),
+    Param("labels", "file", (GAMOW,)),
+)
 
 
 def _fmt(x: float) -> str:
@@ -90,35 +158,30 @@ def _load_config_file(path):
     return doc
 
 
-def _resolve(args, defaults, extra_file_keys=()):
-    cfg = dict(defaults)
+def _resolve(args, params):
+    cfg = {p.key: p.default for p in params if p.kind != "file"}
     if args.config is not None:
         file_cfg = _load_config_file(args.config)
-        unknown = sorted(set(file_cfg) - set(defaults) - set(extra_file_keys))
+        unknown = sorted(set(file_cfg) - {p.key for p in params})
         if unknown:
             raise ConfigurationError("unknown config keys: " + ", ".join(unknown))
         cfg.update(file_cfg)
-    for key in defaults:
-        value = getattr(args, key, None)
+    for p in params:
+        value = getattr(args, p.key, None)
         if value is not None:
-            cfg[key] = value
+            cfg[p.key] = value
     return cfg
 
 
-def _resolve_seed(value):
-    if value is None:
-        env = os.environ.get("PESINLAB_SEED")
-        if env is None or env == "":
-            return 0
-        try:
-            value = int(env)
-        except ValueError:
-            raise ConfigurationError(
-                f"PESINLAB_SEED must be an integer, got {env!r}")
-    value = _as_int("seed", value, low=0)
-    if value >= 2 ** 64:
-        raise ConfigurationError("seed must fit in an unsigned 64-bit integer")
-    return value
+def _env_seed():
+    env = os.environ.get("PESINLAB_SEED")
+    if env is None or env == "":
+        return 0
+    try:
+        return int(env)
+    except ValueError:
+        raise ConfigurationError(
+            f"PESINLAB_SEED must be an integer, got {env!r}") from None
 
 
 def _as_int(name, value, low=None, high=None):
@@ -149,11 +212,24 @@ def _as_float(name, value, low=None, strict=False):
     return value
 
 
-def _choice(name, value, options):
-    if value not in options:
+def _parse(p: Param, value):
+    if value is None and p.default is None:
+        return None
+    if p.kind == "int":
+        return _as_int(p.key, value, p.low, p.high)
+    if p.kind == "float":
+        return _as_float(p.key, value, p.low, p.strict)
+    if p.kind == "choice" and value not in p.choices:
         raise ConfigurationError(
-            f"{name} must be one of {', '.join(options)}; got {value!r}")
+            f"{p.key} must be one of {', '.join(p.choices)}; got {value!r}")
     return value
+
+
+def _required(opt, key, names):
+    if opt[key] is None:
+        raise ConfigurationError(
+            f"--{key} is required (one of {', '.join(names)})")
+    return opt[key]
 
 
 def _parse_grid(value):
@@ -198,18 +274,27 @@ def _default_grid(map_name: str) -> str:
     return "8x8" if map_name == "cat" else "2x1"
 
 
-def _prologue(args, defaults, extra_file_keys=()):
-    cfg = _resolve(args, defaults, extra_file_keys)
-    cfg["seed"] = _resolve_seed(cfg.get("seed"))
-    cfg["threads"] = _as_int("threads", cfg["threads"], low=1)
-    _choice("format", cfg["format"], FORMATS)
-    out_dir = Path(cfg["out"])
+def _prologue(args):
+    """Resolve and check every key of args.command.
+
+    Returns the resolved config, which the command completes with the
+    values it derives and echoes; the checked, typed values; and the
+    output directory.  The two are kept apart so the echo shows values as
+    given (a config file's "hbar": 1 stays 1).
+    """
+    params = [p for p in PARAMS if args.command in p.commands]
+    cfg = _resolve(args, params)
+    if cfg["seed"] is None:
+        cfg["seed"] = _env_seed()
+    opt = {p.key: _parse(p, cfg[p.key]) for p in params if p.key in cfg}
+    cfg["seed"] = opt["seed"]
+    out_dir = Path(opt["out"])
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigurationError(
             f"cannot create output directory {out_dir}: {exc}")
-    return cfg, out_dir
+    return cfg, opt, out_dir
 
 
 def _jsonable(value):
@@ -220,11 +305,9 @@ def _jsonable(value):
     return value
 
 
-def _echo(cfg, keys=None):
-    hidden = {"out", "config", "format", "threads"}
-    if keys is None:
-        keys = [k for k in cfg if k not in hidden]
-    return {k: _jsonable(cfg[k]) for k in sorted(keys)}
+def _echo(cfg, groups=_ECHO_ALL):
+    keys = {p.key for p in PARAMS if p.echo in groups}
+    return {k: _jsonable(cfg[k]) for k in sorted(cfg) if k in keys}
 
 
 def _emit(out_dir, stem, fmt, doc, header, rows):
@@ -238,41 +321,64 @@ def _emit(out_dir, stem, fmt, doc, header, rows):
     return written
 
 
-def _require_map(cfg):
-    if cfg["map"] is None:
-        raise ConfigurationError(
-            f"--map is required (one of {', '.join(MAP_NAMES)})")
-    return make_map(cfg["map"])
+def _depth(cfg, default, low):
+    if cfg["depth"] is None:
+        cfg["depth"] = default
+    return _as_int("depth", cfg["depth"], low=low)
 
 
-def _refinement_setup(cfg):
-    """Shared grid/depth/mode resolution for the entropy-side commands."""
-    _choice("mode", cfg["mode"], MEASURE_MODES)
+def _refinement_setup(cfg, opt):
+    """Shared grid and Monte Carlo resolution for the entropy-side commands."""
     if cfg["grid"] is None:
-        cfg["grid"] = _default_grid(cfg["map"])
+        cfg["grid"] = _default_grid(opt["map"])
     grid = _parse_grid(cfg["grid"])
     cfg["grid"] = list(grid)
-    if cfg["depth"] is None:
-        cfg["depth"] = 12 if cfg["mode"] == "exact" else 10
-    depth = _as_int("depth", cfg["depth"], low=4)
     if cfg["estimator"] is None:
         cfg["estimator"] = DEFAULT_ESTIMATOR
-    _choice("estimator", cfg["estimator"], MC_ESTIMATORS)
     mc = None
-    if cfg["mode"] == "mc":
-        mc = McConfig(n_samples=_as_int("mc_samples", cfg["mc_samples"], low=1),
-                      seed=cfg["seed"], estimator=cfg["estimator"])
-    return GridPartition(*grid), depth, mc
+    if opt["mode"] == "mc":
+        mc = McConfig(n_samples=opt["mc_samples"], seed=opt["seed"],
+                      estimator=cfg["estimator"])
+    return GridPartition(*grid), mc
+
+
+def _prescribed_tables(cfg):
+    raw = cfg.get("tables")
+    if raw is None:
+        raise ConfigurationError(
+            "generation=prescribed needs a 'tables' entry in the config file")
+    tables = []
+    for i, entry in enumerate(raw):
+        if not isinstance(entry, dict) or "re" not in entry:
+            raise ConfigurationError(
+                f"tables[{i}] must be an object with 're' and optional 'im'")
+        re_part = np.asarray(entry["re"], dtype=float)
+        im_part = np.asarray(entry.get("im", np.zeros_like(re_part)),
+                             dtype=float)
+        tables.append(re_part + 1j * im_part)
+    return tables
+
+
+def _cell_operators(cfg, opt):
+    """The GamowSpec and cell operators of the operator-side commands."""
+    spec = GamowSpec(**{k: opt[k] for k in ("omega0", "gamma0", "hbar",
+                                            "alpha", "n_max")})
+    generation = opt.get("generation", "random")
+    if generation == "prescribed":
+        draw = {"tables": _prescribed_tables(cfg), "labels": cfg.get("labels")}
+    else:
+        draw = {k: opt[k] for k in ("seed", "total_mass", "spread",
+                                    "off_scale", "support")}
+    return spec, make_cell_operators(spec, opt["cells"], generation, **draw)
 
 
 # --- commands ---------------------------------------------------------------
 
 def cmd_lyapunov(args):
-    cfg, out_dir = _prologue(args, _LYAP_DEFAULTS)
-    torus_map = _require_map(cfg)
-    steps = _as_int("steps", cfg["steps"], low=100)
-    samples = _as_int("samples", cfg["samples"], low=1)
-    rng = np.random.default_rng(cfg["seed"])
+    cfg, opt, out_dir = _prologue(args)
+    torus_map = make_map(_required(opt, "map", MAP_NAMES))
+    steps, samples = opt["steps"], opt["samples"]
+    rng = np.random.default_rng(opt["seed"])
     if cfg["x0"] is None:
         q, p = rng.random(2)
         x0 = PhasePoint(float(q), float(p))
@@ -293,9 +399,9 @@ def cmd_lyapunov(args):
              serialize.fmt_float(spectrum.exponents[1]),
              serialize.fmt_float(spectrum.positive_sum),
              serialize.fmt_float(field)]]
-    written = _emit(out_dir, "lyapunov", cfg["format"], doc, header, rows)
+    written = _emit(out_dir, "lyapunov", opt["format"], doc, header, rows)
 
-    print(f"map {cfg['map']}: exponents [{_fmt(spectrum.exponents[0])}, "
+    print(f"map {opt['map']}: exponents [{_fmt(spectrum.exponents[0])}, "
           f"{_fmt(spectrum.exponents[1])}] over {steps} iterations")
     print(f"sum of positive exponents {_fmt(spectrum.positive_sum)} "
           f"(single orbit), {_fmt(field)} (mean of {samples} orbits)")
@@ -303,9 +409,8 @@ def cmd_lyapunov(args):
     return 0
 
 
-def _ladder_outputs(torus_map, ladder, depth, cfg, mc):
-    est = hks_estimate(torus_map, ladder, depth, cfg["mode"], mc,
-                       threads=cfg["threads"])
+def _ladder_outputs(torus_map, ladder, depth, mode, mc):
+    est = hks_estimate(torus_map, ladder, depth, mode, mc)
     doc_part = {
         "h_ks": est.value,
         "profile": [{"grid": [mq, mp], "h_mu": h} for mq, mp, h in est.profile],
@@ -325,9 +430,10 @@ def _ladder_outputs(torus_map, ladder, depth, cfg, mc):
 
 
 def cmd_ks_entropy(args):
-    cfg, out_dir = _prologue(args, _KS_DEFAULTS)
-    torus_map = _require_map(cfg)
-    part, depth, mc = _refinement_setup(cfg)
+    cfg, opt, out_dir = _prologue(args)
+    torus_map = make_map(_required(opt, "map", MAP_NAMES))
+    part, mc = _refinement_setup(cfg, opt)
+    depth = _depth(cfg, 12 if opt["mode"] == "exact" else 10, low=4)
     include_words = bool(cfg["include_words"])
     cfg["include_words"] = include_words
 
@@ -335,14 +441,14 @@ def cmd_ks_entropy(args):
         ladder = _parse_ladder(cfg["ladder"])
         cfg["ladder"] = [[p.m_q, p.m_p] for p in ladder]
         est, doc_part, header, rows = _ladder_outputs(
-            torus_map, ladder, depth, cfg, mc)
+            torus_map, ladder, depth, opt["mode"], mc)
         doc = {"command": "ks-entropy", "config": _echo(cfg), **doc_part}
-        written = _emit(out_dir, "ks_entropy", cfg["format"], doc, header, rows)
+        written = _emit(out_dir, "ks_entropy", opt["format"], doc, header, rows)
         for mq, mp, h in est.profile:
             print(f"grid {mq}x{mp}: h_mu {_fmt(h)} nats/step")
         print(f"h_KS (max over ladder) {_fmt(est.value)} nats/step")
     else:
-        records = refine_series(torus_map, part, depth, cfg["mode"], mc)
+        records = refine_series(torus_map, part, depth, opt["mode"], mc)
         slope = h_mu(records)
         ratio = h_mu_ratio(records)
         final = records[-1]
@@ -350,11 +456,11 @@ def cmd_ks_entropy(args):
                "records": [serialize.refinement_record_doc(r, include_words)
                            for r in records],
                "h_mu": slope, "h_mu_ratio": ratio}
-        written = _emit(out_dir, "ks_entropy", cfg["format"], doc,
+        written = _emit(out_dir, "ks_entropy", opt["format"], doc,
                         serialize.REFINEMENT_CSV_HEADER,
                         serialize.refinement_rows(records))
-        print(f"map {cfg['map']} grid {part.m_q}x{part.m_p} "
-              f"mode {cfg['mode']}: depth {depth}, "
+        print(f"map {opt['map']} grid {part.m_q}x{part.m_p} "
+              f"mode {opt['mode']}: depth {depth}, "
               f"R_{depth} = {final.nonempty_words}, H = {_fmt(final.entropy)}")
         print(f"h_mu slope {_fmt(slope)} nats/step, "
               f"H(n)/n at depth {depth}: {_fmt(ratio)}")
@@ -363,30 +469,29 @@ def cmd_ks_entropy(args):
 
 
 def cmd_pesin(args):
-    cfg, out_dir = _prologue(args, _PESIN_DEFAULTS)
-    torus_map = _require_map(cfg)
-    part, depth, mc = _refinement_setup(cfg)
-    lyap_steps = _as_int("lyap_steps", cfg["lyap_steps"], low=100)
-    samples = _as_int("samples", cfg["samples"], low=1)
+    cfg, opt, out_dir = _prologue(args)
+    torus_map = make_map(_required(opt, "map", MAP_NAMES))
+    part, mc = _refinement_setup(cfg, opt)
+    depth = _depth(cfg, 12 if opt["mode"] == "exact" else 10, low=4)
+    lyap_steps, samples = opt["lyap_steps"], opt["samples"]
 
     if cfg["ladder"] is not None:
         ladder = _parse_ladder(cfg["ladder"])
         cfg["ladder"] = [[p.m_q, p.m_p] for p in ladder]
-        est = hks_estimate(torus_map, ladder, depth, cfg["mode"], mc,
-                           threads=cfg["threads"])
+        est = hks_estimate(torus_map, ladder, depth, opt["mode"], mc)
         h_side = est.value
         h_doc = {"method": "ladder_max", "value": h_side,
                  "profile": [{"grid": [mq, mp], "h_mu": h}
                              for mq, mp, h in est.profile]}
     else:
-        records = refine_series(torus_map, part, depth, cfg["mode"], mc)
+        records = refine_series(torus_map, part, depth, opt["mode"], mc)
         h_side = h_mu(records)
         h_doc = {"method": "slope", "value": h_side,
                  "h_mu_ratio": h_mu_ratio(records),
                  "records": [serialize.refinement_record_doc(r)
                              for r in records]}
 
-    rng = np.random.default_rng(cfg["seed"])
+    rng = np.random.default_rng(opt["seed"])
     points = [PhasePoint(float(q), float(p))
               for q, p in rng.random((samples, 2))]
     positive = positive_sum_field(torus_map, points, lyap_steps)
@@ -401,9 +506,9 @@ def cmd_pesin(args):
              serialize.fmt_float(report.lyapunov_positive_sum),
              serialize.fmt_float(report.residual),
              serialize.fmt_float(report.relative_residual)]]
-    written = _emit(out_dir, "pesin", cfg["format"], doc, header, rows)
+    written = _emit(out_dir, "pesin", opt["format"], doc, header, rows)
 
-    print(f"map {cfg['map']}: entropy side {_fmt(report.h_ks_estimate)}, "
+    print(f"map {opt['map']}: entropy side {_fmt(report.h_ks_estimate)}, "
           f"sum of positive exponents {_fmt(positive)}")
     print(f"residual (entropy minus exponent sum) {_fmt(report.residual)} "
           f"(relative {_fmt(report.relative_residual)})")
@@ -412,64 +517,35 @@ def cmd_pesin(args):
 
 
 def cmd_prescription(args):
-    cfg, out_dir = _prologue(args, _PRESC_DEFAULTS, extra_file_keys=("tables",))
-    _choice("source", cfg["source"], SOURCES)
-    word_budget = _as_int("word_budget", cfg["word_budget"], low=1)
-    r2 = _as_float("r2_threshold", cfg["r2_threshold"], low=0.0)
-    onset = None if cfg["onset"] is None else _as_int("onset", cfg["onset"],
-                                                      low=0)
-
-    if cfg["source"] == "classical":
-        torus_map = _require_map(cfg)
-        if cfg["depth"] is None:
-            cfg["depth"] = 16
-        depth = _as_int("depth", cfg["depth"], low=7)
-        part, _, mc = _refinement_setup(cfg)
-        source = ClassicalSource(torus_map, part, cfg["mode"], mc)
-        echo_keys = _PRESC_SHARED + _PRESC_CLASSICAL
+    cfg, opt, out_dir = _prologue(args)
+    source_name = _required(opt, "source", SOURCES)
+    if source_name == "classical":
+        torus_map = make_map(_required(opt, "map", MAP_NAMES))
+        depth = _depth(cfg, 16, low=7)
+        part, mc = _refinement_setup(cfg, opt)
+        source = ClassicalSource(torus_map, part, opt["mode"], mc)
     else:
-        if cfg["depth"] is None:
-            cfg["depth"] = 80
-        depth = _as_int("depth", cfg["depth"], low=7)
-        spec = GamowSpec(omega0=_as_float("omega0", cfg["omega0"], low=0.0,
-                                          strict=True),
-                         gamma0=_as_float("gamma0", cfg["gamma0"], low=0.0,
-                                          strict=True),
-                         hbar=_as_float("hbar", cfg["hbar"], low=0.0,
-                                        strict=True),
-                         alpha=_as_float("alpha", cfg["alpha"], low=0.0,
-                                         strict=True),
-                         n_max=_as_int("n_max", cfg["n_max"], low=2))
-        cells = _as_int("cells", cfg["cells"], low=2)
-        support = cfg["support"]
-        if support is not None:
-            support = _as_int("support", support, low=1)
-        ops = make_cell_operators(
-            spec, cells, "random", seed=cfg["seed"],
-            total_mass=_as_float("total_mass", cfg["total_mass"], low=0.0,
-                                 strict=True),
-            spread=_as_float("spread", cfg["spread"], low=0.0),
-            off_scale=_as_float("off_scale", cfg["off_scale"], low=0.0),
-            support=support)
-        source = QuantumSource(spec, ops)
-        echo_keys = _PRESC_SHARED + _PRESC_GAMOW
+        depth = _depth(cfg, 80, low=7)
+        source = QuantumSource(*_cell_operators(cfg, opt))
     cfg["depth"] = depth
 
-    run = prescription_run(source, depth, word_budget=word_budget,
-                           seed=cfg["seed"], r2_threshold=r2, onset=onset,
+    run = prescription_run(source, depth, word_budget=opt["word_budget"],
+                           seed=opt["seed"], r2_threshold=opt["r2_threshold"],
+                           onset=opt["onset"],
                            progress=lambda line: print(line, file=sys.stderr))
 
-    doc = {"command": "prescription", "config": _echo(cfg, echo_keys),
+    doc = {"command": "prescription",
+           "config": _echo(cfg, ("any", source_name)),
            **serialize.prescription_doc(run)}
-    written = _emit(out_dir, "prescription", cfg["format"], doc,
+    written = _emit(out_dir, "prescription", opt["format"], doc,
                     serialize.PRESCRIPTION_CSV_HEADER,
                     serialize.prescription_rows(run))
-    if cfg["format"] in ("csv", "both"):
+    if opt["format"] in ("csv", "both"):
         serialize.write_plot_script(out_dir)
         written.append("prescription_plot.py")
 
     rep = run.report
-    print(f"source {cfg['source']}, depth {run.n_max}, "
+    print(f"source {source_name}, depth {run.n_max}, "
           f"{run.words.shape[0]} words ({run.sampling})")
     print(f"headline fit: rate {_fmt(rep.fit_rate)} per step, "
           f"R^2 {_fmt(rep.fit_quality)}, onset {rep.onset}, "
@@ -486,60 +562,16 @@ def cmd_prescription(args):
     return 0
 
 
-def _prescribed_tables(cfg, spec):
-    raw = cfg.get("tables")
-    if raw is None:
-        raise ConfigurationError(
-            "generation=prescribed needs a 'tables' entry in the config file")
-    tables = []
-    for i, entry in enumerate(raw):
-        if not isinstance(entry, dict) or "re" not in entry:
-            raise ConfigurationError(
-                f"tables[{i}] must be an object with 're' and optional 'im'")
-        re_part = np.asarray(entry["re"], dtype=float)
-        im_part = np.asarray(entry.get("im", np.zeros_like(re_part)),
-                             dtype=float)
-        tables.append(re_part + 1j * im_part)
-    return tables
-
-
 def cmd_gamow_evolve(args):
-    cfg, out_dir = _prologue(args, _GAMOW_DEFAULTS,
-                             extra_file_keys=("tables", "labels"))
-    spec = GamowSpec(omega0=_as_float("omega0", cfg["omega0"], low=0.0,
-                                      strict=True),
-                     gamma0=_as_float("gamma0", cfg["gamma0"], low=0.0,
-                                      strict=True),
-                     hbar=_as_float("hbar", cfg["hbar"], low=0.0, strict=True),
-                     alpha=_as_float("alpha", cfg["alpha"], low=0.0,
-                                     strict=True),
-                     n_max=_as_int("n_max", cfg["n_max"], low=2))
-    cells = _as_int("cells", cfg["cells"], low=2)
-    cell = _as_int("cell", cfg["cell"], low=0, high=cells - 1)
-    j = _as_int("j", cfg["j"], low=0)
-    _choice("generation", cfg["generation"], GENERATIONS)
-
-    if cfg["generation"] == "prescribed":
-        ops = make_cell_operators(spec, cells, "prescribed",
-                                  tables=_prescribed_tables(cfg, spec),
-                                  labels=cfg.get("labels"))
-    else:
-        support = cfg["support"]
-        if support is not None:
-            support = _as_int("support", support, low=1)
-        ops = make_cell_operators(
-            spec, cells, "random", seed=cfg["seed"],
-            total_mass=_as_float("total_mass", cfg["total_mass"], low=0.0,
-                                 strict=True),
-            spread=_as_float("spread", cfg["spread"], low=0.0),
-            off_scale=_as_float("off_scale", cfg["off_scale"], low=0.0),
-            support=support)
+    cfg, opt, out_dir = _prologue(args)
+    cell = _as_int("cell", opt["cell"], high=opt["cells"] - 1)
+    j = opt["j"]
+    spec, ops = _cell_operators(cfg, opt)
 
     evolved = evolve_operator(spec, ops[cell], j)
     ratio = off_mass_ratio(evolved)
 
-    doc = {"command": "gamow-evolve",
-           "config": _echo({k: cfg[k] for k in cfg if k != "tables"}),
+    doc = {"command": "gamow-evolve", "config": _echo(cfg),
            "t_r": spec.t_r, "j": j, "off_mass_ratio": ratio,
            "operator": serialize.biorth_doc(evolved)}
     header = ("r", "s", "re", "im")
@@ -549,7 +581,7 @@ def cmd_gamow_evolve(args):
             rows.append([str(r), str(s),
                          serialize.fmt_float(evolved.coeffs[r, s].real),
                          serialize.fmt_float(evolved.coeffs[r, s].imag)])
-    written = _emit(out_dir, "gamow_evolve", cfg["format"], doc, header, rows)
+    written = _emit(out_dir, "gamow_evolve", opt["format"], doc, header, rows)
 
     print(f"spec: omega0 {_fmt(spec.omega0)}, gamma0 {_fmt(spec.gamma0)}, "
           f"hbar {_fmt(spec.hbar)}, alpha {_fmt(spec.alpha)}, "
@@ -560,44 +592,18 @@ def cmd_gamow_evolve(args):
     return 0
 
 
-# --- parser -----------------------------------------------------------------
+# --- parser ---------------------------------------------------------------
 
-def _add_common(sub):
-    sub.add_argument("--config", metavar="FILE",
-                     help="JSON file with the same keys as the flags")
-    sub.add_argument("--out", metavar="DIR", help="output directory")
-    sub.add_argument("--seed", type=int,
-                     help="RNG seed (default: PESINLAB_SEED or 0)")
-    sub.add_argument("--threads", type=int, help="worker threads for ladders")
-    sub.add_argument("--format", choices=FORMATS, help="output file formats")
-
-
-def _add_refinement_flags(sub):
-    sub.add_argument("--grid", help="partition grid, e.g. 2x1 or 8x8")
-    sub.add_argument("--depth", type=int, help="refinement depth n_max")
-    sub.add_argument("--mode", choices=MEASURE_MODES, help="measure backend")
-    sub.add_argument("--mc-samples", type=int, dest="mc_samples",
-                     help="Monte Carlo sample count")
-    sub.add_argument("--estimator", choices=MC_ESTIMATORS,
-                     help="entropy estimator for mc mode")
-
-
-def _add_gamow_flags(sub):
-    sub.add_argument("--omega0", type=float, help="real part of the levels")
-    sub.add_argument("--gamma0", type=float, help="decay width of the levels")
-    sub.add_argument("--hbar", type=float)
-    sub.add_argument("--alpha", type=float, help="time step per chain link")
-    sub.add_argument("--n-max", type=int, dest="n_max",
-                     help="operator truncation dimension")
-    sub.add_argument("--cells", type=int, help="number of cell operators")
-    sub.add_argument("--off-scale", type=float, dest="off_scale",
-                     help="scale of random off-diagonal coefficients")
-    sub.add_argument("--total-mass", type=float, dest="total_mass",
-                     help="sum of the random (0,0) weights")
-    sub.add_argument("--spread", type=float,
-                     help="relative spread of the random (0,0) weights")
-    sub.add_argument("--support", type=int,
-                     help="index block actually populated by random draws")
+_COMMANDS = {
+    LYAP: (cmd_lyapunov, "Lyapunov spectrum of a torus map"),
+    KS: (cmd_ks_entropy, "entropy of refined partitions and its rate"),
+    PESIN: (cmd_pesin,
+            "compare the entropy rate with the positive Lyapunov sum"),
+    PRESC: (cmd_prescription,
+            "four-stage chaos detection on a classical or operator source"),
+    GAMOW: (cmd_gamow_evolve,
+            "evolve one cell operator and report where its mass sits"),
+}
 
 
 def build_parser():
@@ -608,63 +614,22 @@ def build_parser():
         description="Entropy, Lyapunov, and trace-decay diagnostics for "
                     "chaos detection.")
     subs = parser.add_subparsers(dest="command")
-
-    sub = subs.add_parser("lyapunov", help="Lyapunov spectrum of a torus map")
-    sub.add_argument("--map", choices=MAP_NAMES)
-    sub.add_argument("--steps", type=int, help="orbit length")
-    sub.add_argument("--x0", help="starting point, e.g. 0.3,0.7")
-    sub.add_argument("--samples", type=int, help="random orbits to average")
-    _add_common(sub)
-    sub.set_defaults(func=cmd_lyapunov)
-
-    sub = subs.add_parser("ks-entropy",
-                          help="entropy of refined partitions and its rate")
-    sub.add_argument("--map", choices=MAP_NAMES)
-    _add_refinement_flags(sub)
-    sub.add_argument("--ladder", help="comma list of grids, e.g. 2x1,2x2,4x4")
-    sub.add_argument("--include-words", action="store_const", const=True,
-                     dest="include_words",
-                     help="embed per-word measures in the JSON output")
-    _add_common(sub)
-    sub.set_defaults(func=cmd_ks_entropy)
-
-    sub = subs.add_parser("pesin",
-                          help="compare the entropy rate with the positive "
-                               "Lyapunov sum")
-    sub.add_argument("--map", choices=MAP_NAMES)
-    _add_refinement_flags(sub)
-    sub.add_argument("--ladder", help="comma list of grids, e.g. 2x1,2x2,4x4")
-    sub.add_argument("--lyap-steps", type=int, dest="lyap_steps",
-                     help="orbit length for the exponent side")
-    sub.add_argument("--samples", type=int, help="random orbits to average")
-    _add_common(sub)
-    sub.set_defaults(func=cmd_pesin)
-
-    sub = subs.add_parser("prescription",
-                          help="four-stage chaos detection on a classical or "
-                               "operator source")
-    sub.add_argument("--source", choices=SOURCES)
-    sub.add_argument("--map", choices=MAP_NAMES, help="classical source map")
-    _add_refinement_flags(sub)
-    _add_gamow_flags(sub)
-    sub.add_argument("--word-budget", type=int, dest="word_budget",
-                     help="max symbol words to track")
-    sub.add_argument("--r2-threshold", type=float, dest="r2_threshold",
-                     help="minimum R^2 for an exponential verdict")
-    sub.add_argument("--onset", type=int, help="first depth used in fits")
-    _add_common(sub)
-    sub.set_defaults(func=cmd_prescription)
-
-    sub = subs.add_parser("gamow-evolve",
-                          help="evolve one cell operator and report where "
-                               "its mass sits")
-    _add_gamow_flags(sub)
-    sub.add_argument("--cell", type=int, help="operator index to evolve")
-    sub.add_argument("--j", type=int, help="number of evolution steps")
-    sub.add_argument("--generation", choices=GENERATIONS)
-    _add_common(sub)
-    sub.set_defaults(func=cmd_gamow_evolve)
-
+    for name, (func, help_text) in _COMMANDS.items():
+        sub = subs.add_parser(name, help=help_text)
+        for p in PARAMS:
+            if name not in p.commands or p.kind == "file" or name in p.flagless:
+                continue
+            kwargs = {"help": p.help}
+            if p.kind == "switch":
+                kwargs.update(action="store_const", const=True)
+            elif p.kind == "choice":
+                kwargs["choices"] = p.choices
+            elif p.kind in ("int", "float"):
+                kwargs["type"] = int if p.kind == "int" else float
+            sub.add_argument("--" + p.key.replace("_", "-"), **kwargs)
+        sub.add_argument("--config", metavar="FILE",
+                         help="JSON file with the same keys as the flags")
+        sub.set_defaults(func=func)
     return parser
 
 

@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 import scipy.linalg
 
-from .errors import ResourceLimitError
+from .errors import ConfigurationError, ResourceLimitError
 
 _ORACLE_DIM_CAP = 200
 
@@ -237,11 +237,15 @@ def make_cell_operators(spec: GamowSpec, m: int, generation: str = "random",
     if support is None:
         support = spec.n_max
     if not 1 <= support <= spec.n_max:
-        raise ValueError("support must lie in [1, n_max]")
+        raise ConfigurationError(
+            f"support must lie in [1, n_max = {spec.n_max}], got {support}")
     if not 0.0 < total_mass <= 1.0:
-        raise ValueError("total (0, 0) mass must lie in (0, 1]")
+        raise ConfigurationError(
+            f"total_mass, the sum of the (0, 0) weights, must lie in (0, 1], "
+            f"got {total_mass}")
     if not 0.0 <= spread < 1.0:
-        raise ValueError("lead spread must lie in [0, 1)")
+        raise ConfigurationError(
+            f"spread of the (0, 0) weights must lie in [0, 1), got {spread}")
 
     rng = np.random.default_rng(seed)
     raw = 1.0 + spread * (2.0 * rng.random(m) - 1.0)

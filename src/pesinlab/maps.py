@@ -52,9 +52,7 @@ class TorusMap:
 
     name: str
     step: Callable[[PhasePoint], PhasePoint]
-    inverse_branches: Callable[[PhasePoint], list[PhasePoint]]
     jacobian: Callable[[PhasePoint], np.ndarray]
-    is_linear: bool
     step_batch: Callable[[np.ndarray], np.ndarray] = field(repr=False, default=None)
     forward_pieces: Optional[Callable[[geometry.Polygon], list[geometry.Polygon]]] = field(
         repr=False, default=None)
@@ -83,9 +81,7 @@ def _identity_map() -> TorusMap:
     return TorusMap(
         name="identity",
         step=lambda x: x,
-        inverse_branches=lambda x: [x],
         jacobian=lambda x: eye,
-        is_linear=True,
         step_batch=lambda pts: np.array(pts, dtype=float),
         forward_pieces=lambda poly: [poly],
         backward_pieces=lambda poly: [poly],
@@ -103,14 +99,6 @@ def _baker_step_batch(pts: np.ndarray) -> np.ndarray:
     pts = np.asarray(pts, dtype=float)
     k = np.floor(2.0 * pts[:, 0])
     return np.column_stack((2.0 * pts[:, 0] - k, (pts[:, 1] + k) / 2.0))
-
-
-def _baker_inverse(x: PhasePoint) -> list[PhasePoint]:
-    # the image of the lower branch is p' < 0.5, so the branch is recovered
-    # from the p coordinate
-    if x.p < 0.5:
-        return [PhasePoint(x.q / 2.0, 2.0 * x.p)]
-    return [PhasePoint((x.q + 1.0) / 2.0, 2.0 * x.p - 1.0)]
 
 
 def _baker_forward_pieces(poly: geometry.Polygon) -> list[geometry.Polygon]:
@@ -140,11 +128,9 @@ def _baker_map() -> TorusMap:
     return TorusMap(
         name="baker",
         step=_baker_step,
-        inverse_branches=_baker_inverse,
         # constant away from the discontinuity; the line q = 0.5 uses the
         # same matrix (left-closed branch convention)
         jacobian=lambda x: jac,
-        is_linear=False,
         step_batch=_baker_step_batch,
         forward_pieces=_baker_forward_pieces,
         backward_pieces=_baker_backward_pieces,
@@ -163,11 +149,6 @@ def _cat_step_batch(pts: np.ndarray) -> np.ndarray:
                             (pts[:, 0] + pts[:, 1]) % 1.0))
 
 
-def _cat_inverse(x: PhasePoint) -> list[PhasePoint]:
-    # inverse matrix [[1, -1], [-1, 2]]
-    return [PhasePoint(x.q - x.p, -x.q + 2.0 * x.p)]
-
-
 def _cat_forward_pieces(poly: geometry.Polygon) -> list[geometry.Polygon]:
     return geometry.wrap_to_torus(geometry.affine_image(poly, 2.0, 1.0, 1.0, 1.0, 0.0, 0.0))
 
@@ -181,9 +162,7 @@ def _cat_map() -> TorusMap:
     return TorusMap(
         name="cat",
         step=_cat_step,
-        inverse_branches=_cat_inverse,
         jacobian=lambda x: jac,
-        is_linear=True,
         step_batch=_cat_step_batch,
         forward_pieces=_cat_forward_pieces,
         backward_pieces=_cat_backward_pieces,

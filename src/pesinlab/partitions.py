@@ -13,7 +13,7 @@ same measures produce bit-identical entropies.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -352,15 +352,31 @@ def refine(torus_map: TorusMap, part: GridPartition, n: int,
 
 # --- entropy-rate estimates -------------------------------------------------
 
-def fit_slope(ns, hs) -> float:
-    """Least-squares slope of hs versus ns; shared by every rate estimate."""
-    ns = [float(n) for n in ns]
-    hs = [float(h) for h in hs]
-    n_mean = math.fsum(ns) / len(ns)
-    h_mean = math.fsum(hs) / len(hs)
-    num = math.fsum((n - n_mean) * (h - h_mean) for n, h in zip(ns, hs))
-    den = math.fsum((n - n_mean) ** 2 for n in ns)
-    return num / den
+def fit_line(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, float]:
+    """Least-squares (slope, R^2) of ys against xs; every fit uses this one.
+
+    Constant ys count as perfectly fit.
+    """
+    x_mean = math.fsum(xs) / len(xs)
+    y_mean = math.fsum(ys) / len(ys)
+    sxx = math.fsum((x - x_mean) ** 2 for x in xs)
+    sxy = math.fsum((x - x_mean) * (y - y_mean) for x, y in zip(xs, ys))
+    syy = math.fsum((y - y_mean) ** 2 for y in ys)
+    slope = sxy / sxx
+    if syy == 0.0:
+        return slope, 1.0
+    ss_res = max(syy - sxy * sxy / sxx, 0.0)
+    return slope, 1.0 - ss_res / syy
+
+
+def tail_slope(entropies) -> float:
+    """Slope of H(n) for depths n = 0..n_max over the upper half n >= n_max/2.
+
+    That half is where the transient from the initial partition has died out.
+    """
+    n_max = len(entropies) - 1
+    tail = [n for n in range(n_max + 1) if 2 * n >= n_max]
+    return fit_line(tail, [entropies[n] for n in tail])[0]
 
 
 def _check_same_run(records) -> None:
@@ -374,19 +390,16 @@ def _check_same_run(records) -> None:
 
 
 def h_mu(records) -> float:
-    """Entropy rate of one refinement series, as the slope of H versus n.
+    """Entropy rate of one refinement series, as the tail slope of H versus n.
 
-    The fit uses the upper half of the depth range, where the transient from
-    the initial partition has died out.  The cruder H(n_max)/n_max estimate
-    is available separately as h_mu_ratio.
+    The cruder H(n_max)/n_max estimate is available separately as
+    h_mu_ratio.
     """
     records = list(records)
     if len(records) < 5:
         raise ValueError("need records for depths 0..n_max with n_max >= 4")
     _check_same_run(records)
-    n_max = records[-1].n
-    tail = [r for r in records if 2 * r.n >= n_max]
-    return fit_slope([r.n for r in tail], [r.entropy for r in tail])
+    return tail_slope([r.entropy for r in records])
 
 
 def h_mu_ratio(records) -> float:
@@ -409,26 +422,18 @@ class HksEstimate:
 
 def hks_estimate(torus_map: TorusMap, ladder, n_max: int,
                  measure_mode: str = "exact",
-                 mc_config: Optional[McConfig] = None,
-                 threads: int = 1) -> HksEstimate:
+                 mc_config: Optional[McConfig] = None) -> HksEstimate:
     """Estimate the entropy rate as the max of h_mu over a grid ladder."""
     ladder = list(ladder)
     if not ladder:
-        raise ValueError("partition ladder is empty")
+        raise ConfigurationError("partition ladder is empty")
     sizes = [p.n_cells for p in ladder]
     if any(b <= a for a, b in zip(sizes, sizes[1:])):
-        raise ValueError("ladder must be strictly increasing in resolution")
-
-    def run(part):
-        return tuple(refine_series(torus_map, part, n_max, measure_mode, mc_config))
-
-    if threads > 1 and len(ladder) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            all_records = list(pool.map(run, ladder))
-    else:
-        all_records = [run(part) for part in ladder]
-
+        raise ConfigurationError(
+            "ladder must be strictly increasing in resolution")
+    all_records = [tuple(refine_series(torus_map, part, n_max, measure_mode,
+                                       mc_config))
+                   for part in ladder]
     profile = tuple((part.m_q, part.m_p, h_mu(recs))
                     for part, recs in zip(ladder, all_records))
     return HksEstimate(max(h for _, _, h in profile), profile, tuple(all_records))

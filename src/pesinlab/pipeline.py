@@ -25,7 +25,7 @@ from .gamow import BiorthOperator, GamowSpec, chain_trace, decay_bounds, \
     evolution_factors
 from .maps import TorusMap
 from .partitions import GridPartition, McConfig, RefinementRecord, \
-    entropy_nats, fit_slope, refine_series
+    entropy_nats, fit_line, refine_series, tail_slope
 
 VERDICTS = ("exponential", "not_exponential", "inconclusive")
 
@@ -38,20 +38,6 @@ class DecayReport:
     onset: int
     verdict: str
     loglog_quality: float
-
-
-def _ls_fit(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, float]:
-    """(slope, R^2); constant ys count as perfectly fit."""
-    x_mean = math.fsum(xs) / len(xs)
-    y_mean = math.fsum(ys) / len(ys)
-    sxx = math.fsum((x - x_mean) ** 2 for x in xs)
-    sxy = math.fsum((x - x_mean) * (y - y_mean) for x, y in zip(xs, ys))
-    syy = math.fsum((y - y_mean) ** 2 for y in ys)
-    slope = sxy / sxx
-    if syy == 0.0:
-        return slope, 1.0
-    ss_res = max(syy - sxy * sxy / sxx, 0.0)
-    return slope, 1.0 - ss_res / syy
 
 
 def decay_detect(values, onset: Optional[int] = None, onset_fraction: float = 0.5,
@@ -79,10 +65,10 @@ def decay_detect(values, onset: Optional[int] = None, onset_fraction: float = 0.
         raise ValueError(f"only {len(tail)} points at or beyond onset {onset}")
     ns = [float(n) for n, _ in tail]
     ys = [math.log(v) for _, v in tail]
-    slope, r2_lin = _ls_fit(ns, ys)
+    slope, r2_lin = fit_line(ns, ys)
     log_pts = [(math.log(n), y) for (n, _), y in zip(tail, ys) if n > 0]
     if len(log_pts) >= 3:
-        _, r2_log = _ls_fit([x for x, _ in log_pts], [y for _, y in log_pts])
+        _, r2_log = fit_line([x for x, _ in log_pts], [y for _, y in log_pts])
     else:
         r2_log = -math.inf
     if r2_lin >= r2_log and slope < rate_floor and r2_lin >= r2_threshold:
@@ -129,9 +115,7 @@ def semiclassical_h_mu(per_depth_measures) -> float:
             raise ValueError(
                 f"measures at depth {n} sum to {total!r}, above 1")
         entropies.append(entropy_nats(vals))
-    n_max = len(series) - 1
-    tail = [n for n in range(n_max + 1) if 2 * n >= n_max]
-    return fit_slope(tail, [entropies[n] for n in tail])
+    return tail_slope(entropies)
 
 
 # --- prescription sources ---------------------------------------------------
@@ -216,7 +200,6 @@ def _prefix_measures(records: Sequence[RefinementRecord], words: np.ndarray,
 
 
 def _word_verdicts(mags: np.ndarray, onset: int, r2_threshold: float) -> float:
-    n_max = mags.shape[1] - 1
     passing = 0
     for row in mags:
         rep = decay_detect(list(enumerate(row)), onset=onset,
@@ -226,15 +209,30 @@ def _word_verdicts(mags: np.ndarray, onset: int, r2_threshold: float) -> float:
     return passing / mags.shape[0]
 
 
-def _classical_run(src: ClassicalSource, n_max: int, word_budget: int, seed: int,
-                   r2_threshold: float, onset: Optional[int],
-                   progress: Optional[Callable[[str], None]]) -> PrescriptionRun:
+@dataclass(frozen=True)
+class _Measured:
+    """What a source contributes to a run; fits and verdicts are shared."""
+
+    desc: dict
+    words: np.ndarray
+    mags: np.ndarray
+    measures: list                 # distinct word measures, per depth
+    entropy_profile: tuple[float, ...]
+    word_counts: tuple[int, ...]
+    sampling: str
+    onset: int                     # fit onset when the caller gives none
+    imag_flag: bool
+    bounds: Optional[tuple[float, float]]
+
+
+def _classical_measures(src: ClassicalSource, n_max: int, word_budget: int,
+                        seed: int,
+                        progress: Optional[Callable[[str], None]]) -> _Measured:
     records = refine_series(src.torus_map, src.partition, n_max,
                             src.measure_mode, src.mc_config)
     if progress:
         for r in records:
             progress(f"depth {r.n}/{n_max}: {r.nonempty_words} words, H={r.entropy:.6g}")
-    m = src.partition.n_cells
     final = records[-1]
     all_words = final.word_measures.word_array()
     if final.nonempty_words > word_budget:
@@ -246,14 +244,6 @@ def _classical_run(src: ClassicalSource, n_max: int, word_budget: int, seed: int
     else:
         words = all_words
         sampling = "exhaustive"
-    mags = _prefix_measures(records, words, m)
-
-    onset_eff = onset if onset is not None else n_max // 2
-    means = mags.mean(axis=0)
-    report = decay_detect(list(enumerate(means)), onset=onset_eff,
-                          r2_threshold=r2_threshold)
-    passing = _word_verdicts(mags, onset_eff, r2_threshold)
-    h = semiclassical_h_mu([r.word_measures.measure_array() for r in records])
     desc = {"map": src.torus_map.name,
             "grid": [src.partition.m_q, src.partition.m_p],
             "measure_mode": src.measure_mode}
@@ -261,18 +251,19 @@ def _classical_run(src: ClassicalSource, n_max: int, word_budget: int, seed: int
         desc["mc"] = {"n_samples": src.mc_config.n_samples,
                       "seed": src.mc_config.seed,
                       "estimator": src.mc_config.estimator}
-    return PrescriptionRun(
-        "classical", desc, n_max, words, mags,
+    # the profile keeps each record's own entropy: in mc mode that is the
+    # configured estimator, not the plug-in entropy of the measures
+    return _Measured(
+        desc, words, _prefix_measures(records, words, src.partition.n_cells),
+        [r.word_measures.measure_array() for r in records],
         tuple(r.entropy for r in records),
         tuple(r.nonempty_words for r in records),
-        h, report, passing,
-        report.verdict == "exponential" and passing == 1.0,
-        sampling, onset_eff, r2_threshold, seed, False, None)
+        sampling, n_max // 2, False, None)
 
 
-def _quantum_run(src: QuantumSource, n_max: int, word_budget: int, seed: int,
-                 r2_threshold: float, onset: Optional[int],
-                 progress: Optional[Callable[[str], None]]) -> PrescriptionRun:
+def _quantum_measures(src: QuantumSource, n_max: int, word_budget: int,
+                      seed: int,
+                      progress: Optional[Callable[[str], None]]) -> _Measured:
     spec = src.spec
     ops = src.cell_ops
     m = len(ops)
@@ -302,35 +293,23 @@ def _quantum_run(src: QuantumSource, n_max: int, word_budget: int, seed: int,
             progress(f"depth {n}/{n_max}: mean |trace| {mags[:, n].mean():.6g}")
     with np.errstate(invalid="ignore", divide="ignore"):
         ratios = np.where(mags[:, -1] > 0.0, np.abs(tr.imag) / mags[:, -1], 0.0)
-    imag_flag = bool(np.any(ratios > 1e-6))
 
     # distinct prefixes only, for the entropy profile (shared prefixes of
     # several sampled words are one cell, not many)
     per_depth = []
-    word_counts = []
     for n in range(n_max + 1):
         _, first = np.unique(words[:, :n + 1], axis=0, return_index=True)
-        first = np.sort(first)
-        per_depth.append(mags[first, n])
-        word_counts.append(len(first))
+        per_depth.append(mags[np.sort(first), n])
 
-    onset_eff = onset if onset is not None else quantum_fit_onset(spec, n_max)
-    means = mags.mean(axis=0)
-    report = decay_detect(list(enumerate(means)), onset=onset_eff,
-                          r2_threshold=r2_threshold)
-    passing = _word_verdicts(mags, onset_eff, r2_threshold)
-    h = semiclassical_h_mu(per_depth)
     desc = {"omega0": spec.omega0, "gamma0": spec.gamma0, "hbar": spec.hbar,
             "alpha": spec.alpha, "n_max": spec.n_max, "cells": m,
             "labels": [op.label for op in ops]}
-    return PrescriptionRun(
-        "quantum", desc, n_max, words, mags,
+    return _Measured(
+        desc, words, mags, per_depth,
         tuple(entropy_nats(vals) for vals in per_depth),
-        tuple(word_counts),
-        h, report, passing,
-        report.verdict == "exponential" and passing == 1.0,
-        sampling, onset_eff, r2_threshold, seed, imag_flag,
-        decay_bounds(ops))
+        tuple(len(vals) for vals in per_depth),
+        sampling, quantum_fit_onset(spec, n_max),
+        bool(np.any(ratios > 1e-6)), decay_bounds(ops))
 
 
 def prescription_run(source: Source, n_max: int, word_budget: int = 4096,
@@ -348,9 +327,19 @@ def prescription_run(source: Source, n_max: int, word_budget: int = 4096,
     if word_budget < 1:
         raise ValueError("word budget must be positive")
     if isinstance(source, ClassicalSource):
-        return _classical_run(source, n_max, word_budget, seed, r2_threshold,
-                              onset, progress)
-    if isinstance(source, QuantumSource):
-        return _quantum_run(source, n_max, word_budget, seed, r2_threshold,
-                            onset, progress)
-    raise TypeError(f"unknown source type {type(source).__name__}")
+        kind, measure = "classical", _classical_measures
+    elif isinstance(source, QuantumSource):
+        kind, measure = "quantum", _quantum_measures
+    else:
+        raise TypeError(f"unknown source type {type(source).__name__}")
+    got = measure(source, n_max, word_budget, seed, progress)
+    if onset is None:
+        onset = got.onset
+    report = decay_detect(list(enumerate(got.mags.mean(axis=0))), onset=onset,
+                          r2_threshold=r2_threshold)
+    passing = _word_verdicts(got.mags, onset, r2_threshold)
+    return PrescriptionRun(
+        kind, got.desc, n_max, got.words, got.mags, got.entropy_profile,
+        got.word_counts, semiclassical_h_mu(got.measures), report, passing,
+        report.verdict == "exponential" and passing == 1.0,
+        got.sampling, onset, r2_threshold, seed, got.imag_flag, got.bounds)

@@ -23,14 +23,6 @@ Number = Union[int, float, complex, Fraction]
 
 
 @dataclass(frozen=True)
-class SymplecticConvention:
-    omega: tuple[tuple[int, int], tuple[int, int]] = ((0, 1), (-1, 0))
-
-
-OMEGA = SymplecticConvention()
-
-
-@dataclass(frozen=True)
 class _RC:
     """Exact complex number with rational real and imaginary parts."""
 

@@ -256,6 +256,76 @@ def test_gamow_evolve_cell_out_of_range(tmp_path, capsys):
     assert "cell" in err
 
 
+# --- configuration errors exit 2 before the run -----------------------------
+
+@pytest.mark.parametrize("argv,key", [
+    (["gamow-evolve", "--support", "64"], "support"),
+    (["gamow-evolve", "--total-mass", "1.5"], "total_mass"),
+    (["gamow-evolve", "--spread", "1.0"], "spread"),
+    (["prescription", "--source", "gamow", "--depth", "8",
+      "--support", "64"], "support"),
+    (["prescription", "--source", "gamow", "--depth", "8",
+      "--total-mass", "1.5"], "total_mass"),
+    (["prescription", "--source", "gamow", "--depth", "8",
+      "--spread", "1.0"], "spread"),
+    (["ks-entropy", "--map", "baker", "--ladder", "2x2,2x1",
+      "--depth", "4"], "ladder"),
+    (["pesin", "--map", "baker", "--ladder", "2x2,2x1", "--depth", "4",
+      "--lyap-steps", "200"], "ladder"),
+    # checked up front even though exact mode never uses it
+    (["ks-entropy", "--map", "baker", "--depth", "4", "--mc-samples", "0"],
+     "mc_samples"),
+])
+def test_bad_value_is_configuration_error(tmp_path, capsys, argv, key):
+    code, _, err = run_cli(argv + ["--out", str(tmp_path)], capsys)
+    assert code == 2
+    assert key in err
+    assert not list(tmp_path.glob("*.json"))
+
+
+# --- echoed configuration ---------------------------------------------------
+
+@pytest.mark.parametrize("argv,stem,config", [
+    (["lyapunov", "--map", "cat", "--steps", "200", "--samples", "2",
+      "--x0", "0.25,0.5"], "lyapunov",
+     {"map": "cat", "samples": 2, "seed": 0, "steps": 200, "x0": [0.25, 0.5]}),
+    (["ks-entropy", "--map", "baker", "--depth", "4"], "ks_entropy",
+     {"depth": 4, "estimator": "chao_shen", "grid": [2, 1],
+      "include_words": False, "ladder": None, "map": "baker",
+      "mc_samples": 1000000, "mode": "exact", "seed": 0}),
+    (["pesin", "--map", "baker", "--depth", "4", "--lyap-steps", "200",
+      "--samples", "2"], "pesin",
+     {"depth": 4, "estimator": "chao_shen", "grid": [2, 1],
+      "include_words": None, "ladder": None, "lyap_steps": 200,
+      "map": "baker", "mc_samples": 1000000, "mode": "exact", "samples": 2,
+      "seed": 0}),
+    (["prescription", "--source", "classical", "--map", "baker",
+      "--depth", "8"], "prescription",
+     {"depth": 8, "estimator": "chao_shen", "grid": [2, 1], "map": "baker",
+      "mc_samples": 1000000, "mode": "exact", "onset": None,
+      "r2_threshold": 0.99, "seed": 0, "source": "classical",
+      "word_budget": 4096}),
+    (["prescription", "--source", "gamow", "--depth", "8", "--n-max", "4",
+      "--word-budget", "16"], "prescription",
+     {"alpha": 1.0, "cells": 4, "depth": 8, "gamma0": 0.1, "hbar": 1.0,
+      "n_max": 4, "off_scale": 0.0003, "omega0": 1.0, "onset": None,
+      "r2_threshold": 0.99, "seed": 0, "source": "gamow", "spread": 0.2,
+      "support": None, "total_mass": 0.95, "word_budget": 16}),
+    (["gamow-evolve", "--n-max", "4", "--j", "1"], "gamow_evolve",
+     {"alpha": 1.0, "cell": 0, "cells": 4, "gamma0": 0.1,
+      "generation": "random", "hbar": 1.0, "j": 1, "n_max": 4,
+      "off_scale": 0.0003, "omega0": 1.0, "seed": 0, "spread": 0.2,
+      "support": None, "total_mass": 0.95}),
+])
+def test_config_echo_is_pinned(tmp_path, capsys, argv, stem, config):
+    code, _, _ = run_cli(argv + ["--format", "json", "--out", str(tmp_path)],
+                         capsys)
+    assert code == 0
+    doc = json.loads((tmp_path / f"{stem}.json").read_text())
+    assert list(doc["config"]) == sorted(config)
+    assert doc["config"] == config
+
+
 # --- config file, env, precedence -------------------------------------------
 
 def test_flag_overrides_config_file(tmp_path, capsys):

@@ -113,9 +113,7 @@ def test_preimage_rejects_bad_cell():
 
 def test_preimage_requires_backward_pieces():
     bare = TorusMap(name="opaque", step=lambda x: x,
-                    inverse_branches=lambda x: (x,),
-                    jacobian=lambda x: np.eye(2), is_linear=False,
-                    step_batch=lambda pts: pts)
+                    jacobian=lambda x: np.eye(2), step_batch=lambda pts: pts)
     with pytest.raises(UnsupportedOperationError):
         preimage_cell(bare, (0.0, 0.5, 0.0, 1.0), 1)
 
@@ -127,20 +125,6 @@ def test_jacobian_determinant_is_unimodular(name):
         jac = m.jacobian(PhasePoint(q, p))
         det = jac[0, 0] * jac[1, 1] - jac[0, 1] * jac[1, 0]
         assert abs(abs(det) - 1.0) < 1e-12
-
-
-@pytest.mark.parametrize("name", MAP_NAMES)
-def test_inverse_branches_round_trip(name):
-    m = make_map(name)
-    for q, p in RANDOM_POINTS[:250]:
-        x = PhasePoint(q, p)
-        pre = m.inverse_branches(x)
-        assert len(pre) >= 1
-        for y in pre:
-            z = m.step(y)
-            dq = min(abs(z.q - x.q), 1.0 - abs(z.q - x.q))
-            dp = min(abs(z.p - x.p), 1.0 - abs(z.p - x.p))
-            assert dq < 1e-12 and dp < 1e-12
 
 
 @pytest.mark.parametrize("name", MAP_NAMES)

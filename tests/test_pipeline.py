@@ -5,7 +5,7 @@ import pytest
 
 from pesinlab import (BiorthOperator, ClassicalSource, GamowSpec,
                       GridPartition, McConfig, QuantumSource, decay_detect,
-                      h_mu, make_cell_operators, make_map, mu_via_quantum,
+                      entropy_nats, h_mu, make_cell_operators, make_map, mu_via_quantum,
                       prescription_run, quantum_fit_onset, refine_series,
                       semiclassical_h_mu)
 
@@ -194,6 +194,18 @@ def test_classical_magnitudes_match_partition_bit_for_bit():
         table = rec.word_measures
         for word, mag in zip(run.words, run.word_magnitudes):
             assert table[tuple(word[:n + 1])].value == mag[n]
+
+
+def test_classical_mc_profile_keeps_estimator_entropies():
+    # in mc mode the profile holds the records' chao_shen estimates, which
+    # differ from the plug-in entropies of the same measures
+    cfg = McConfig(20_000, seed=3)
+    src = ClassicalSource(make_map("cat"), GridPartition(4, 4), "mc", cfg)
+    run = prescription_run(src, 8, word_budget=64)
+    recs = refine_series(make_map("cat"), GridPartition(4, 4), 8, "mc", cfg)
+    assert run.entropy_profile == tuple(r.entropy for r in recs)
+    assert run.entropy_profile != tuple(
+        entropy_nats(r.word_measures.measure_array()) for r in recs)
 
 
 def test_exhaustive_vs_sampled_regimes():
