@@ -18,12 +18,11 @@ from .lyapunov import (LyapunovSpectrum, PesinReport, lyapunov_spectrum,
                        pesin_residual, positive_sum_field)
 from .maps import (MAP_NAMES, PhasePoint, Trajectory, TorusMap, iterate,
                    make_map, preimage_cell)
-from .partitions import (MC_ESTIMATORS, MEASURE_MODES, CellWord,
-                         GridPartition, HksEstimate, McConfig,
-                         MeasureEstimate, RefinementRecord, WordTable,
+from .partitions import (MC_ESTIMATORS, MEASURE_MODES, GridPartition,
+                         HksEstimate, McConfig, RefinementRecord,
                          entropy_nats, fit_line, h_mu, h_mu_ratio,
                          hks_estimate, partition_entropy, refine,
-                         refine_series)
+                         refine_series, word_rows)
 from .pipeline import (VERDICTS, ClassicalSource, DecayReport,
                        PrescriptionRun, QuantumSource, decay_detect,
                        mu_via_quantum, prescription_run, quantum_fit_onset,
@@ -34,14 +33,14 @@ from .symbols import (CoherentState, PolySymbol, hbar_expansion_check,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BiorthOperator", "CellWord", "ChainResult", "ClassicalSource",
+    "BiorthOperator", "ChainResult", "ClassicalSource",
     "CoherentState", "ConfigurationError", "DecayReport", "GamowSpec",
     "GridPartition", "HksEstimate", "LyapunovSpectrum", "MAP_NAMES",
-    "MC_ESTIMATORS", "MEASURE_MODES", "McConfig", "MeasureEstimate",
+    "MC_ESTIMATORS", "MEASURE_MODES", "McConfig",
     "PesinReport", "PhasePoint", "PolySymbol", "PrescriptionRun",
     "QuantumSource", "RefinementRecord", "ResourceLimitError",
     "Trajectory", "TorusMap",
-    "UnsupportedOperationError", "VERDICTS", "WordTable", "chain_trace",
+    "UnsupportedOperationError", "VERDICTS", "chain_trace",
     "decay_bounds", "decay_detect", "eigenvalues", "entropy_nats",
     "evolution_factors", "evolve_matrix_oracle", "evolve_operator",
     "fit_line", "h_mu", "h_mu_ratio", "hks_estimate", "iterate",
@@ -50,5 +49,5 @@ __all__ = [
     "partition_entropy", "pesin_residual", "poisson_bracket",
     "positive_sum_field", "preimage_cell", "prescription_run",
     "quantum_fit_onset", "refine", "refine_series", "semiclassical_h_mu",
-    "star_product", "__version__",
+    "star_product", "word_rows", "__version__",
 ]

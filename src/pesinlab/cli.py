@@ -32,7 +32,7 @@ from .lyapunov import lyapunov_spectrum, pesin_residual, positive_sum_field
 from .maps import MAP_NAMES, PhasePoint, make_map
 from .partitions import (MC_ESTIMATORS, MEASURE_MODES, GridPartition,
                          McConfig, h_mu, h_mu_ratio, hks_estimate,
-                         refine_series)
+                         refine_series, word_rows)
 from .pipeline import ClassicalSource, QuantumSource, prescription_run
 
 FORMATS = ("json", "csv", "both")
@@ -133,7 +133,7 @@ PARAMS = (
     Param("cell", "int", (GAMOW,), 0, low=0, help="operator index to evolve"),
     Param("j", "int", (GAMOW,), 10, low=0, help="number of evolution steps"),
     Param("generation", "choice", (GAMOW,), "random", choices=GENERATIONS),
-    Param("tables", "file", _OPERATOR, echo=None),
+    Param("tables", "file", (GAMOW,), echo=None),
     Param("labels", "file", (GAMOW,)),
 )
 
@@ -352,10 +352,15 @@ def _prescribed_tables(cfg):
         if not isinstance(entry, dict) or "re" not in entry:
             raise ConfigurationError(
                 f"tables[{i}] must be an object with 're' and optional 'im'")
-        re_part = np.asarray(entry["re"], dtype=float)
-        im_part = np.asarray(entry.get("im", np.zeros_like(re_part)),
-                             dtype=float)
-        tables.append(re_part + 1j * im_part)
+        try:
+            re_part = np.asarray(entry["re"], dtype=float)
+            im_part = np.asarray(entry.get("im", np.zeros_like(re_part)),
+                                 dtype=float)
+            tables.append(re_part + 1j * im_part)
+        except (TypeError, ValueError) as exc:
+            raise ConfigurationError(
+                f"tables[{i}] must hold numeric 're' and 'im' arrays "
+                f"of one shape: {exc}") from None
     return tables
 
 
@@ -453,8 +458,9 @@ def cmd_ks_entropy(args):
         ratio = h_mu_ratio(records)
         final = records[-1]
         doc = {"command": "ks-entropy", "config": _echo(cfg),
-               "records": [serialize.refinement_record_doc(r, include_words)
-                           for r in records],
+               "records": [serialize.refinement_record_doc(
+                   r, word_rows(records[:r.n + 1])[0] if include_words else None)
+                   for r in records],
                "h_mu": slope, "h_mu_ratio": ratio}
         written = _emit(out_dir, "ks_entropy", opt["format"], doc,
                         serialize.REFINEMENT_CSV_HEADER,

@@ -208,25 +208,33 @@ def make_cell_operators(spec: GamowSpec, m: int, generation: str = "random",
         raise ValueError("need at least 2 cells")
     if generation == "prescribed":
         if tables is None:
-            raise ValueError("prescribed generation needs coefficient tables")
+            raise ConfigurationError(
+                "prescribed generation needs coefficient tables")
         tables = list(tables)
         if len(tables) != m:
-            raise ValueError(f"expected {m} tables, got {len(tables)}")
+            raise ConfigurationError(f"expected {m} tables, got {len(tables)}")
         labels = labels or [f"cell-{i}" for i in range(m)]
+        if not isinstance(labels, (list, tuple)) or len(labels) != m:
+            raise ConfigurationError(
+                f"labels must be a list of {m} names, got {labels!r}")
         ops = []
         for tab, label in zip(tables, labels):
             arr = np.array(tab, dtype=complex)
             if arr.shape != (spec.n_max, spec.n_max):
-                raise ValueError(
+                raise ConfigurationError(
                     f"table shape {arr.shape} does not match n_max {spec.n_max}")
             if np.max(np.abs(arr - np.diag(np.diag(arr)))) > 1.0:
-                raise ValueError("off-diagonal coefficients must be bounded by 1")
+                raise ConfigurationError(
+                    "off-diagonal coefficients must be bounded by 1")
             op = BiorthOperator(arr, label)
-            decay_bounds([op])
+            try:
+                decay_bounds([op])
+            except ValueError as exc:
+                raise ConfigurationError(str(exc)) from None
             ops.append(op)
         lead_sum = math.fsum(op.coeffs[0, 0].real for op in ops)
         if lead_sum > 1.0 + 1e-12:
-            raise ValueError(
+            raise ConfigurationError(
                 f"leading coefficients sum to {lead_sum}; cells must "
                 "sub-normalize (sum at most 1)")
         return ops

@@ -13,18 +13,22 @@ same measures produce bit-identical entropies.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from . import geometry
-from .errors import ConfigurationError, UnsupportedOperationError
+from .errors import (ConfigurationError, ResourceLimitError,
+                     UnsupportedOperationError)
 from .maps import TorusMap
 
 # pieces thinner than this are clipping slivers, not cells
 _ZERO_AREA = 1e-15
+
+# exact refinement refuses depths projected past this many words
+EXACT_WORD_CAP = 2 ** 20
 
 MEASURE_MODES = ("exact", "mc")
 MC_ESTIMATORS = ("plugin", "miller_madow", "grassberger", "chao_shen")
@@ -63,106 +67,63 @@ class GridPartition:
 
 
 @dataclass(frozen=True)
-class CellWord:
-    """Symbol tuple (k_0, ..., k_n) naming a refined cell."""
+class RefinementRecord:
+    """The nonempty words of depth n as parallel read-only arrays.
 
-    symbols: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.symbols) < 1:
-            raise ValueError("a word needs at least one symbol")
-
-    def __len__(self) -> int:
-        return len(self.symbols)
-
-    def __iter__(self):
-        return iter(self.symbols)
-
-
-@dataclass(frozen=True)
-class MeasureEstimate:
-    value: float
-    method: str
-    stderr: float = 0.0
-    n_samples: int = 0
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.value <= 1.0:
-            raise ValueError(f"measure {self.value} outside [0, 1]")
-        if self.method == "exact" and self.stderr != 0.0:
-            raise ValueError("exact estimates carry no sampling error")
-
-
-class WordTable(Mapping):
-    """Read-only mapping CellWord -> MeasureEstimate backed by flat arrays.
-
-    Iteration is lexicographic in the symbol tuples.  The lookup index is
-    built lazily on the first __getitem__, so iterating a large Monte-Carlo
-    table never materializes a dict of tuples.
-
-    row_codes, when present, holds for each row the compressed word code
-    (parent row position in the previous depth's table, times the alphabet
-    size, plus the last symbol).  Rows are lex-sorted, which makes the codes
-    ascending, so prefix rows can be found by binary search instead of a
-    per-word dict.
+    Rows are in lexicographic word order.  codes[i] names row i by its
+    length-n prefix: the prefix's row in the depth n-1 record times the
+    alphabet size (the grid's cell count), plus the last symbol; at depth 0
+    the code is the symbol itself.  Lex order makes codes ascending.
+    word_rows turns a series of records back into symbol words.
     """
 
-    def __init__(self, words: np.ndarray, values: np.ndarray, stderrs: np.ndarray,
-                 method: str, n_samples: int,
-                 row_codes: Optional[np.ndarray] = None):
-        self._words = words
-        self._values = values
-        self._stderrs = stderrs
-        self._method = method
-        self._n_samples = n_samples
-        self.row_codes = row_codes
-        self._index: Optional[dict] = None
-
-    def __len__(self) -> int:
-        return self._words.shape[0]
-
-    def _estimate(self, i: int) -> MeasureEstimate:
-        return MeasureEstimate(float(self._values[i]), self._method,
-                               float(self._stderrs[i]), self._n_samples)
-
-    def __iter__(self):
-        for row in self._words:
-            yield CellWord(tuple(int(s) for s in row))
-
-    def __getitem__(self, word) -> MeasureEstimate:
-        if self._index is None:
-            self._index = {tuple(int(s) for s in row): i
-                           for i, row in enumerate(self._words)}
-        key = tuple(word.symbols) if isinstance(word, CellWord) else tuple(word)
-        return self._estimate(self._index[key])
-
-    # generator overrides keep large tables cheap to scan
-    def values(self):
-        for i in range(len(self)):
-            yield self._estimate(i)
-
-    def items(self):
-        for i, row in enumerate(self._words):
-            yield CellWord(tuple(int(s) for s in row)), self._estimate(i)
-
-    def measure_array(self) -> np.ndarray:
-        """Measures in iteration (lexicographic) order, as a copy."""
-        return self._values.copy()
-
-    def word_array(self) -> np.ndarray:
-        return self._words.copy()
-
-
-@dataclass(frozen=True)
-class RefinementRecord:
     n: int
-    nonempty_words: int
     entropy: float
-    word_measures: WordTable
+    codes: np.ndarray
+    measures: np.ndarray
     map_name: str
     grid: tuple[int, int]
     mode: str
     meta: dict = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        for name in ("codes", "measures"):
+            arr = np.array(getattr(self, name))
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+
+    @property
+    def nonempty_words(self) -> int:
+        return len(self.codes)
+
+    @property
+    def stderrs(self) -> np.ndarray:
+        """Binomial sampling error of each measure; 0 for exact measures."""
+        if self.mode != "mc":
+            return np.zeros(len(self.measures))
+        return np.sqrt(self.measures * (1.0 - self.measures)
+                       / self.meta["n_samples"])
+
+
+def word_rows(records: Sequence[RefinementRecord],
+              rows: Optional[np.ndarray] = None) -> tuple[np.ndarray, np.ndarray]:
+    """Symbol words of the last record's rows, with their prefix measures.
+
+    records is one refinement series from depth 0; rows picks rows of its
+    last record (default: all, in lex order).  Returns words, (W, n+1)
+    int32 with words[:, d] the symbol at depth d, and prefix_measures,
+    (W, n+1) with column d the measure of the word's length-(d+1) prefix.
+    """
+    _check_same_run(records)
+    m = records[0].grid[0] * records[0].grid[1]
+    pos = np.arange(records[-1].nonempty_words) if rows is None \
+        else np.asarray(rows, dtype=np.int64)
+    words = np.empty((len(pos), len(records)), dtype=np.int32)
+    prefix_measures = np.empty((len(pos), len(records)))
+    for d in range(len(records) - 1, -1, -1):
+        prefix_measures[:, d] = records[d].measures[pos]
+        pos, words[:, d] = np.divmod(records[d].codes[pos], m)
+    return words, prefix_measures
 
 
 @dataclass(frozen=True)
@@ -202,24 +163,27 @@ def partition_entropy(measures: Iterable[float]) -> float:
 
 # --- exact refinement -------------------------------------------------------
 
-def _exact_record(pieces_by_word: dict, n: int, torus_map: TorusMap,
-                  part: GridPartition, prev_rows: Optional[dict]) -> RefinementRecord:
-    words = sorted(pieces_by_word)
-    measures = [math.fsum(geometry.polygon_area(p) for p in pieces_by_word[w])
-                for w in words]
-    if prev_rows is None:
-        codes = np.array([w[0] for w in words], dtype=np.int64)
-    else:
-        m = part.n_cells
-        codes = np.array([prev_rows[w[:-1]] * m + w[-1] for w in words],
-                         dtype=np.int64)
-    table = WordTable(
-        np.array(words, dtype=np.int32).reshape(len(words), n + 1),
-        np.array(measures, dtype=float),
-        np.zeros(len(words)),
-        "exact", 0, codes)
-    return RefinementRecord(n, len(words), entropy_nats(measures), table,
+def _exact_record(cells: list, n: int, torus_map: TorusMap,
+                  part: GridPartition) -> RefinementRecord:
+    measures = [math.fsum(geometry.polygon_area(p) for p in pieces)
+                for _, pieces in cells]
+    return RefinementRecord(n, entropy_nats(measures),
+                            np.array([code for code, _ in cells], dtype=np.int64),
+                            np.array(measures, dtype=float),
                             torus_map.name, (part.m_q, part.m_p), "exact")
+
+
+def _check_word_cap(records: list, n: int, n_max: int, torus_map: TorusMap,
+                    part: GridPartition) -> None:
+    """Refuse depth n when R_{n-1} (R_{n-1}/R_{n-2})^(n_max-n+1) tops the cap."""
+    last, before = records[-1].nonempty_words, records[-2].nonempty_words
+    log_words = math.log(last) + (n_max - n + 1) * math.log(last / before)
+    if log_words > math.log(EXACT_WORD_CAP):
+        raise ResourceLimitError(
+            f"exact refinement of {torus_map.name} on the {part.m_q}x{part.m_p} "
+            f"grid to depth {n_max} is projected to reach about "
+            f"10^{log_words / math.log(10.0):.1f} words, above the cap of "
+            f"{EXACT_WORD_CAP}; use --mode mc or a smaller --depth")
 
 
 def _exact_series(torus_map: TorusMap, part: GridPartition,
@@ -228,13 +192,17 @@ def _exact_series(torus_map: TorusMap, part: GridPartition,
         raise UnsupportedOperationError(
             f"exact refinement needs piecewise-linear data, "
             f"which map {torus_map.name!r} does not provide")
-    cell_rects = [part.cell_rect(k) for k in range(part.n_cells)]
-    current = {(k,): [geometry.rect_polygon(*r)] for k, r in enumerate(cell_rects)}
-    records = [_exact_record(current, 0, torus_map, part, None)]
+    m = part.n_cells
+    cell_rects = [part.cell_rect(k) for k in range(m)]
+    # (code, pieces) per word; children are appended in (parent row,
+    # symbol) order, which is lexicographic word order
+    current = [(k, [geometry.rect_polygon(*r)]) for k, r in enumerate(cell_rects)]
+    records = [_exact_record(current, 0, torus_map, part)]
     for n in range(1, n_max + 1):
-        rows = {w: i for i, w in enumerate(sorted(current))}
-        nxt = {}
-        for word, pieces in current.items():
+        if n >= 2:
+            _check_word_cap(records, n, n_max, torus_map, part)
+        nxt = []
+        for row, (_, pieces) in enumerate(current):
             mapped = [img for piece in pieces
                       for img in torus_map.forward_pieces(piece)]
             for k, rect in enumerate(cell_rects):
@@ -244,9 +212,9 @@ def _exact_series(torus_map: TorusMap, part: GridPartition,
                     if cut is not None and geometry.polygon_area(cut) > _ZERO_AREA:
                         parts.append(cut)
                 if parts:
-                    nxt[word + (k,)] = parts
+                    nxt.append((row * m + k, parts))
         current = nxt
-        records.append(_exact_record(current, n, torus_map, part, rows))
+        records.append(_exact_record(current, n, torus_map, part))
     return records
 
 
@@ -291,15 +259,11 @@ def _mc_entropy(counts: np.ndarray, n_samples: int, estimator: str) -> float:
     return float(-np.sum(adj * np.log(adj) / seen))
 
 
-def _mc_record(words: np.ndarray, counts: np.ndarray, codes: np.ndarray, n: int,
-               cfg: McConfig, torus_map: TorusMap,
-               part: GridPartition) -> RefinementRecord:
-    freqs = counts / cfg.n_samples
-    entropy = _mc_entropy(counts, cfg.n_samples, cfg.estimator)
-    stderrs = np.sqrt(freqs * (1.0 - freqs) / cfg.n_samples)
-    table = WordTable(words, freqs, stderrs, "monte_carlo", cfg.n_samples, codes)
+def _mc_record(codes: np.ndarray, counts: np.ndarray, n: int, cfg: McConfig,
+               torus_map: TorusMap, part: GridPartition) -> RefinementRecord:
     meta = {"n_samples": cfg.n_samples, "seed": cfg.seed, "estimator": cfg.estimator}
-    return RefinementRecord(n, len(counts), entropy, table,
+    return RefinementRecord(n, _mc_entropy(counts, cfg.n_samples, cfg.estimator),
+                            codes, counts / cfg.n_samples,
                             torus_map.name, (part.m_q, part.m_p), "mc", meta)
 
 
@@ -314,17 +278,14 @@ def _mc_series(torus_map: TorusMap, part: GridPartition, n_max: int,
     # np.unique sorts ascending, lexicographic word order is preserved
     # inductively at every depth.
     sym = part.cell_index_batch(pts)
-    uniq, ids, counts = np.unique(sym, return_inverse=True, return_counts=True)
-    words = uniq.reshape(-1, 1).astype(np.int32)
-    records = [_mc_record(words, counts, uniq, 0, cfg, torus_map, part)]
+    codes, ids, counts = np.unique(sym, return_inverse=True, return_counts=True)
+    records = [_mc_record(codes, counts, 0, cfg, torus_map, part)]
     for n in range(1, n_max + 1):
         pts = torus_map.step_batch(pts)
         sym = part.cell_index_batch(pts)
-        codes = ids * m + sym
-        uniq, ids, counts = np.unique(codes, return_inverse=True, return_counts=True)
-        words = np.hstack([words[uniq // m],
-                           (uniq % m).reshape(-1, 1).astype(np.int32)])
-        records.append(_mc_record(words, counts, uniq, n, cfg, torus_map, part))
+        codes, ids, counts = np.unique(ids * m + sym, return_inverse=True,
+                                       return_counts=True)
+        records.append(_mc_record(codes, counts, n, cfg, torus_map, part))
     return records
 
 

@@ -17,15 +17,15 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
 from .gamow import BiorthOperator, GamowSpec, chain_trace, decay_bounds, \
     evolution_factors
 from .maps import TorusMap
-from .partitions import GridPartition, McConfig, RefinementRecord, \
-    entropy_nats, fit_line, refine_series, tail_slope
+from .partitions import GridPartition, McConfig, entropy_nats, fit_line, \
+    refine_series, tail_slope, word_rows
 
 VERDICTS = ("exponential", "not_exponential", "inconclusive")
 
@@ -181,24 +181,6 @@ def quantum_fit_onset(spec: GamowSpec, n_max: int) -> int:
     return n_max // 2
 
 
-def _prefix_measures(records: Sequence[RefinementRecord], words: np.ndarray,
-                     m: int) -> np.ndarray:
-    """Measure of each word's length-(n+1) prefix, per depth; (W, depths)."""
-    out = np.empty((words.shape[0], len(records)))
-    pos = None
-    for n, rec in enumerate(records):
-        codes = rec.word_measures.row_codes
-        if n == 0:
-            w_codes = words[:, 0].astype(np.int64)
-        else:
-            w_codes = pos * m + words[:, n]
-        pos = np.searchsorted(codes, w_codes)
-        if pos.size and (pos.max() >= len(codes) or np.any(codes[pos] != w_codes)):
-            raise ValueError("a sampled word has no measure at some depth")
-        out[:, n] = rec.word_measures.measure_array()[pos]
-    return out
-
-
 def _word_verdicts(mags: np.ndarray, onset: int, r2_threshold: float) -> float:
     passing = 0
     for row in mags:
@@ -234,16 +216,15 @@ def _classical_measures(src: ClassicalSource, n_max: int, word_budget: int,
         for r in records:
             progress(f"depth {r.n}/{n_max}: {r.nonempty_words} words, H={r.entropy:.6g}")
     final = records[-1]
-    all_words = final.word_measures.word_array()
     if final.nonempty_words > word_budget:
         rng = np.random.default_rng(seed)
-        pick = np.sort(rng.choice(final.nonempty_words, size=word_budget,
+        rows = np.sort(rng.choice(final.nonempty_words, size=word_budget,
                                   replace=False))
-        words = all_words[pick]
         sampling = "sampled"
     else:
-        words = all_words
+        rows = None
         sampling = "exhaustive"
+    words, mags = word_rows(records, rows)
     desc = {"map": src.torus_map.name,
             "grid": [src.partition.m_q, src.partition.m_p],
             "measure_mode": src.measure_mode}
@@ -254,8 +235,7 @@ def _classical_measures(src: ClassicalSource, n_max: int, word_budget: int,
     # the profile keeps each record's own entropy: in mc mode that is the
     # configured estimator, not the plug-in entropy of the measures
     return _Measured(
-        desc, words, _prefix_measures(records, words, src.partition.n_cells),
-        [r.word_measures.measure_array() for r in records],
+        desc, words, mags, [r.measures for r in records],
         tuple(r.entropy for r in records),
         tuple(r.nonempty_words for r in records),
         sampling, n_max // 2, False, None)

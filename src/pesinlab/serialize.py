@@ -37,7 +37,12 @@ def write_csv(path, header, rows) -> Path:
 
 # --- refinement records -----------------------------------------------------
 
-def refinement_record_doc(record: RefinementRecord, include_words: bool = False) -> dict:
+def refinement_record_doc(record: RefinementRecord, words=None) -> dict:
+    """JSON document of one record.
+
+    words, the record's rows as symbol words (partitions.word_rows), adds
+    each word's measure and its sampling error.
+    """
     doc = {
         "n": record.n,
         "R_n": record.nonempty_words,
@@ -48,11 +53,12 @@ def refinement_record_doc(record: RefinementRecord, include_words: bool = False)
     }
     if record.meta:
         doc["meta"] = dict(record.meta)
-    if include_words:
+    if words is not None:
         doc["word_measures"] = {
-            ",".join(str(s) for s in word.symbols): {
-                "value": est.value, "stderr": est.stderr}
-            for word, est in record.word_measures.items()}
+            ",".join(map(str, word)): {"value": value, "stderr": stderr}
+            for word, value, stderr in zip(words.tolist(),
+                                           record.measures.tolist(),
+                                           record.stderrs.tolist())}
     return doc
 
 

@@ -59,7 +59,7 @@ def test_criterion_02_baker_oracle():
     def check():
         recs = refine_series(make_map("baker"), GridPartition(2, 1), 12)
         for rec in recs:
-            vals = rec.word_measures.measure_array()
+            vals = rec.measures
             assert (vals == 2.0 ** -(rec.n + 1)).all()
             assert rec.entropy == (rec.n + 1) * LN2
         slope = h_mu(recs)

@@ -1,10 +1,16 @@
+import itertools
 import json
 import math
+import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+from pesinlab import GridPartition, make_map
 from pesinlab.cli import main
 
 LN2 = math.log(2.0)
@@ -102,6 +108,36 @@ def test_ks_entropy_include_words(tmp_path, capsys):
     doc = json.loads((tmp_path / "ks_entropy.json").read_text())
     words = doc["records"][0]["word_measures"]
     assert words["0"]["value"] == 0.5
+    deepest = doc["records"][-1]["word_measures"]
+    assert set(deepest) == {",".join(w) for w in itertools.product("01", repeat=5)}
+    for est in deepest.values():
+        assert est == {"value": 2.0 ** -5, "stderr": 0.0}
+
+
+def test_ks_entropy_include_words_mc(tmp_path, capsys):
+    n_samples, depth = 2000, 4
+    code, _, _ = run_cli(["ks-entropy", "--map", "cat", "--grid", "2x2",
+                          "--mode", "mc", "--depth", str(depth),
+                          "--mc-samples", str(n_samples), "--seed", "3",
+                          "--include-words", "--out", str(tmp_path)], capsys)
+    assert code == 0
+    doc = json.loads((tmp_path / "ks_entropy.json").read_text())
+    # the same sample cloud, followed and counted word by word
+    part, cat = GridPartition(2, 2), make_map("cat")
+    pts = np.random.default_rng(3).random((n_samples, 2))
+    symbols = [part.cell_index_batch(pts)]
+    for _ in range(depth):
+        pts = cat.step_batch(pts)
+        symbols.append(part.cell_index_batch(pts))
+    words, counts = np.unique(np.stack(symbols, axis=1), axis=0,
+                              return_counts=True)
+    expected = {",".join(map(str, w)): c / n_samples
+                for w, c in zip(words.tolist(), counts.tolist())}
+    deepest = doc["records"][-1]["word_measures"]
+    assert {k: est["value"] for k, est in deepest.items()} == expected
+    for est in deepest.values():
+        v = est["value"]
+        assert est["stderr"] == math.sqrt(v * (1.0 - v) / n_samples)
 
 
 def test_ks_entropy_ladder(tmp_path, capsys):
@@ -280,6 +316,66 @@ def test_bad_value_is_configuration_error(tmp_path, capsys, argv, key):
     code, _, err = run_cli(argv + ["--out", str(tmp_path)], capsys)
     assert code == 2
     assert key in err
+    assert not list(tmp_path.glob("*.json"))
+
+
+def _table(lead, n=2):
+    return {"re": [[lead if r == s == 0 else 0.0 for s in range(n)]
+                   for r in range(n)]}
+
+
+_PRESCRIBED = {"generation": "prescribed", "n_max": 2, "cells": 2}
+
+
+@pytest.mark.parametrize("argv,cfg,cause", [
+    # prescription always draws random cells, so it takes no tables
+    (["prescription", "--source", "gamow", "--depth", "8"],
+     {"n_max": 2, "cells": 2, "tables": [_table(0.5), _table(0.25)]},
+     "unknown config keys: tables"),
+    (["gamow-evolve"], dict(_PRESCRIBED, tables=[_table(0.5)]),
+     "expected 2 tables"),
+    (["gamow-evolve"],
+     dict(_PRESCRIBED, tables=[_table(0.5), _table(0.25, n=3)]),
+     "table shape"),
+    (["gamow-evolve"], dict(_PRESCRIBED, tables=[_table(0.5), _table(1.5)]),
+     "leading coefficient"),
+    (["gamow-evolve"], dict(_PRESCRIBED, tables=[_table(0.6), _table(0.6)]),
+     "sum to 1.2"),
+    (["gamow-evolve"],
+     dict(_PRESCRIBED, tables=[_table(0.5), {"re": [["x", 0], [0, 0.1]]}]),
+     "tables[1]"),
+    (["gamow-evolve", "--cell", "1"],
+     dict(_PRESCRIBED, tables=[_table(0.5), _table(0.25)], labels=["left"]),
+     "labels must be a list of 2 names"),
+    (["gamow-evolve"],
+     dict(_PRESCRIBED, tables=[_table(0.5), _table(0.25)], labels=5),
+     "labels must be a list of 2 names"),
+])
+def test_bad_config_file_is_configuration_error(tmp_path, capsys, argv, cfg,
+                                                cause):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    code, _, err = run_cli(argv + ["--config", str(cfg_path),
+                                   "--out", str(tmp_path)], capsys)
+    assert code == 2
+    assert cause in err
+    assert [p.name for p in tmp_path.glob("*.json")] == ["cfg.json"]
+
+
+@pytest.mark.parametrize("command", [
+    ["ks-entropy", "--map", "cat"],
+    ["pesin", "--map", "cat", "--lyap-steps", "200", "--samples", "2"],
+])
+def test_default_exact_cat_is_refused_up_front(tmp_path, command):
+    # the exact 8x8 depth-12 default would need about 10^9 words; a fresh
+    # interpreter with a timeout keeps a regression from hanging the suite
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-m", "pesinlab.cli", *command,
+                           "--out", str(tmp_path)],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 2
+    assert "--mode mc" in proc.stderr and "--depth" in proc.stderr
     assert not list(tmp_path.glob("*.json"))
 
 

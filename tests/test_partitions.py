@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from pesinlab import (CellWord, ConfigurationError, GridPartition, McConfig,
-                      MeasureEstimate, h_mu, h_mu_ratio, hks_estimate,
-                      make_map, partition_entropy, refine, refine_series)
+from pesinlab import (ConfigurationError, GridPartition, McConfig, h_mu,
+                      h_mu_ratio, hks_estimate, make_map, partition_entropy,
+                      refine, refine_series, word_rows)
 from pesinlab.partitions import _mc_entropy, fit_line
 
 LN2 = math.log(2.0)
@@ -62,33 +62,25 @@ def test_grid_rejects_nonpositive():
         GridPartition(0, 4)
 
 
-def test_measure_estimate_validation():
-    MeasureEstimate(0.5, "exact")
-    with pytest.raises(ValueError):
-        MeasureEstimate(1.5, "exact")
-    with pytest.raises(ValueError):
-        MeasureEstimate(0.5, "exact", stderr=0.01)
-
-
 # --- refine -----------------------------------------------------------------
 
 def test_refine_identity_no_refinement():
     rec = refine(make_map("identity"), GridPartition(2, 2), 3)
     assert rec.nonempty_words == 4
-    for est in rec.word_measures.values():
-        assert est.value == 0.25
+    for value in rec.measures:
+        assert value == 0.25
 
 
 def test_refine_baker_binary_depth4():
     rec = refine(make_map("baker"), GridPartition(2, 1), 4)
     assert rec.nonempty_words == 32
-    for est in rec.word_measures.values():
-        assert est.value == 2.0 ** -5
+    for value in rec.measures:
+        assert value == 2.0 ** -5
 
 
 def test_refine_cat_sums_to_one():
     rec = refine(make_map("cat"), GridPartition(2, 2), 1)
-    total = math.fsum(e.value for e in rec.word_measures.values())
+    total = math.fsum(rec.measures)
     assert abs(total - 1.0) < 1e-9
 
 
@@ -97,17 +89,20 @@ def test_refine_series_rejects_negative_depth():
         refine_series(make_map("baker"), GridPartition(2, 1), -1)
 
 
-def test_word_table_lookup():
-    rec = refine(make_map("baker"), GridPartition(2, 1), 2)
-    table = rec.word_measures
-    words = list(table)
-    assert words == sorted(words, key=lambda w: w.symbols)
-    w = words[3]
-    assert table[w].value == table[w.symbols].value
-    assert len(w) == 3
-    vals = table.measure_array()
-    vals[0] = 99.0
-    assert table.measure_array()[0] != 99.0
+def test_word_rows_lookup():
+    recs = refine_series(make_map("baker"), GridPartition(2, 1), 2)
+    words, prefix = word_rows(recs)
+    rows = [tuple(w) for w in words.tolist()]
+    assert rows == sorted(rows)
+    assert len(rows[3]) == 3
+    picked, picked_prefix = word_rows(recs, [3])
+    assert tuple(picked[0]) == rows[3]
+    assert (picked_prefix[0] == prefix[3]).all()
+    assert prefix[3, 2] == recs[2].measures[3]
+    with pytest.raises(ValueError):
+        recs[2].measures[0] = 99.0
+    with pytest.raises(ValueError):
+        recs[2].codes[0] = 99
 
 
 # --- exact oracle -----------------------------------------------------------
@@ -116,7 +111,7 @@ def test_word_table_lookup():
 def test_baker_measures_exact_all_depths(n):
     rec = refine(make_map("baker"), GridPartition(2, 1), n)
     assert rec.nonempty_words == 2 ** (n + 1)
-    vals = rec.word_measures.measure_array()
+    vals = rec.measures
     assert (vals == 2.0 ** -(n + 1)).all()
     assert abs(rec.entropy - (n + 1) * LN2) < 1e-12
 
@@ -160,7 +155,7 @@ def test_fit_slope_exact_on_linear_data():
 def test_exact_mode_invariants(name, grid):
     recs = refine_series(make_map(name), GridPartition(*grid), 4)
     for rec in recs:
-        vals = rec.word_measures.measure_array()
+        vals = rec.measures
         assert abs(math.fsum(vals) - 1.0) < 1e-9
         assert rec.entropy <= math.log(rec.nonempty_words) + 1e-12
     for a, b in zip(recs, recs[1:]):
@@ -174,7 +169,7 @@ def test_mc_mode_invariants(name, grid):
     cfg = McConfig(50_000, seed=5)
     recs = refine_series(make_map(name), GridPartition(*grid), 6, "mc", cfg)
     for rec in recs:
-        vals = rec.word_measures.measure_array()
+        vals = rec.measures
         assert abs(vals.sum() - 1.0) < 1e-9
         assert rec.meta["seed"] == 5
         assert rec.meta["estimator"] == "chao_shen"
@@ -187,7 +182,7 @@ def test_mc_seed_determinism():
     a = refine(make_map("cat"), part, 5, "mc", McConfig(20_000, seed=9))
     b = refine(make_map("cat"), part, 5, "mc", McConfig(20_000, seed=9))
     c = refine(make_map("cat"), part, 5, "mc", McConfig(20_000, seed=10))
-    assert (a.word_measures.measure_array() == b.word_measures.measure_array()).all()
+    assert (a.measures == b.measures).all()
     assert a.entropy == b.entropy
     assert a.entropy != c.entropy
 
@@ -195,10 +190,9 @@ def test_mc_seed_determinism():
 def test_mc_stderr_is_binomial():
     rec = refine(make_map("identity"), GridPartition(2, 1), 0, "mc",
                  McConfig(10_000, seed=0))
-    for est in rec.word_measures.values():
-        f = est.value
-        assert abs(est.stderr - math.sqrt(f * (1 - f) / 10_000)) < 1e-15
-        assert est.n_samples == 10_000
+    for f, stderr in zip(rec.measures, rec.stderrs):
+        assert abs(stderr - math.sqrt(f * (1 - f) / 10_000)) < 1e-15
+    assert rec.meta["n_samples"] == 10_000
 
 
 def test_mc_config_validation():

@@ -7,7 +7,7 @@ from pesinlab import (BiorthOperator, ClassicalSource, GamowSpec,
                       GridPartition, McConfig, QuantumSource, decay_detect,
                       entropy_nats, h_mu, make_cell_operators, make_map, mu_via_quantum,
                       prescription_run, quantum_fit_onset, refine_series,
-                      semiclassical_h_mu)
+                      semiclassical_h_mu, word_rows)
 
 LN2 = math.log(2.0)
 
@@ -107,7 +107,7 @@ def test_detect_onset_default_is_half():
 
 def test_slope_matches_partition_route():
     recs = refine_series(make_map("baker"), GridPartition(2, 1), 12)
-    series = [r.word_measures.measure_array() for r in recs]
+    series = [r.measures for r in recs]
     h = semiclassical_h_mu(series)
     assert h == h_mu(recs)
     assert abs(h - LN2) < 0.01 * LN2
@@ -191,9 +191,10 @@ def test_classical_magnitudes_match_partition_bit_for_bit():
     assert run.entropy_profile == tuple(r.entropy for r in recs)
     assert run.word_counts == tuple(r.nonempty_words for r in recs)
     for n, rec in enumerate(recs):
-        table = rec.word_measures
+        words, _ = word_rows(recs[:n + 1])
+        table = dict(zip(map(tuple, words.tolist()), rec.measures))
         for word, mag in zip(run.words, run.word_magnitudes):
-            assert table[tuple(word[:n + 1])].value == mag[n]
+            assert table[tuple(word[:n + 1].tolist())] == mag[n]
 
 
 def test_classical_mc_profile_keeps_estimator_entropies():
@@ -205,7 +206,7 @@ def test_classical_mc_profile_keeps_estimator_entropies():
     recs = refine_series(make_map("cat"), GridPartition(4, 4), 8, "mc", cfg)
     assert run.entropy_profile == tuple(r.entropy for r in recs)
     assert run.entropy_profile != tuple(
-        entropy_nats(r.word_measures.measure_array()) for r in recs)
+        entropy_nats(r.measures) for r in recs)
 
 
 def test_exhaustive_vs_sampled_regimes():

@@ -1,0 +1,80 @@
+"""Property tests of the refinement invariants.
+
+Small maps, grids, depths and both measure modes: every depth's measures
+sum to 1, baker measures on dyadic grids are exact powers of 2, word_rows
+gives lex-sorted unique words, and every prefix measure is the measure of
+that prefix's own row.
+"""
+
+import math
+
+import numpy as np
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from pesinlab import (GridPartition, McConfig, make_map, refine_series,
+                      word_rows)
+
+N_SAMPLES = 2000
+
+property_settings = settings(max_examples=50, deadline=None)
+
+
+@st.composite
+def series(draw):
+    """A refinement series of a small map, grid and depth, in either mode."""
+    name = draw(st.sampled_from(("identity", "baker", "cat")))
+    grid = GridPartition(draw(st.integers(1, 3)), draw(st.integers(1, 3)))
+    depth = draw(st.integers(0, 4))
+    if draw(st.sampled_from(("exact", "mc"))) == "exact":
+        return refine_series(make_map(name), grid, depth)
+    cfg = McConfig(N_SAMPLES, seed=draw(st.integers(0, 2 ** 32 - 1)))
+    return refine_series(make_map(name), grid, depth, "mc", cfg)
+
+
+@property_settings
+@given(series())
+def test_measures_sum_to_one(recs):
+    for rec in recs:
+        if rec.mode == "exact":
+            assert abs(math.fsum(rec.measures) - 1.0) <= 1e-12
+        else:
+            counts = np.rint(rec.measures * N_SAMPLES)
+            assert (counts / N_SAMPLES == rec.measures).all()
+            assert counts.sum() == N_SAMPLES
+
+
+@property_settings
+@given(st.integers(0, 2), st.integers(0, 2), st.integers(0, 6))
+def test_baker_dyadic_grid_measures_are_exact(a, b, depth):
+    assume(a + b >= 1)  # the one-cell partition never refines
+    recs = refine_series(make_map("baker"), GridPartition(2 ** a, 2 ** b), depth)
+    for rec in recs:
+        assert rec.nonempty_words == 2 ** (a + b + rec.n)
+        assert (rec.measures == 2.0 ** -(a + b + rec.n)).all()
+
+
+@property_settings
+@given(series())
+def test_word_rows_are_lex_sorted_and_unique(recs):
+    words, _ = word_rows(recs)
+    assert words.shape == (recs[-1].nonempty_words, len(recs))
+    rows = [tuple(w) for w in words.tolist()]
+    assert rows == sorted(set(rows))
+    assert (np.diff(recs[-1].codes) > 0).all()
+
+
+@property_settings
+@given(series(), st.data())
+def test_prefix_measures_are_prefix_row_measures(recs, data):
+    rows = data.draw(st.lists(st.integers(0, recs[-1].nonempty_words - 1),
+                              max_size=20))
+    words, prefix = word_rows(recs, rows)
+    all_words, all_prefix = word_rows(recs)
+    assert (words == all_words[rows]).all()
+    assert (prefix == all_prefix[rows]).all()
+    for d, rec in enumerate(recs):
+        own, _ = word_rows(recs[:d + 1])
+        measure_of = dict(zip(map(tuple, own.tolist()), rec.measures.tolist()))
+        for word, mags in zip(all_words.tolist(), all_prefix):
+            assert mags[d] == measure_of[tuple(word[:d + 1])]

@@ -9,7 +9,8 @@ import pytest
 from pesinlab import (BiorthOperator, ChainResult, ClassicalSource, GamowSpec,
                       GridPartition, PhasePoint, QuantumSource, chain_trace,
                       lyapunov_spectrum, make_cell_operators, make_map,
-                      pesin_residual, prescription_run, refine, refine_series)
+                      pesin_residual, prescription_run, refine, refine_series,
+                      word_rows)
 from pesinlab.serialize import (CHAIN_CSV_HEADER, PRESCRIPTION_CSV_HEADER,
                                 REFINEMENT_CSV_HEADER, biorth_doc, chain_rows,
                                 decay_report_doc, fmt_float, pesin_doc,
@@ -49,8 +50,8 @@ def test_refinement_doc_fields():
 
 
 def test_refinement_doc_word_block():
-    rec = refine(make_map("baker"), GridPartition(2, 1), 1)
-    doc = refinement_record_doc(rec, include_words=True)
+    recs = refine_series(make_map("baker"), GridPartition(2, 1), 1)
+    doc = refinement_record_doc(recs[-1], word_rows(recs)[0])
     words = doc["word_measures"]
     assert len(words) == 4
     assert words["0,0"] == {"value": 0.25, "stderr": 0.0}
