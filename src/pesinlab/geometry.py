@@ -1,4 +1,4 @@
-"""Convex polygon pieces on the unit torus.
+"""Convex polygon pieces on the unit torus, one at a time or in batches.
 
 A piece is a convex polygon stored as a tuple of (x, y) vertex pairs in
 counter-clockwise order.  All clipping is against axis-aligned lines, which
@@ -7,13 +7,60 @@ vertex on the line x = c gets its x coordinate set to c literally, and its
 y coordinate is exact whenever the crossed edge is horizontal (the
 interpolation term has a zero numerator).  That exactness is what lets the
 baker-map refinement produce word measures that are exactly 2^-(n+1).
+
+Batches.  The ``*_batch`` functions act on many pieces at once.  A batch is
+a padded float64 vertex array ``verts`` of shape (N, V, 2) plus a vertex
+count per row, ``counts`` (N,); vertices past a row's count are padding.
+Functions that drop or split rows also return ``rows``, the input row each
+output row came from, and keep the per-polygon output order.  Each batched
+function repeats its per-polygon counterpart bit for bit:
+
+* ``clip_halfplane_batch`` evaluates the same comparisons and the same
+  crossing expression, ``a1 + (c - a0) * (b1 - a1) / (b0 - a0)`` with the
+  clip coordinate set to c literally, and emits, for each vertex in order,
+  the vertex if it is kept and then the crossing if its edge crosses; a
+  row left with fewer than 3 vertices is dropped, where ``clip_halfplane``
+  returns None.
+* ``affine_image_batch`` evaluates ``a x + b y + e`` in the same order.
+* ``polygon_area_batch`` takes ``0.5 * abs(math.fsum(terms))`` of the same
+  shoelace terms per row.  fsum is correctly rounded, so neither the term
+  order nor the zero terms of the padding change a bit.
+
+So a batched run gives the same vertices, and the same areas, as the
+per-polygon functions; the tests check this on random convex polygons.
+Exact refinement (partitions) computes each kept piece's area once and
+takes a word's measure as the fsum of its pieces' areas, so neither the
+order of the pieces nor the chunking changes a measure by a bit.
+
+Pruning.  A piece is clipped against a box (a branch domain, a torus
+square, a grid cell) only when its bounding box overlaps the box strictly.
+Otherwise the clip is None, or it keeps only vertices on one line of the
+box and its crossings, which lie on that line too, so every shoelace term
+cancels against another and the area is exactly 0.
+
+Memory.  Every stage runs on at most ``CHUNK_ROWS`` rows at a time: the
+(piece, box) pairs of a clip, the rows of an area sum, and, in exact
+refinement, the pieces mapped forward in one pass.  Scratch arrays stay
+bounded whatever the number of pieces; only the pieces kept at a depth
+are held in full.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
+from typing import Callable, Optional
+
+import numpy as np
 
 Polygon = tuple[tuple[float, float], ...]
+
+# rows (pieces, or (piece, box) pairs) per batched pass
+CHUNK_ROWS = 2048
+
+# the four half-planes of clip_to_rect, in its order: (axis, rect column,
+# keep_low)
+_RECT_SIDES = ((0, 0, False), (0, 1, True), (1, 2, False), (1, 3, True))
 
 
 def rect_polygon(q0: float, q1: float, p0: float, p1: float) -> Polygon:
@@ -81,19 +128,284 @@ def affine_image(poly: Polygon, a: float, b: float, c: float, d: float,
     return tuple((a * x + b * y + e, c * x + d * y + f) for x, y in poly)
 
 
+def _torus_squares(lo: float, hi: float) -> range:
+    # integer i with [i, i+1] overlapping [lo, hi] strictly (one square
+    # when the span is a single integer point)
+    return range(math.floor(lo), max(math.ceil(hi), math.floor(lo) + 1))
+
+
 def wrap_to_torus(poly: Polygon) -> list[Polygon]:
     """Split a polygon along integer lines and translate every piece into [0,1)^2."""
     xs = [v[0] for v in poly]
     ys = [v[1] for v in poly]
     pieces = []
-    for i in range(math.floor(min(xs)), max(math.ceil(max(xs)), math.floor(min(xs)) + 1)):
-        for j in range(math.floor(min(ys)), max(math.ceil(max(ys)), math.floor(min(ys)) + 1)):
+    for i in _torus_squares(min(xs), max(xs)):
+        for j in _torus_squares(min(ys), max(ys)):
             part = clip_to_rect(poly, float(i), float(i + 1), float(j), float(j + 1))
-            if part is None or polygon_area(part) == 0.0:
+            if part is None:
                 continue
-            if i == 0 and j == 0:
-                pieces.append(part)
-            else:
-                # integer translation is exact
-                pieces.append(tuple((x - i, y - j) for x, y in part))
+            # translating by (0, 0) leaves a piece bit for bit unchanged
+            pieces.append(tuple((x - i, y - j) for x, y in part))
     return pieces
+
+
+@dataclass(frozen=True)
+class Branch:
+    """One affine branch of a piecewise-affine torus map.
+
+    rect is the branch domain (q0, q1, p0, p1), or None for the whole
+    square; affine holds the (a, b, c, d, e, f) of affine_image, or None for
+    no change; wrap splits the image along integer lines back onto the
+    torus.  A map's action on pieces is its tuple of branches, applied in
+    order by branch_images (one polygon) or branch_images_batch (a batch).
+    """
+
+    rect: Optional[tuple[float, float, float, float]]
+    affine: Optional[tuple[float, float, float, float, float, float]]
+    wrap: bool = False
+
+
+def _overlaps(poly: Polygon, rect) -> bool:
+    xs = [v[0] for v in poly]
+    ys = [v[1] for v in poly]
+    q0, q1, p0, p1 = rect
+    return q0 < max(xs) and q1 > min(xs) and p0 < max(ys) and p1 > min(ys)
+
+
+def branch_images(poly: Polygon, branches: tuple[Branch, ...]) -> list[Polygon]:
+    """Images of one polygon under each branch, in branch order."""
+    out = []
+    for br in branches:
+        part = poly
+        if br.rect is not None:
+            part = clip_to_rect(poly, *br.rect) if _overlaps(poly, br.rect) else None
+            if part is None:
+                continue
+        if br.affine is not None:
+            part = affine_image(part, *br.affine)
+        out.extend(wrap_to_torus(part) if br.wrap else [part])
+    return out
+
+
+# --- batches ----------------------------------------------------------------
+
+def as_batch(polys) -> tuple[np.ndarray, np.ndarray]:
+    """Padded (verts, counts) batch of a sequence of polygons."""
+    counts = np.array([len(p) for p in polys], dtype=np.int64)
+    verts = np.zeros((len(counts), int(counts.max(initial=0)), 2))
+    for row, poly in enumerate(polys):
+        verts[row, :len(poly)] = poly
+    return verts, counts
+
+
+def _next_index(counts: np.ndarray, width: int) -> np.ndarray:
+    """(N, width) index of each vertex's successor, wrapping at the count."""
+    col = np.arange(width)
+    return np.where(col + 1 < counts[:, None], col + 1, 0)
+
+
+def _bounds(verts: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row (min, max) vertex coordinates, each (N, 2)."""
+    pad = (np.arange(verts.shape[1]) >= counts[:, None])[:, :, None]
+    return (np.where(pad, np.inf, verts).min(axis=1),
+            np.where(pad, -np.inf, verts).max(axis=1))
+
+
+def clip_halfplane_batch(verts: np.ndarray, counts: np.ndarray, axis: int,
+                         c, keep_low: bool) -> tuple[np.ndarray, np.ndarray]:
+    """clip_halfplane of every row against coord <= c[row] (or >= c[row]).
+
+    Returns new (verts, counts); a row that clip_halfplane would turn into
+    None gets count 0.  Rows with no vertex outside are passed through.
+    """
+    n_rows, width = verts.shape[:2]
+    c = np.broadcast_to(np.asarray(c, dtype=float), (n_rows,))
+    valid = np.arange(width) < counts[:, None]
+    coord = verts[:, :, axis]
+    inside = coord <= c[:, None] if keep_low else coord >= c[:, None]
+    todo = np.flatnonzero((valid & ~inside).any(axis=1))
+    if todo.size == 0:
+        return verts, counts
+    v, n, c_todo = verts[todo], counts[todo], c[todo]
+    nxt = _next_index(n, width)
+    cur_in = inside[todo] & valid[todo]
+    cross = valid[todo] & (cur_in != np.take_along_axis(cur_in, nxt, axis=1))
+    emit = np.empty((todo.size, 2 * width), dtype=bool)
+    emit[:, 0::2] = cur_in
+    emit[:, 1::2] = cross
+    slot = np.cumsum(emit, axis=1) - 1
+    out_n = slot[:, -1] + 1
+    out = np.zeros((todo.size, max(width, int(out_n.max())), 2))
+    r, k = np.nonzero(cur_in)
+    out[r, slot[r, 2 * k]] = v[r, k]
+    r, k = np.nonzero(cross)
+    a, b, cr = v[r, k], v[r, nxt[r, k]], c_todo[r]
+    other = 1 - axis
+    pts = np.empty_like(a)
+    pts[:, axis] = cr
+    pts[:, other] = (a[:, other] + (cr - a[:, axis]) * (b[:, other] - a[:, other])
+                     / (b[:, axis] - a[:, axis]))
+    out[r, slot[r, 2 * k + 1]] = pts
+    new_verts = np.zeros((n_rows, out.shape[1], 2))
+    new_verts[:, :width] = verts
+    new_verts[todo] = out
+    new_counts = counts.copy()
+    new_counts[todo] = np.where(out_n >= 3, out_n, 0)
+    return new_verts, new_counts
+
+
+def clip_to_rect_batch(verts: np.ndarray, counts: np.ndarray,
+                       rects: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """clip_to_rect of row i against rects[i] = (q0, q1, p0, p1).
+
+    Returns (verts, counts, rows) of the rows whose clip is not None.
+    """
+    rows = np.arange(len(counts))
+    for axis, col, keep_low in _RECT_SIDES:
+        verts, counts = clip_halfplane_batch(verts, counts, axis, rects[:, col],
+                                             keep_low)
+        alive = counts >= 3
+        if not alive.all():
+            verts, counts, rects, rows = verts[alive], counts[alive], rects[alive], rows[alive]
+    return verts[:, :int(counts.max(initial=0))], counts, rows
+
+
+def affine_image_batch(verts: np.ndarray, a: float, b: float, c: float,
+                       d: float, e: float, f: float) -> np.ndarray:
+    """affine_image of every row."""
+    x, y = verts[:, :, 0], verts[:, :, 1]
+    return np.stack((a * x + b * y + e, c * x + d * y + f), axis=-1)
+
+
+def polygon_area_batch(verts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """polygon_area of every row."""
+    n_rows, width = verts.shape[:2]
+    nxt = _next_index(counts, width)
+    x, y = verts[:, :, 0], verts[:, :, 1]
+    terms = np.empty((n_rows, width, 2))
+    terms[:, :, 0] = x * np.take_along_axis(y, nxt, axis=1)
+    terms[:, :, 1] = -np.take_along_axis(x, nxt, axis=1) * y
+    terms[np.arange(width) >= counts[:, None]] = 0.0
+    terms = terms.reshape(n_rows, 2 * width)
+    sums = np.empty(n_rows)
+    for lo in range(0, n_rows, CHUNK_ROWS):
+        sums[lo:lo + CHUNK_ROWS] = list(map(math.fsum, terms[lo:lo + CHUNK_ROWS].tolist()))
+    return 0.5 * np.abs(sums)
+
+
+def concat_batches(parts: list) -> tuple[np.ndarray, ...]:
+    """Row-wise concatenation of (verts, counts, *row arrays) batches.
+
+    Empties the parts list as it copies, so only one copy of the rows is
+    held at the end.
+    """
+    width = max((p[0].shape[1] for p in parts), default=0)
+    verts = np.zeros((sum(len(p[1]) for p in parts), width, 2))
+    rest = [np.concatenate(cols) for cols in zip(*(p[1:] for p in parts))]
+    at = 0
+    while parts:
+        v = parts.pop(0)[0]
+        verts[at:at + len(v), :v.shape[1]] = v
+        at += len(v)
+    return (verts, *rest)
+
+
+def _row_chunks(sizes: np.ndarray):
+    """Row ranges [start, stop) holding at most CHUNK_ROWS pairs (or one row)."""
+    ends = np.cumsum(sizes)
+    start = 0
+    while start < len(sizes):
+        base = ends[start - 1] if start else 0
+        stop = max(int(np.searchsorted(ends, base + CHUNK_ROWS, side="right")),
+                   start + 1)
+        yield start, stop
+        start = stop
+
+
+def _clip_to_boxes(verts: np.ndarray, counts: np.ndarray, i0: np.ndarray,
+                   ni: np.ndarray, j0: np.ndarray, nj: np.ndarray,
+                   box: Callable[[np.ndarray, np.ndarray], np.ndarray]):
+    """Clip row r against box(i, j) for i0 <= i < i0+ni, j0 <= j < j0+nj.
+
+    Pairs run i-major within a row and rows in order, CHUNK_ROWS at a time.
+    Returns (verts, counts, rows, i, j) of the clips that are not None.
+    """
+    ni, nj = np.maximum(ni, 0), np.maximum(nj, 0)
+    sizes = ni * nj
+    firsts = np.cumsum(sizes) - sizes
+    parts = []
+    for start, stop in _row_chunks(sizes):
+        rows = np.repeat(np.arange(start, stop), sizes[start:stop])
+        local = np.arange(firsts[start], firsts[start] + len(rows)) - firsts[rows]
+        i = i0[rows] + local // nj[rows]
+        j = j0[rows] + local % nj[rows]
+        v, n, kept = clip_to_rect_batch(verts[rows], counts[rows], box(i, j))
+        parts.append((v, n, rows[kept], i[kept], j[kept]))
+    if not parts:
+        empty = np.zeros(0, dtype=np.int64)
+        return np.zeros((0, 0, 2)), empty, empty, empty, empty
+    return concat_batches(parts)
+
+
+def wrap_to_torus_batch(verts: np.ndarray, counts: np.ndarray):
+    """wrap_to_torus of every row; returns (verts, counts, rows)."""
+    lo, hi = _bounds(verts, counts)
+    first = np.floor(lo).astype(np.int64)
+    stop = np.maximum(np.ceil(hi).astype(np.int64), first + 1)
+    span = stop - first
+
+    def square(i, j):
+        return np.column_stack((i, i + 1, j, j + 1)).astype(float)
+
+    v, n, rows, i, j = _clip_to_boxes(verts, counts, first[:, 0], span[:, 0],
+                                      first[:, 1], span[:, 1], square)
+    v = v - np.stack((i, j), axis=-1).astype(float)[:, None, :]
+    return v, n, rows
+
+
+def branch_images_batch(verts: np.ndarray, counts: np.ndarray,
+                        branches: tuple[Branch, ...]):
+    """branch_images of every row; returns (verts, counts, rows)."""
+    lo, hi = _bounds(verts, counts)
+    parts = []
+    for br in branches:
+        v, n, rows = verts, counts, np.arange(len(counts))
+        if br.rect is not None:
+            q0, q1, p0, p1 = br.rect
+            rows = np.flatnonzero((q0 < hi[:, 0]) & (q1 > lo[:, 0])
+                                  & (p0 < hi[:, 1]) & (p1 > lo[:, 1]))
+            rects = np.broadcast_to(np.array(br.rect, dtype=float), (len(rows), 4))
+            v, n, kept = clip_to_rect_batch(verts[rows], counts[rows], rects)
+            rows = rows[kept]
+        if br.affine is not None:
+            v = affine_image_batch(v, *br.affine)
+        if br.wrap:
+            v, n, sub = wrap_to_torus_batch(v, n)
+            rows = rows[sub]
+        parts.append((v, n, rows))
+    v, n, rows = concat_batches(parts)
+    if len(branches) > 1:
+        order = np.argsort(rows, kind="stable")
+        v, n, rows = v[order], n[order], rows[order]
+    return v, n, rows
+
+
+def grid_cuts_batch(verts: np.ndarray, counts: np.ndarray,
+                    q_edges: np.ndarray, p_edges: np.ndarray):
+    """Clip every row against the cells of a grid it overlaps strictly.
+
+    Cell (iq, ip) is [q_edges[iq], q_edges[iq+1]] x [p_edges[ip],
+    p_edges[ip+1]].  Returns (verts, counts, rows, iq, ip) of the clips
+    that are not None, by row and then by cell.
+    """
+    lo, hi = _bounds(verts, counts)
+    iq0 = np.searchsorted(q_edges[1:], lo[:, 0], side="right")
+    iq1 = np.searchsorted(q_edges[:-1], hi[:, 0], side="left")
+    ip0 = np.searchsorted(p_edges[1:], lo[:, 1], side="right")
+    ip1 = np.searchsorted(p_edges[:-1], hi[:, 1], side="left")
+
+    def cell(iq, ip):
+        return np.column_stack((q_edges[iq], q_edges[iq + 1],
+                                p_edges[ip], p_edges[ip + 1]))
+
+    return _clip_to_boxes(verts, counts, iq0, iq1 - iq0, ip0, ip1 - ip0, cell)

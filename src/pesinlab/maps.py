@@ -8,6 +8,7 @@ exactly through them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -43,11 +44,13 @@ class PhasePoint:
 class TorusMap:
     """A named map of the torus with its derivative and preimage structure.
 
-    ``forward_pieces`` / ``backward_pieces`` carry the exact piecewise-linear
-    action on convex polygon pieces (None when the map has no such
-    description); ``step_batch`` applies the map to an (N, 2) coordinate
-    array.  These extra fields exist so refinement and preimage code never
-    has to rediscover branch structure.
+    ``branches`` describes the exact piecewise-affine forward action on
+    convex polygon pieces as geometry.Branch data (None when the map has no
+    such description); exact refinement applies it to whole batches of
+    pieces.  ``forward_pieces`` / ``backward_pieces`` apply the forward and
+    inverse actions to one polygon; ``step_batch`` applies the map to an
+    (N, 2) coordinate array.  These extra fields exist so refinement and
+    preimage code never has to rediscover branch structure.
     """
 
     name: str
@@ -58,6 +61,7 @@ class TorusMap:
         repr=False, default=None)
     backward_pieces: Optional[Callable[[geometry.Polygon], list[geometry.Polygon]]] = field(
         repr=False, default=None)
+    branches: Optional[tuple[geometry.Branch, ...]] = field(repr=False, default=None)
 
 
 @dataclass(frozen=True)
@@ -76,6 +80,17 @@ def _frozen(mat: np.ndarray) -> np.ndarray:
     return mat
 
 
+def _pieces_map(forward: tuple[geometry.Branch, ...],
+                backward: tuple[geometry.Branch, ...]) -> dict:
+    """The TorusMap piece fields of a map given by its branch data."""
+    return {"branches": forward,
+            "forward_pieces": partial(geometry.branch_images, branches=forward),
+            "backward_pieces": partial(geometry.branch_images, branches=backward)}
+
+
+_IDENTITY_BRANCHES = (geometry.Branch(None, None),)
+
+
 def _identity_map() -> TorusMap:
     eye = _frozen(np.eye(2))
     return TorusMap(
@@ -83,8 +98,7 @@ def _identity_map() -> TorusMap:
         step=lambda x: x,
         jacobian=lambda x: eye,
         step_batch=lambda pts: np.array(pts, dtype=float),
-        forward_pieces=lambda poly: [poly],
-        backward_pieces=lambda poly: [poly],
+        **_pieces_map(_IDENTITY_BRANCHES, _IDENTITY_BRANCHES),
     )
 
 
@@ -101,26 +115,16 @@ def _baker_step_batch(pts: np.ndarray) -> np.ndarray:
     return np.column_stack((2.0 * pts[:, 0] - k, (pts[:, 1] + k) / 2.0))
 
 
-def _baker_forward_pieces(poly: geometry.Polygon) -> list[geometry.Polygon]:
-    out = []
-    for k, (lo, hi) in enumerate(((0.0, 0.5), (0.5, 1.0))):
-        part = geometry.clip_to_rect(poly, lo, hi, 0.0, 1.0)
-        if part is None or geometry.polygon_area(part) == 0.0:
-            continue
-        # (q, p) -> (2q - k, p/2 + k/2), exact on dyadic vertices
-        out.append(geometry.affine_image(part, 2.0, 0.0, 0.0, 0.5, -float(k), 0.5 * k))
-    return out
-
-
-def _baker_backward_pieces(poly: geometry.Polygon) -> list[geometry.Polygon]:
-    out = []
-    for k, (lo, hi) in enumerate(((0.0, 0.5), (0.5, 1.0))):
-        part = geometry.clip_to_rect(poly, 0.0, 1.0, lo, hi)
-        if part is None or geometry.polygon_area(part) == 0.0:
-            continue
-        # (q, p) -> (q/2 + k/2, 2p - k)
-        out.append(geometry.affine_image(part, 0.5, 0.0, 0.0, 2.0, 0.5 * k, -float(k)))
-    return out
+# (q, p) -> (2q - k, p/2 + k/2) on the half q in [k/2, (k+1)/2], exact on
+# dyadic vertices; the inverse maps the half p in [k/2, (k+1)/2] back
+_BAKER_FORWARD = tuple(
+    geometry.Branch((0.5 * k, 0.5 * (k + 1), 0.0, 1.0),
+                    (2.0, 0.0, 0.0, 0.5, -float(k), 0.5 * k))
+    for k in (0, 1))
+_BAKER_BACKWARD = tuple(
+    geometry.Branch((0.0, 1.0, 0.5 * k, 0.5 * (k + 1)),
+                    (0.5, 0.0, 0.0, 2.0, 0.5 * k, -float(k)))
+    for k in (0, 1))
 
 
 def _baker_map() -> TorusMap:
@@ -132,8 +136,7 @@ def _baker_map() -> TorusMap:
         # same matrix (left-closed branch convention)
         jacobian=lambda x: jac,
         step_batch=_baker_step_batch,
-        forward_pieces=_baker_forward_pieces,
-        backward_pieces=_baker_backward_pieces,
+        **_pieces_map(_BAKER_FORWARD, _BAKER_BACKWARD),
     )
 
 
@@ -149,12 +152,8 @@ def _cat_step_batch(pts: np.ndarray) -> np.ndarray:
                             (pts[:, 0] + pts[:, 1]) % 1.0))
 
 
-def _cat_forward_pieces(poly: geometry.Polygon) -> list[geometry.Polygon]:
-    return geometry.wrap_to_torus(geometry.affine_image(poly, 2.0, 1.0, 1.0, 1.0, 0.0, 0.0))
-
-
-def _cat_backward_pieces(poly: geometry.Polygon) -> list[geometry.Polygon]:
-    return geometry.wrap_to_torus(geometry.affine_image(poly, 1.0, -1.0, -1.0, 2.0, 0.0, 0.0))
+_CAT_FORWARD = (geometry.Branch(None, (2.0, 1.0, 1.0, 1.0, 0.0, 0.0), wrap=True),)
+_CAT_BACKWARD = (geometry.Branch(None, (1.0, -1.0, -1.0, 2.0, 0.0, 0.0), wrap=True),)
 
 
 def _cat_map() -> TorusMap:
@@ -164,8 +163,7 @@ def _cat_map() -> TorusMap:
         step=_cat_step,
         jacobian=lambda x: jac,
         step_batch=_cat_step_batch,
-        forward_pieces=_cat_forward_pieces,
-        backward_pieces=_cat_backward_pieces,
+        **_pieces_map(_CAT_FORWARD, _CAT_BACKWARD),
     )
 
 
@@ -220,5 +218,7 @@ def preimage_cell(torus_map: TorusMap, cell: tuple[float, float, float, float],
             f"map {torus_map.name!r} has no piecewise-linear preimage description")
     pieces = [geometry.rect_polygon(q0, q1, p0, p1)]
     for _ in range(j):
-        pieces = [w for piece in pieces for w in torus_map.backward_pieces(piece)]
+        # a piece that only touches a torus square leaves a zero-area sliver
+        pieces = [w for piece in pieces for w in torus_map.backward_pieces(piece)
+                  if geometry.polygon_area(w) > 0.0]
     return pieces

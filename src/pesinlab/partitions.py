@@ -13,7 +13,7 @@ same measures produce bit-identical entropies.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -163,13 +163,9 @@ def partition_entropy(measures: Iterable[float]) -> float:
 
 # --- exact refinement -------------------------------------------------------
 
-def _exact_record(cells: list, n: int, torus_map: TorusMap,
-                  part: GridPartition) -> RefinementRecord:
-    measures = [math.fsum(geometry.polygon_area(p) for p in pieces)
-                for _, pieces in cells]
-    return RefinementRecord(n, entropy_nats(measures),
-                            np.array([code for code, _ in cells], dtype=np.int64),
-                            np.array(measures, dtype=float),
+def _exact_record(n: int, codes: np.ndarray, measures: np.ndarray,
+                  torus_map: TorusMap, part: GridPartition) -> RefinementRecord:
+    return RefinementRecord(n, entropy_nats(measures.tolist()), codes, measures,
                             torus_map.name, (part.m_q, part.m_p), "exact")
 
 
@@ -186,35 +182,61 @@ def _check_word_cap(records: list, n: int, n_max: int, torus_map: TorusMap,
             f"{EXACT_WORD_CAP}; use --mode mc or a smaller --depth")
 
 
-def _exact_series(torus_map: TorusMap, part: GridPartition,
-                  n_max: int) -> list[RefinementRecord]:
-    if torus_map.forward_pieces is None:
+def _refine_pieces(verts: np.ndarray, counts: np.ndarray, owner: np.ndarray,
+                   torus_map: TorusMap, part: GridPartition):
+    """One depth of exact refinement over a padded batch of pieces.
+
+    Maps every piece forward, cuts the images with the grid cells and keeps
+    the cuts thicker than _ZERO_AREA.  Returns the child words' codes (lex
+    order) and measures, and their pieces as (verts, counts, owner row).
+    """
+    q_edges = np.array([k / part.m_q for k in range(part.m_q + 1)])
+    p_edges = np.array([k / part.m_p for k in range(part.m_p + 1)])
+    kept = []
+    for lo in range(0, len(counts), geometry.CHUNK_ROWS):
+        hi = lo + geometry.CHUNK_ROWS
+        mv, mn, src = geometry.branch_images_batch(verts[lo:hi], counts[lo:hi],
+                                                   torus_map.branches)
+        cv, cn, img, iq, ip = geometry.grid_cuts_batch(mv, mn, q_edges, p_edges)
+        areas = geometry.polygon_area_batch(cv, cn)
+        thick = areas > _ZERO_AREA
+        keys = owner[lo:hi][src[img]] * part.n_cells + iq * part.m_p + ip
+        kept.append((cv[thick], cn[thick], keys[thick], areas[thick]))
+    verts, counts, keys, areas = geometry.concat_batches(kept)
+    # the pieces stay where they are; a word's measure is an fsum, which
+    # does not depend on the order of its pieces
+    codes, owner, sizes = np.unique(keys, return_inverse=True, return_counts=True)
+    order = np.argsort(owner, kind="stable")
+    starts = np.cumsum(sizes) - sizes
+    measures = areas[order[starts]]
+    for w in np.flatnonzero(sizes > 1):
+        measures[w] = math.fsum(areas[order[starts[w]:starts[w] + sizes[w]]].tolist())
+    return codes, measures, verts[:, :int(counts.max(initial=0))], counts, owner
+
+
+def _exact_series(torus_map: TorusMap, part: GridPartition, n_max: int,
+                  on_record: Optional[Callable[[RefinementRecord], None]]
+                  ) -> list[RefinementRecord]:
+    if torus_map.branches is None:
         raise UnsupportedOperationError(
             f"exact refinement needs piecewise-linear data, "
             f"which map {torus_map.name!r} does not provide")
-    m = part.n_cells
-    cell_rects = [part.cell_rect(k) for k in range(m)]
-    # (code, pieces) per word; children are appended in (parent row,
-    # symbol) order, which is lexicographic word order
-    current = [(k, [geometry.rect_polygon(*r)]) for k, r in enumerate(cell_rects)]
-    records = [_exact_record(current, 0, torus_map, part)]
-    for n in range(1, n_max + 1):
+    # one piece per word at depth 0: the cell itself
+    verts, counts = geometry.as_batch(
+        [geometry.rect_polygon(*part.cell_rect(k)) for k in range(part.n_cells)])
+    codes = owner = np.arange(part.n_cells)
+    records = []
+    for n in range(n_max + 1):
         if n >= 2:
             _check_word_cap(records, n, n_max, torus_map, part)
-        nxt = []
-        for row, (_, pieces) in enumerate(current):
-            mapped = [img for piece in pieces
-                      for img in torus_map.forward_pieces(piece)]
-            for k, rect in enumerate(cell_rects):
-                parts = []
-                for piece in mapped:
-                    cut = geometry.clip_to_rect(piece, *rect)
-                    if cut is not None and geometry.polygon_area(cut) > _ZERO_AREA:
-                        parts.append(cut)
-                if parts:
-                    nxt.append((row * m + k, parts))
-        current = nxt
-        records.append(_exact_record(current, n, torus_map, part))
+        if n == 0:
+            measures = geometry.polygon_area_batch(verts, counts)
+        else:
+            codes, measures, verts, counts, owner = _refine_pieces(
+                verts, counts, owner, torus_map, part)
+        records.append(_exact_record(n, codes, measures, torus_map, part))
+        if on_record is not None:
+            on_record(records[-1])
     return records
 
 
@@ -268,7 +290,9 @@ def _mc_record(codes: np.ndarray, counts: np.ndarray, n: int, cfg: McConfig,
 
 
 def _mc_series(torus_map: TorusMap, part: GridPartition, n_max: int,
-               cfg: McConfig) -> list[RefinementRecord]:
+               cfg: McConfig,
+               on_record: Optional[Callable[[RefinementRecord], None]]
+               ) -> list[RefinementRecord]:
     rng = np.random.default_rng(cfg.seed)
     pts = rng.random((cfg.n_samples, 2))
     m = part.n_cells
@@ -279,26 +303,36 @@ def _mc_series(torus_map: TorusMap, part: GridPartition, n_max: int,
     # inductively at every depth.
     sym = part.cell_index_batch(pts)
     codes, ids, counts = np.unique(sym, return_inverse=True, return_counts=True)
-    records = [_mc_record(codes, counts, 0, cfg, torus_map, part)]
-    for n in range(1, n_max + 1):
-        pts = torus_map.step_batch(pts)
-        sym = part.cell_index_batch(pts)
-        codes, ids, counts = np.unique(ids * m + sym, return_inverse=True,
-                                       return_counts=True)
+    records = []
+    for n in range(n_max + 1):
+        if n > 0:
+            pts = torus_map.step_batch(pts)
+            sym = part.cell_index_batch(pts)
+            codes, ids, counts = np.unique(ids * m + sym, return_inverse=True,
+                                           return_counts=True)
         records.append(_mc_record(codes, counts, n, cfg, torus_map, part))
+        if on_record is not None:
+            on_record(records[-1])
     return records
 
 
 def refine_series(torus_map: TorusMap, part: GridPartition, n_max: int,
                   measure_mode: str = "exact",
-                  mc_config: Optional[McConfig] = None) -> list[RefinementRecord]:
-    """Refinement records for every depth 0..n_max (one forward sweep)."""
+                  mc_config: Optional[McConfig] = None,
+                  on_record: Optional[Callable[[RefinementRecord], None]] = None
+                  ) -> list[RefinementRecord]:
+    """Refinement records for every depth 0..n_max (one forward sweep).
+
+    on_record, when given, is called with each record as soon as its depth
+    is done, so callers can report progress while the sweep runs.
+    """
     if n_max < 0:
         raise ValueError("refinement depth must be nonnegative")
     if measure_mode == "exact":
-        return _exact_series(torus_map, part, n_max)
+        return _exact_series(torus_map, part, n_max, on_record)
     if measure_mode == "mc":
-        return _mc_series(torus_map, part, n_max, mc_config or McConfig())
+        return _mc_series(torus_map, part, n_max, mc_config or McConfig(),
+                          on_record)
     raise ConfigurationError(
         f"unknown measure mode {measure_mode!r}; "
         f"valid names: {', '.join(MEASURE_MODES)}")

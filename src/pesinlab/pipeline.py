@@ -210,11 +210,12 @@ class _Measured:
 def _classical_measures(src: ClassicalSource, n_max: int, word_budget: int,
                         seed: int,
                         progress: Optional[Callable[[str], None]]) -> _Measured:
+    def report(r):
+        progress(f"depth {r.n}/{n_max}: {r.nonempty_words} words, H={r.entropy:.6g}")
+
     records = refine_series(src.torus_map, src.partition, n_max,
-                            src.measure_mode, src.mc_config)
-    if progress:
-        for r in records:
-            progress(f"depth {r.n}/{n_max}: {r.nonempty_words} words, H={r.entropy:.6g}")
+                            src.measure_mode, src.mc_config,
+                            report if progress else None)
     final = records[-1]
     if final.nonempty_words > word_budget:
         rng = np.random.default_rng(seed)

@@ -379,6 +379,17 @@ def test_default_exact_cat_is_refused_up_front(tmp_path, command):
     assert not list(tmp_path.glob("*.json"))
 
 
+def test_classical_progress_streams_before_refusal(tmp_path, capsys):
+    # depths 0 and 1 are reported as they finish, before the word cap stops
+    # the run at depth 2
+    code, _, err = run_cli(["prescription", "--source", "classical", "--map", "cat",
+                            "--grid", "8x8", "--depth", "12", "--out", str(tmp_path)],
+                           capsys)
+    assert code == 2
+    assert -1 < err.find("depth 0/12") < err.find("depth 1/12") < err.find("error:")
+    assert "depth 2/12" not in err
+
+
 # --- echoed configuration ---------------------------------------------------
 
 @pytest.mark.parametrize("argv,stem,config", [

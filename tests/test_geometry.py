@@ -1,10 +1,17 @@
 import math
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pesinlab.geometry import (affine_image, clip_to_rect, polygon_area,
-                               rect_polygon, wrap_to_torus)
+from pesinlab import MAP_NAMES, geometry, make_map
+from pesinlab.geometry import (affine_image, as_batch, branch_images_batch,
+                               clip_to_rect, clip_to_rect_batch,
+                               grid_cuts_batch, polygon_area,
+                               polygon_area_batch, rect_polygon,
+                               wrap_to_torus, wrap_to_torus_batch)
 
 rng = np.random.default_rng(4)
 
@@ -79,3 +86,105 @@ def test_wrap_preserves_area(seed):
     pieces = wrap_to_torus(poly)
     total = sum(polygon_area(p) for p in pieces)
     assert abs(total - w * h) < 1e-12
+
+
+# --- batched kernel against the per-polygon oracle --------------------------
+
+MATRICES = ((1.0, 0.0, 0.0, 1.0), (2.0, 0.0, 0.0, 0.5), (0.5, 0.0, 0.0, 2.0),
+            (2.0, 1.0, 1.0, 1.0), (1.0, -1.0, -1.0, 2.0))
+oracle_settings = settings(max_examples=60, deadline=None)
+
+
+def dyadic(lo, hi, k=4):
+    """Multiples of 2^-k in [lo, hi], so box edges often meet piece edges."""
+    return st.integers(int(lo * 2 ** k), int(hi * 2 ** k)).map(lambda i: i / 2 ** k)
+
+
+@st.composite
+def boxes(draw, lo=-1.0, hi=2.0):
+    """(q0, q1, p0, p1) with q0 < q1 and p0 < p1, dyadic or arbitrary."""
+    coord = dyadic(lo, hi) | st.floats(lo, hi)
+    q0, q1 = sorted(draw(st.lists(coord, min_size=2, max_size=2, unique=True)))
+    p0, p1 = sorted(draw(st.lists(coord, min_size=2, max_size=2, unique=True)))
+    return (q0, q1, p0, p1)
+
+
+@st.composite
+def convex_polygons(draw):
+    """Dyadic rectangles and their images under the baker and cat matrices."""
+    poly = rect_polygon(*draw(boxes(0.0, 1.0)))
+    a, b, c, d = draw(st.sampled_from(MATRICES))
+    e, f = draw(dyadic(-1.0, 1.0)), draw(dyadic(-1.0, 1.0))
+    return affine_image(poly, a, b, c, d, e, f)
+
+
+def rows_of(verts, counts):
+    return [verts[r, :counts[r]].tobytes() for r in range(len(counts))]
+
+
+def as_bytes(polys):
+    return [np.array(p, dtype=float).tobytes() for p in polys]
+
+
+@contextmanager
+def chunk_rows(n):
+    saved = geometry.CHUNK_ROWS
+    geometry.CHUNK_ROWS = n
+    try:
+        yield
+    finally:
+        geometry.CHUNK_ROWS = saved
+
+
+@oracle_settings
+@given(st.lists(st.tuples(convex_polygons(), boxes()), min_size=1, max_size=12))
+def test_batched_clip_matches_clip_to_rect(pairs):
+    polys = [p for p, _ in pairs]
+    rects = np.array([r for _, r in pairs])
+    verts, counts, rows = clip_to_rect_batch(*as_batch(polys), rects)
+    expected = [clip_to_rect(p, *r) for p, r in pairs]
+    assert rows.tolist() == [i for i, cut in enumerate(expected) if cut is not None]
+    kept = [cut for cut in expected if cut is not None]
+    assert rows_of(verts, counts) == as_bytes(kept)
+    areas = polygon_area_batch(verts, counts)
+    assert areas.tobytes() == np.array([polygon_area(p) for p in kept]).tobytes()
+
+
+@oracle_settings
+@given(st.lists(convex_polygons(), min_size=1, max_size=12), st.integers(1, 8))
+def test_batched_branches_match_forward_pieces(polys, chunk):
+    with chunk_rows(chunk):
+        verts, counts, rows = wrap_to_torus_batch(*as_batch(polys))
+        wrapped = [wrap_to_torus(p) for p in polys]
+        assert rows_of(verts, counts) == as_bytes([w for ws in wrapped for w in ws])
+        assert rows.tolist() == [i for i, ws in enumerate(wrapped) for _ in ws]
+        # the pieces refinement sees lie on the torus; the rest anywhere
+        pieces = polys + [w for ws in wrapped for w in ws]
+        for name in MAP_NAMES:
+            tmap = make_map(name)
+            verts, counts, rows = branch_images_batch(*as_batch(pieces), tmap.branches)
+            images = [tmap.forward_pieces(p) for p in pieces]
+            assert rows_of(verts, counts) == as_bytes([w for ws in images for w in ws])
+            assert rows.tolist() == [i for i, ws in enumerate(images) for _ in ws]
+
+
+@oracle_settings
+@given(st.lists(convex_polygons(), min_size=1, max_size=8), st.integers(1, 4),
+       st.integers(1, 4), st.integers(1, 8))
+def test_grid_cuts_skip_only_empty_cells(polys, m_q, m_p, chunk):
+    q_edges = np.array([k / m_q for k in range(m_q + 1)])
+    p_edges = np.array([k / m_p for k in range(m_p + 1)])
+    with chunk_rows(chunk):
+        verts, counts, rows, iq, ip = grid_cuts_batch(*as_batch(polys), q_edges, p_edges)
+    got = dict(zip(zip(rows.tolist(), iq.tolist(), ip.tolist()), rows_of(verts, counts)))
+    assert list(got) == sorted(got)
+    for r, poly in enumerate(polys):
+        for i in range(m_q):
+            for j in range(m_p):
+                cut = clip_to_rect(poly, q_edges[i], q_edges[i + 1],
+                                   p_edges[j], p_edges[j + 1])
+                if (r, i, j) in got:
+                    assert got[(r, i, j)] == as_bytes([cut])[0]
+                else:
+                    # a skipped cell only touches the piece
+                    assert cut is None or polygon_area(cut) == 0.0

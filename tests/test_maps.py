@@ -106,6 +106,15 @@ def test_preimage_preserves_area(name):
         assert abs(total - 0.25) < 1e-12
 
 
+@pytest.mark.parametrize("name", MAP_NAMES)
+def test_preimage_has_no_zero_area_pieces(name):
+    # this cell's cat preimages touch torus squares at single points
+    for j in (1, 2, 3):
+        pieces = preimage_cell(make_map(name), (0.0, 0.125, 0.0, 0.5), j)
+        assert all(polygon_area(p) > 0.0 for p in pieces)
+        assert abs(sum(polygon_area(p) for p in pieces) - 0.0625) < 1e-12
+
+
 def test_preimage_rejects_bad_cell():
     with pytest.raises(ValueError):
         preimage_cell(make_map("baker"), (0.5, 0.5, 0.0, 1.0), 1)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from pesinlab import (ConfigurationError, GridPartition, McConfig, h_mu,
                       h_mu_ratio, hks_estimate, make_map, partition_entropy,
                       refine, refine_series, word_rows)
+from pesinlab import geometry
 from pesinlab.partitions import _mc_entropy, fit_line
 
 LN2 = math.log(2.0)
@@ -114,6 +116,74 @@ def test_baker_measures_exact_all_depths(n):
     vals = rec.measures
     assert (vals == 2.0 ** -(n + 1)).all()
     assert abs(rec.entropy - (n + 1) * LN2) < 1e-12
+
+
+# --- golden records ---------------------------------------------------------
+
+# per depth: the first 16 hex digits of the sha256 of codes.tobytes() and of
+# measures.tobytes(), and repr(entropy); recorded from the per-polygon
+# Sutherland-Hodgman refinement, so the batched kernel must repeat it bit
+# for bit
+GOLDEN_RECORDS = {
+    ("baker", 2, 1, 10): (
+        ("9d34149fbd1fe777", "606e5166986dd9f1", "0.6931471805599453"),
+        ("a1e03200f1f82ad2", "5073e61eafb5e090", "1.3862943611198906"),
+        ("fece8d601cd4c902", "65c5345153d2f48b", "2.0794415416798357"),
+        ("f23d672bb9b341f9", "d5ced4a0fdc0dcd8", "2.772588722239781"),
+        ("bcc9bcfc670935c6", "63b5de12fbfe1ed3", "3.4657359027997265"),
+        ("7a4644928f3a08db", "25493ecc62734a68", "4.1588830833596715"),
+        ("3e4f0a2fd9498da7", "07553244f129e952", "4.852030263919617"),
+        ("bbd330b12e8159e1", "62fd56f6dba82940", "5.545177444479562"),
+        ("5738153ec97595b1", "8c74246543874a35", "6.238324625039508"),
+        ("2f88e9ce00d238e7", "2e9a3ef40f7a6b52", "6.931471805599453"),
+        ("5ccf19f4f2c0424b", "4c4229e43269ba0a", "7.6246189861593985"),
+    ),
+    ("cat", 8, 8, 4): (
+        ("7a4644928f3a08db", "25493ecc62734a68", "4.1588830833596715"),
+        ("68e37b8a934c7ad4", "62fd56f6dba82940", "5.545177444479562"),
+        ("806e70de93323bf3", "ce33cc9f4dbdd36e", "6.813271703147391"),
+        ("ce3f7f4cd8298c14", "50966bc10f175f54", "7.963779048047347"),
+        ("11f9b9fb7791d24c", "f03f4d7b7578d9a4", "9.030438371863399"),
+    ),
+    ("cat", 3, 3, 6): (
+        ("419ce84f0e9d8926", "35bc6a2162e5cad6", "2.1972245773362196"),
+        ("190da043883220b0", "57e8f6fea49fdd49", "3.5835189384561104"),
+        ("5a9b784df8d50cb0", "9163cb8791c92138", "4.851613197123937"),
+        ("422f56f7851bcf86", "c1f88443a673c24c", "6.002120542023891"),
+        ("9795192b22cc3cee", "86385ef67039b8fe", "7.068779865839941"),
+        ("bd25dd8c819224d7", "38357c4f8f7c6143", "8.08827355608307"),
+        ("6cd391c9e48280c3", "8b7bda8fdbcead38", "9.083107339477657"),
+    ),
+    ("identity", 2, 2, 4): (
+        ("a1e03200f1f82ad2", "5073e61eafb5e090", "1.3862943611198906"),
+        ("1162a84ab547d5dd", "5073e61eafb5e090", "1.3862943611198906"),
+        ("1162a84ab547d5dd", "5073e61eafb5e090", "1.3862943611198906"),
+        ("1162a84ab547d5dd", "5073e61eafb5e090", "1.3862943611198906"),
+        ("1162a84ab547d5dd", "5073e61eafb5e090", "1.3862943611198906"),
+    ),
+}
+
+
+def _digest(rec):
+    return (hashlib.sha256(rec.codes.tobytes()).hexdigest()[:16],
+            hashlib.sha256(rec.measures.tobytes()).hexdigest()[:16],
+            repr(rec.entropy))
+
+
+@pytest.mark.parametrize("case", GOLDEN_RECORDS, ids=lambda c: "%s-%dx%d-d%d" % c)
+def test_exact_records_match_golden(case):
+    name, m_q, m_p, depth = case
+    recs = refine_series(make_map(name), GridPartition(m_q, m_p), depth)
+    assert tuple(_digest(r) for r in recs) == GOLDEN_RECORDS[case]
+
+
+@pytest.mark.parametrize("case", [("baker", 2, 1, 8), ("cat", 3, 3, 4)])
+def test_exact_records_do_not_depend_on_chunk_size(case, monkeypatch):
+    name, m_q, m_p, depth = case
+    whole = refine_series(make_map(name), GridPartition(m_q, m_p), depth)
+    monkeypatch.setattr(geometry, "CHUNK_ROWS", 7)
+    chunked = refine_series(make_map(name), GridPartition(m_q, m_p), depth)
+    assert [_digest(r) for r in chunked] == [_digest(r) for r in whole]
 
 
 def test_baker_h_mu_is_ln2():
