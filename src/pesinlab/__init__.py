@@ -11,7 +11,7 @@ fronts the same machinery.
 from .errors import (ConfigurationError, ResourceLimitError,
                      UnsupportedOperationError)
 from .gamow import (BiorthOperator, ChainResult, GamowSpec, chain_trace,
-                    decay_bounds, eigenvalues, evolution_factors,
+                    chain_traces, decay_bounds, eigenvalues, evolution_factors,
                     evolve_matrix_oracle, evolve_operator,
                     make_cell_operators, off_mass_ratio)
 from .lyapunov import (LyapunovSpectrum, PesinReport, lyapunov_spectrum,
@@ -40,7 +40,7 @@ __all__ = [
     "PesinReport", "PhasePoint", "PolySymbol", "PrescriptionRun",
     "QuantumSource", "RefinementRecord", "ResourceLimitError",
     "Trajectory", "TorusMap",
-    "UnsupportedOperationError", "VERDICTS", "chain_trace",
+    "UnsupportedOperationError", "VERDICTS", "chain_trace", "chain_traces",
     "decay_bounds", "decay_detect", "eigenvalues", "entropy_nats",
     "evolution_factors", "evolve_matrix_oracle", "evolve_operator",
     "fit_line", "h_mu", "h_mu_ratio", "hks_estimate", "iterate",

@@ -298,9 +298,7 @@ def _prologue(args):
 
 
 def _jsonable(value):
-    if isinstance(value, tuple):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, list):
+    if isinstance(value, (tuple, list)):
         return [_jsonable(v) for v in value]
     return value
 
@@ -327,19 +325,22 @@ def _depth(cfg, default, low):
     return _as_int("depth", cfg["depth"], low=low)
 
 
-def _refinement_setup(cfg, opt):
-    """Shared grid and Monte Carlo resolution for the entropy-side commands."""
+def _refinement_setup(cfg, opt, exact_depth, mc_depth, low):
+    """Grid, Monte Carlo config and depth of the entropy-side commands."""
     if cfg["grid"] is None:
         cfg["grid"] = _default_grid(opt["map"])
     grid = _parse_grid(cfg["grid"])
     cfg["grid"] = list(grid)
     if cfg["estimator"] is None:
         cfg["estimator"] = DEFAULT_ESTIMATOR
-    mc = None
     if opt["mode"] == "mc":
         mc = McConfig(n_samples=opt["mc_samples"], seed=opt["seed"],
                       estimator=cfg["estimator"])
-    return GridPartition(*grid), mc
+        return GridPartition(*grid), mc, _depth(cfg, mc_depth, low)
+    # exact cat cells multiply by 3-4 per depth on the default 8x8 grid, and
+    # depth 7 is the deepest that partitions.EXACT_WORD_CAP admits there
+    depth = _depth(cfg, 7 if opt["map"] == "cat" else exact_depth, low)
+    return GridPartition(*grid), None, depth
 
 
 def _prescribed_tables(cfg):
@@ -437,8 +438,7 @@ def _ladder_outputs(torus_map, ladder, depth, mode, mc):
 def cmd_ks_entropy(args):
     cfg, opt, out_dir = _prologue(args)
     torus_map = make_map(_required(opt, "map", MAP_NAMES))
-    part, mc = _refinement_setup(cfg, opt)
-    depth = _depth(cfg, 12 if opt["mode"] == "exact" else 10, low=4)
+    part, mc, depth = _refinement_setup(cfg, opt, 12, 10, low=4)
     include_words = bool(cfg["include_words"])
     cfg["include_words"] = include_words
 
@@ -477,8 +477,7 @@ def cmd_ks_entropy(args):
 def cmd_pesin(args):
     cfg, opt, out_dir = _prologue(args)
     torus_map = make_map(_required(opt, "map", MAP_NAMES))
-    part, mc = _refinement_setup(cfg, opt)
-    depth = _depth(cfg, 12 if opt["mode"] == "exact" else 10, low=4)
+    part, mc, depth = _refinement_setup(cfg, opt, 12, 10, low=4)
     lyap_steps, samples = opt["lyap_steps"], opt["samples"]
 
     if cfg["ladder"] is not None:
@@ -527,8 +526,7 @@ def cmd_prescription(args):
     source_name = _required(opt, "source", SOURCES)
     if source_name == "classical":
         torus_map = make_map(_required(opt, "map", MAP_NAMES))
-        depth = _depth(cfg, 16, low=7)
-        part, mc = _refinement_setup(cfg, opt)
+        part, mc, depth = _refinement_setup(cfg, opt, 16, 16, low=7)
         source = ClassicalSource(torus_map, part, opt["mode"], mc)
     else:
         depth = _depth(cfg, 80, low=7)

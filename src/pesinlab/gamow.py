@@ -15,8 +15,8 @@ turns long operator-product traces into products of (0, 0) values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
+from typing import Callable, Optional
 
 import numpy as np
 import scipy.linalg
@@ -130,6 +130,39 @@ class ChainResult:
         return abs(self.trace.imag) / mag if mag > 0.0 else 0.0
 
 
+def chain_traces(spec: GamowSpec, cell_ops, words, start_step: int = 0,
+                 on_depth: Optional[Callable[[int, np.ndarray], None]] = None
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """|trace| of every prefix chain of every word, and each full trace.
+
+    Row w of the (W, N) int array words is the chain cell_ops[words[w, 0]],
+    ..., link n evolved to step start_step + n.  Each depth evolves its
+    distinct symbols once and extends every product by one stacked matmul,
+    so a row's bits do not depend on the other rows.  on_depth(n, mags[:, n])
+    runs as each depth finishes; returns mags (W, N) and traces (W,).
+    """
+    words = np.asarray(words)
+    if not 0 <= words.min() <= words.max() < len(cell_ops):
+        raise ValueError(f"word symbols must lie in [0, {len(cell_ops)})")
+    for op in cell_ops:
+        _check_dim(spec, op)
+    base = np.stack([op.coeffs for op in cell_ops])
+    mags = np.empty(words.shape)
+    product = None
+    for n in range(words.shape[1]):
+        # evolve_operator's arithmetic, once per distinct symbol and depth
+        syms, rows = np.unique(words[:, n], return_inverse=True)
+        evolved = base[syms]
+        if start_step + n:
+            evolved = evolved * evolution_factors(spec, start_step + n)
+        product = evolved[rows] if product is None else product @ evolved[rows]
+        trace = np.einsum("wii->w", product)
+        mags[:, n] = np.abs(trace)
+        if on_depth is not None:
+            on_depth(n, mags[:, n])
+    return mags, trace
+
+
 def chain_trace(spec: GamowSpec, ops, n: int, start_step: int = 0) -> ChainResult:
     """Trace of the ordered product of evolved operators.
 
@@ -143,13 +176,8 @@ def chain_trace(spec: GamowSpec, ops, n: int, start_step: int = 0) -> ChainResul
         raise ValueError(f"need n+1 = {n + 1} operators, got {len(ops)}")
     if start_step < 0:
         raise ValueError("start step must be nonnegative")
-    for op in ops:
-        _check_dim(spec, op)
-    product: Optional[np.ndarray] = None
-    for j, op in enumerate(ops):
-        evolved = evolve_operator(spec, op, start_step + j).coeffs
-        product = evolved if product is None else product @ evolved
-    trace = complex(np.trace(product))
+    _, final = chain_traces(spec, ops, np.arange(n + 1)[None], start_step)
+    trace = complex(final[0])
     diag = math.prod(float(op.coeffs[0, 0].real) for op in ops)
     rel = abs(trace - diag) / abs(diag) if diag != 0.0 else math.inf
     return ChainResult(n, trace, diag, rel)

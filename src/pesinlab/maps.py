@@ -36,9 +36,6 @@ class PhasePoint:
         object.__setattr__(self, "q", _mod1(float(self.q)))
         object.__setattr__(self, "p", _mod1(float(self.p)))
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.q, self.p])
-
 
 @dataclass(frozen=True)
 class TorusMap:

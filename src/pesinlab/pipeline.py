@@ -21,8 +21,9 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .gamow import BiorthOperator, GamowSpec, chain_trace, decay_bounds, \
-    evolution_factors
+from .errors import ResourceLimitError
+from .gamow import BiorthOperator, GamowSpec, _check_dim, chain_traces, \
+    decay_bounds
 from .maps import TorusMap
 from .partitions import GridPartition, McConfig, entropy_nats, fit_line, \
     refine_series, tail_slope, word_rows
@@ -85,13 +86,8 @@ def mu_via_quantum(spec: GamowSpec, cell_ops, word, start_step: int = 0) -> floa
     symbols = tuple(word)
     if len(symbols) < 1:
         raise ValueError("a word needs at least one symbol")
-    cell_ops = list(cell_ops)
-    for k in symbols:
-        if not 0 <= k < len(cell_ops):
-            raise ValueError(
-                f"symbol {k} has no cell operator (have {len(cell_ops)})")
-    chain = [cell_ops[k] for k in symbols]
-    return abs(chain_trace(spec, chain, len(chain) - 1, start_step).trace)
+    mags, _ = chain_traces(spec, list(cell_ops), np.array([symbols]), start_step)
+    return float(mags[0, -1])
 
 
 def semiclassical_h_mu(per_depth_measures) -> float:
@@ -138,9 +134,7 @@ class QuantumSource:
         if len(ops) < 2:
             raise ValueError("need at least 2 cell operators")
         for op in ops:
-            if op.dim != self.spec.n_max:
-                raise ValueError(
-                    f"operator dimension {op.dim} does not match n_max {self.spec.n_max}")
+            _check_dim(self.spec, op)
         object.__setattr__(self, "cell_ops", ops)
 
 
@@ -258,20 +252,23 @@ def _quantum_measures(src: QuantumSource, n_max: int, word_budget: int,
         words = np.unique(words, axis=0)
         sampling = "sampled"
 
-    base = np.stack([op.coeffs for op in ops])
-    mags = np.empty((words.shape[0], n_max + 1))
-    product = base[words[:, 0]].copy()
-    tr = np.einsum("wii->w", product)
-    mags[:, 0] = np.abs(tr)
-    if progress:
-        progress(f"depth 0/{n_max}: mean |trace| {mags[:, 0].mean():.6g}")
-    for n in range(1, n_max + 1):
-        evolved = base * evolution_factors(spec, n)[None, :, :]
-        product = product @ evolved[words[:, n]]
-        tr = np.einsum("wii->w", product)
-        mags[:, n] = np.abs(tr)
-        if progress:
-            progress(f"depth {n}/{n_max}: mean |trace| {mags[:, n].mean():.6g}")
+    # past the relaxation time a trace follows its word's (0, 0) lead
+    # product; once that leaves the normal doubles the magnitudes lose
+    # precision and then read 0, so such depths are refused up front
+    bounds = decay_bounds(ops)
+    ln_tiny = math.log(np.finfo(float).tiny)
+    ln_leads = np.log([op.coeffs[0, 0].real for op in ops])
+    if ln_leads[words].sum(axis=1).min() < ln_tiny:
+        raise ResourceLimitError(
+            f"--depth {n_max} underflows: a tracked word's (0,0) lead product "
+            f"falls below the smallest normal double {math.exp(ln_tiny):.3g}; "
+            f"--depth {int(ln_tiny / math.log(bounds[0])) - 1} is the largest "
+            "depth at which no word can")
+
+    def report(n, col):
+        progress(f"depth {n}/{n_max}: mean |trace| {col.mean():.6g}")
+
+    mags, tr = chain_traces(spec, ops, words, on_depth=report if progress else None)
     with np.errstate(invalid="ignore", divide="ignore"):
         ratios = np.where(mags[:, -1] > 0.0, np.abs(tr.imag) / mags[:, -1], 0.0)
 
@@ -290,7 +287,7 @@ def _quantum_measures(src: QuantumSource, n_max: int, word_budget: int,
         tuple(entropy_nats(vals) for vals in per_depth),
         tuple(len(vals) for vals in per_depth),
         sampling, quantum_fit_onset(spec, n_max),
-        bool(np.any(ratios > 1e-6)), decay_bounds(ops))
+        bool(np.any(ratios > 1e-6)), bounds)
 
 
 def prescription_run(source: Source, n_max: int, word_budget: int = 4096,

@@ -11,7 +11,7 @@ import json
 import math
 from pathlib import Path
 
-from .gamow import BiorthOperator, ChainResult
+from .gamow import BiorthOperator
 from .lyapunov import LyapunovSpectrum, PesinReport
 from .partitions import RefinementRecord
 from .pipeline import PrescriptionRun
@@ -99,22 +99,6 @@ def biorth_doc(op: BiorthOperator) -> dict:
         "re": [[float(v) for v in row] for row in op.coeffs.real],
         "im": [[float(v) for v in row] for row in op.coeffs.imag],
     }
-
-
-CHAIN_CSV_HEADER = ("n", "re_trace", "im_trace", "diagonal_product",
-                    "rel_error", "ln_lower", "ln_upper")
-
-
-def chain_rows(results, bounds) -> list[list[str]]:
-    """CSV rows for a sequence of ChainResults under (delta1, delta2) bounds."""
-    delta1, delta2 = bounds
-    out = []
-    for r in results:
-        out.append([str(r.n), fmt_float(r.trace.real), fmt_float(r.trace.imag),
-                    fmt_float(r.diagonal_product), fmt_float(r.rel_error),
-                    fmt_float((r.n + 1) * math.log(delta1)),
-                    fmt_float((r.n + 1) * math.log(delta2))])
-    return out
 
 
 # --- prescription runs ------------------------------------------------------

@@ -37,13 +37,16 @@ class _RC:
             return _RC(Fraction(v.real), Fraction(v.imag))
         return _RC(Fraction(v))
 
+    # the real-only branches skip Fraction arithmetic on zero imaginary
+    # parts, which most coefficients of real polynomials have
     def __add__(self, o: "_RC") -> "_RC":
+        if not (self.im or o.im):
+            return _RC(self.re + o.re)
         return _RC(self.re + o.re, self.im + o.im)
 
-    def __sub__(self, o: "_RC") -> "_RC":
-        return _RC(self.re - o.re, self.im - o.im)
-
     def __mul__(self, o: "_RC") -> "_RC":
+        if not (self.im or o.im):
+            return _RC(self.re * o.re)
         return _RC(self.re * o.re - self.im * o.im,
                    self.re * o.im + self.im * o.re)
 
@@ -51,6 +54,8 @@ class _RC:
         return _RC(-self.re, -self.im)
 
     def scale(self, fr: Fraction) -> "_RC":
+        if not self.im:
+            return _RC(self.re * fr)
         return _RC(self.re * fr, self.im * fr)
 
     @property
@@ -158,7 +163,7 @@ class PolySymbol:
         self._binary(other)
         acc = dict(self._terms)
         for k, v in other._terms.items():
-            acc[k] = acc.get(k, _RC()) + v
+            acc[k] = acc[k] + v if k in acc else v
         return self._wrap(acc)
 
     def __sub__(self, other: "PolySymbol") -> "PolySymbol":
@@ -174,7 +179,7 @@ class PolySymbol:
             for (a1, b1), c1 in self._terms.items():
                 for (a2, b2), c2 in other._terms.items():
                     k = (a1 + a2, b1 + b2)
-                    acc[k] = acc.get(k, _RC()) + c1 * c2
+                    acc[k] = acc[k] + c1 * c2 if k in acc else c1 * c2
             return self._wrap(acc)
         rc = _RC.from_number(other)
         return self._wrap({k: v * rc for k, v in self._terms.items()})
@@ -252,11 +257,6 @@ def _parse_coeff(text: str) -> _RC:
 
 # --- bidifferential series --------------------------------------------------
 
-def _require_same_hbar(f: PolySymbol, g: PolySymbol) -> None:
-    if f.hbar != g.hbar:
-        raise ValueError(f"operands carry different hbar: {f.hbar} vs {g.hbar}")
-
-
 def _bidiff_term(f: PolySymbol, g: PolySymbol, k: int) -> PolySymbol:
     """Order-k term of the star series:
     sum_j (-1)^j C(k,j) (d_q^{k-j} d_p^j f)(d_p^{k-j} d_q^j g)."""
@@ -277,7 +277,7 @@ def star_product(f: PolySymbol, g: PolySymbol) -> PolySymbol:
     """Noncommutative product: sum_k (i hbar / 2)^k / k! times the order-k
     bidifferential term.  Terminates at min(deg f, deg g); equals fg at
     hbar = 0."""
-    _require_same_hbar(f, g)
+    f._binary(g)
     hbar = Fraction(f.hbar)
     total = f._wrap({})
     for k in range(min(f.degree, g.degree) + 1):
@@ -291,7 +291,7 @@ def star_product(f: PolySymbol, g: PolySymbol) -> PolySymbol:
 
 def poisson_bracket(f: PolySymbol, g: PolySymbol) -> PolySymbol:
     """df/dq dg/dp - df/dp dg/dq."""
-    _require_same_hbar(f, g)
+    f._binary(g)
     return _bidiff_term(f, g, 1)
 
 
@@ -302,7 +302,7 @@ def moyal_bracket(f: PolySymbol, g: PolySymbol) -> PolySymbol:
     bidifferential terms, so no division by hbar ever happens; hbar > 0 is
     still required because the defining quotient is singular at 0.
     """
-    _require_same_hbar(f, g)
+    f._binary(g)
     if f.hbar == 0.0:
         raise ValueError("the Moyal bracket needs hbar > 0")
     hbar = Fraction(f.hbar)
@@ -325,7 +325,7 @@ def hbar_expansion_check(f: PolySymbol, g: PolySymbol):
     defect is identically zero.  By construction the first value is >= 1 and
     the second >= 2.
     """
-    _require_same_hbar(f, g)
+    f._binary(g)
     if f.is_constant or g.is_constant:
         raise ValueError("expansion orders are only meaningful for nonconstant symbols")
     kmax = min(f.degree, g.degree)

@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -362,21 +363,56 @@ def test_bad_config_file_is_configuration_error(tmp_path, capsys, argv, cfg,
     assert [p.name for p in tmp_path.glob("*.json")] == ["cfg.json"]
 
 
+def _run_module(args, timeout):
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    return subprocess.run([sys.executable, "-m", "pesinlab.cli", *args],
+                          capture_output=True, text=True, env=env,
+                          timeout=timeout)
+
+
 @pytest.mark.parametrize("command", [
     ["ks-entropy", "--map", "cat"],
     ["pesin", "--map", "cat", "--lyap-steps", "200", "--samples", "2"],
 ])
 def test_default_exact_cat_is_refused_up_front(tmp_path, command):
-    # the exact 8x8 depth-12 default would need about 10^9 words; a fresh
-    # interpreter with a timeout keeps a regression from hanging the suite
-    env = dict(os.environ,
-               PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
-    proc = subprocess.run([sys.executable, "-m", "pesinlab.cli", *command,
-                           "--out", str(tmp_path)],
-                          capture_output=True, text=True, env=env, timeout=60)
+    # exact 8x8 at depth 12 would need about 10^9 words; a fresh interpreter
+    # with a timeout keeps a regression from hanging the suite
+    proc = _run_module([*command, "--depth", "12", "--out", str(tmp_path)], 60)
     assert proc.returncode == 2
     assert "--mode mc" in proc.stderr and "--depth" in proc.stderr
     assert not list(tmp_path.glob("*.json"))
+
+
+@pytest.mark.parametrize("command,stem", [
+    (["ks-entropy", "--map", "cat"], "ks_entropy"),
+    (["prescription", "--source", "classical", "--map", "cat"], "prescription"),
+])
+def test_bare_exact_cat_default_runs_at_depth_7(tmp_path, command, stem):
+    proc = _run_module([*command, "--format", "json", "--out", str(tmp_path)],
+                       120)
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads((tmp_path / f"{stem}.json").read_text())
+    assert doc["config"]["depth"] == 7
+    assert doc["config"]["grid"] == [8, 8]
+
+
+def test_quantum_underflow_is_refused_before_the_chains(tmp_path):
+    # with the default cells, magnitudes of 16 sampled words read 0 from
+    # depth 519, and a word of smallest leads only stays normal to depth
+    # 458; the run must stop before any chain product
+    proc = _run_module(["prescription", "--source", "gamow", "--depth", "600",
+                        "--word-budget", "16", "--out", str(tmp_path)], 60)
+    assert proc.returncode == 2
+    assert "--depth 600 underflows" in proc.stderr
+    assert "depth 0/600" not in proc.stderr
+    assert not list(tmp_path.glob("*.json"))
+    safe = re.search(r"--depth (\d+) is the largest", proc.stderr)
+    assert 400 < int(safe.group(1)) < 600
+    proc = _run_module(["prescription", "--source", "gamow", "--depth",
+                        safe.group(1), "--word-budget", "16", "--format",
+                        "json", "--out", str(tmp_path)], 60)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_classical_progress_streams_before_refusal(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -64,6 +65,8 @@ def test_word_validation():
         mu_via_quantum(spec, ops, [])
     with pytest.raises(ValueError):
         mu_via_quantum(spec, ops, [0, 2])
+    with pytest.raises(ValueError):
+        mu_via_quantum(spec, ops, [0, -1])
 
 
 # --- decay classification ---------------------------------------------------
@@ -195,6 +198,47 @@ def test_classical_magnitudes_match_partition_bit_for_bit():
         table = dict(zip(map(tuple, words.tolist()), rec.measures))
         for word, mag in zip(run.words, run.word_magnitudes):
             assert table[tuple(word[:n + 1].tolist())] == mag[n]
+
+
+# (cells, n_max, depth, word_budget, seed): the first 16 hex digits of the
+# sha256 of words.tobytes(), of word_magnitudes.tobytes() and of
+# repr(entropy_profile), recorded from the per-depth loop that preceded
+# gamow.chain_traces, which must repeat it bit for bit
+GOLDEN_QUANTUM_RUNS = {
+    (3, 8, 12, 64, 5): ("4364657646b96e3e", "5ce412c982e7eaf1",
+                        "bc5a9d51777681f8"),
+    (2, 6, 7, 256, 0): ("b9539d4a0748dd77", "32b9cb2f1f289022",
+                        "ffd20e4c33f47e26"),
+    (4, 32, 40, 256, 1): ("646955935797c4cc", "5bd232c0ddeb3e2a",
+                          "1a6316abbaa5961f"),
+}
+
+
+def _quantum_run(cells, n_max, depth, word_budget, seed):
+    spec = GamowSpec(n_max=n_max)
+    ops = make_cell_operators(spec, cells, seed=seed)
+    run = prescription_run(QuantumSource(spec, tuple(ops)), depth,
+                           word_budget=word_budget, seed=seed)
+    return spec, ops, run
+
+
+@pytest.mark.parametrize("case", GOLDEN_QUANTUM_RUNS,
+                         ids=lambda c: "m%d-d%d-n%d-w%d-s%d" % c)
+def test_quantum_run_matches_golden(case):
+    _, _, run = _quantum_run(*case)
+    digest = tuple(hashlib.sha256(data).hexdigest()[:16] for data in (
+        run.words.tobytes(), run.word_magnitudes.tobytes(),
+        repr(run.entropy_profile).encode()))
+    assert digest == GOLDEN_QUANTUM_RUNS[case]
+
+
+def test_quantum_magnitudes_are_prefix_measures_bit_for_bit():
+    # one kernel serves both routes, so batching many words changes no bit
+    spec, ops, run = _quantum_run(3, 8, 12, 24, 2)
+    assert run.sampling == "sampled"
+    for word, mags in zip(run.words.tolist(), run.word_magnitudes):
+        for n in range(len(word)):
+            assert mu_via_quantum(spec, ops, word[:n + 1]) == mags[n]
 
 
 def test_classical_mc_profile_keeps_estimator_entropies():

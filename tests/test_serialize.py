@@ -6,13 +6,13 @@ import sys
 import numpy as np
 import pytest
 
-from pesinlab import (BiorthOperator, ChainResult, ClassicalSource, GamowSpec,
-                      GridPartition, PhasePoint, QuantumSource, chain_trace,
+from pesinlab import (BiorthOperator, ClassicalSource, GamowSpec,
+                      GridPartition, PhasePoint, QuantumSource,
                       lyapunov_spectrum, make_cell_operators, make_map,
                       pesin_residual, prescription_run, refine, refine_series,
                       word_rows)
-from pesinlab.serialize import (CHAIN_CSV_HEADER, PRESCRIPTION_CSV_HEADER,
-                                REFINEMENT_CSV_HEADER, biorth_doc, chain_rows,
+from pesinlab.serialize import (PRESCRIPTION_CSV_HEADER,
+                                REFINEMENT_CSV_HEADER, biorth_doc,
                                 decay_report_doc, fmt_float, pesin_doc,
                                 prescription_doc, prescription_rows,
                                 refinement_record_doc, refinement_rows,
@@ -90,20 +90,6 @@ def test_biorth_doc_round_trip():
     assert doc["dim"] == 4
     back = np.array(doc["re"]) + 1j * np.array(doc["im"])
     assert np.array_equal(back, c)
-
-
-def test_chain_rows_include_bounds():
-    spec = GamowSpec(n_max=4)
-    c = np.zeros((4, 4))
-    c[0, 0] = 0.5
-    op = BiorthOperator(c)
-    results = [chain_trace(spec, [op] * (n + 1), n) for n in (0, 1, 2)]
-    rows = chain_rows(results, (0.4, 0.6))
-    assert len(rows[0]) == len(CHAIN_CSV_HEADER)
-    assert rows[1][0] == "1"
-    assert float(rows[1][5]) == 2 * math.log(0.4)
-    assert float(rows[1][6]) == 2 * math.log(0.6)
-    assert float(rows[2][1]) == 0.5 ** 3
 
 
 def test_prescription_doc_classical():
