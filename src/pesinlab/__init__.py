@@ -16,13 +16,11 @@ from .gamow import (BiorthOperator, ChainResult, GamowSpec, chain_trace,
                     make_cell_operators, off_mass_ratio)
 from .lyapunov import (LyapunovSpectrum, PesinReport, lyapunov_spectrum,
                        pesin_residual, positive_sum_field)
-from .maps import (MAP_NAMES, PhasePoint, Trajectory, TorusMap, iterate,
-                   make_map, preimage_cell)
+from .maps import MAP_NAMES, PhasePoint, TorusMap, make_map, preimage_cell
 from .partitions import (MC_ESTIMATORS, MEASURE_MODES, GridPartition,
                          HksEstimate, McConfig, RefinementRecord,
                          entropy_nats, fit_line, h_mu, h_mu_ratio,
-                         hks_estimate, partition_entropy, refine,
-                         refine_series, word_rows)
+                         hks_estimate, refine_series, word_rows)
 from .pipeline import (VERDICTS, ClassicalSource, DecayReport,
                        PrescriptionRun, QuantumSource, decay_detect,
                        mu_via_quantum, prescription_run, quantum_fit_onset,
@@ -39,15 +37,15 @@ __all__ = [
     "MC_ESTIMATORS", "MEASURE_MODES", "McConfig",
     "PesinReport", "PhasePoint", "PolySymbol", "PrescriptionRun",
     "QuantumSource", "RefinementRecord", "ResourceLimitError",
-    "Trajectory", "TorusMap",
+    "TorusMap",
     "UnsupportedOperationError", "VERDICTS", "chain_trace", "chain_traces",
     "decay_bounds", "decay_detect", "eigenvalues", "entropy_nats",
     "evolution_factors", "evolve_matrix_oracle", "evolve_operator",
-    "fit_line", "h_mu", "h_mu_ratio", "hks_estimate", "iterate",
+    "fit_line", "h_mu", "h_mu_ratio", "hks_estimate",
     "lyapunov_spectrum", "make_cell_operators", "make_map",
     "moyal_bracket", "mu_via_quantum", "off_mass_ratio", "pairing",
-    "partition_entropy", "pesin_residual", "poisson_bracket",
+    "pesin_residual", "poisson_bracket",
     "positive_sum_field", "preimage_cell", "prescription_run",
-    "quantum_fit_onset", "refine", "refine_series", "semiclassical_h_mu",
+    "quantum_fit_onset", "refine_series", "semiclassical_h_mu",
     "star_product", "word_rows", "__version__",
 ]

@@ -32,7 +32,7 @@ from .lyapunov import lyapunov_spectrum, pesin_residual, positive_sum_field
 from .maps import MAP_NAMES, PhasePoint, make_map
 from .partitions import (MC_ESTIMATORS, MEASURE_MODES, GridPartition,
                          McConfig, h_mu, h_mu_ratio, hks_estimate,
-                         refine_series, word_rows)
+                         progress_line, refine_series, word_rows)
 from .pipeline import ClassicalSource, QuantumSource, prescription_run
 
 FORMATS = ("json", "csv", "both")
@@ -343,6 +343,14 @@ def _refinement_setup(cfg, opt, exact_depth, mc_depth, low):
     return GridPartition(*grid), None, depth
 
 
+def _depth_progress(n_max, ladder=False):
+    """on_record callback printing each finished depth to stderr."""
+    def report(record):
+        grid = f"grid {record.grid[0]}x{record.grid[1]} " if ladder else ""
+        print(grid + progress_line(record, n_max), file=sys.stderr)
+    return report
+
+
 def _prescribed_tables(cfg):
     raw = cfg.get("tables")
     if raw is None:
@@ -416,7 +424,8 @@ def cmd_lyapunov(args):
 
 
 def _ladder_outputs(torus_map, ladder, depth, mode, mc):
-    est = hks_estimate(torus_map, ladder, depth, mode, mc)
+    est = hks_estimate(torus_map, ladder, depth, mode, mc,
+                       _depth_progress(depth, ladder=True))
     doc_part = {
         "h_ks": est.value,
         "profile": [{"grid": [mq, mp], "h_mu": h} for mq, mp, h in est.profile],
@@ -453,7 +462,8 @@ def cmd_ks_entropy(args):
             print(f"grid {mq}x{mp}: h_mu {_fmt(h)} nats/step")
         print(f"h_KS (max over ladder) {_fmt(est.value)} nats/step")
     else:
-        records = refine_series(torus_map, part, depth, opt["mode"], mc)
+        records = refine_series(torus_map, part, depth, opt["mode"], mc,
+                                _depth_progress(depth))
         slope = h_mu(records)
         ratio = h_mu_ratio(records)
         final = records[-1]
@@ -483,13 +493,15 @@ def cmd_pesin(args):
     if cfg["ladder"] is not None:
         ladder = _parse_ladder(cfg["ladder"])
         cfg["ladder"] = [[p.m_q, p.m_p] for p in ladder]
-        est = hks_estimate(torus_map, ladder, depth, opt["mode"], mc)
+        est = hks_estimate(torus_map, ladder, depth, opt["mode"], mc,
+                           _depth_progress(depth, ladder=True))
         h_side = est.value
         h_doc = {"method": "ladder_max", "value": h_side,
                  "profile": [{"grid": [mq, mp], "h_mu": h}
                              for mq, mp, h in est.profile]}
     else:
-        records = refine_series(torus_map, part, depth, opt["mode"], mc)
+        records = refine_series(torus_map, part, depth, opt["mode"], mc,
+                                _depth_progress(depth))
         h_side = h_mu(records)
         h_doc = {"method": "slope", "value": h_side,
                  "h_mu_ratio": h_mu_ratio(records),

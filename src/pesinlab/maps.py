@@ -41,18 +41,21 @@ class PhasePoint:
 class TorusMap:
     """A named map of the torus with its derivative and preimage structure.
 
-    ``branches`` describes the exact piecewise-affine forward action on
-    convex polygon pieces as geometry.Branch data (None when the map has no
-    such description); exact refinement applies it to whole batches of
-    pieces.  ``forward_pieces`` / ``backward_pieces`` apply the forward and
-    inverse actions to one polygon; ``step_batch`` applies the map to an
-    (N, 2) coordinate array.  These extra fields exist so refinement and
-    preimage code never has to rediscover branch structure.
+    ``jacobian`` is the map's constant tangent matrix as a row-major
+    (a, b, c, d) tuple: every built-in map is affine with one linear part
+    on all of its branches.  ``branches`` describes the exact
+    piecewise-affine forward action on convex polygon pieces as
+    geometry.Branch data (None when the map has no such description);
+    exact refinement applies it to whole batches of pieces.
+    ``forward_pieces`` / ``backward_pieces`` apply the forward and inverse
+    actions to one polygon; ``step_batch`` applies the map to an (N, 2)
+    coordinate array.  These extra fields exist so refinement and preimage
+    code never has to rediscover branch structure.
     """
 
     name: str
     step: Callable[[PhasePoint], PhasePoint]
-    jacobian: Callable[[PhasePoint], np.ndarray]
+    jacobian: tuple[float, float, float, float]
     step_batch: Callable[[np.ndarray], np.ndarray] = field(repr=False, default=None)
     forward_pieces: Optional[Callable[[geometry.Polygon], list[geometry.Polygon]]] = field(
         repr=False, default=None)
@@ -61,26 +64,18 @@ class TorusMap:
     branches: Optional[tuple[geometry.Branch, ...]] = field(repr=False, default=None)
 
 
-@dataclass(frozen=True)
-class Trajectory:
-    points: tuple[PhasePoint, ...]
-    map_name: str
-    n_steps: int
-
-
 # --- identity ---------------------------------------------------------------
-
-def _frozen(mat: np.ndarray) -> np.ndarray:
-    # shared constant Jacobians are returned without copying; the read-only
-    # flag keeps callers from mutating them behind the map's back
-    mat.setflags(write=False)
-    return mat
-
 
 def _pieces_map(forward: tuple[geometry.Branch, ...],
                 backward: tuple[geometry.Branch, ...]) -> dict:
-    """The TorusMap piece fields of a map given by its branch data."""
-    return {"branches": forward,
+    """The TorusMap jacobian and piece fields of a map given by its branches.
+
+    The jacobian is the (a, b, c, d) that every forward branch of a
+    built-in map shares; a branch with no affine action is the identity.
+    """
+    affine = forward[0].affine
+    return {"jacobian": (1.0, 0.0, 0.0, 1.0) if affine is None else affine[:4],
+            "branches": forward,
             "forward_pieces": partial(geometry.branch_images, branches=forward),
             "backward_pieces": partial(geometry.branch_images, branches=backward)}
 
@@ -89,11 +84,9 @@ _IDENTITY_BRANCHES = (geometry.Branch(None, None),)
 
 
 def _identity_map() -> TorusMap:
-    eye = _frozen(np.eye(2))
     return TorusMap(
         name="identity",
         step=lambda x: x,
-        jacobian=lambda x: eye,
         step_batch=lambda pts: np.array(pts, dtype=float),
         **_pieces_map(_IDENTITY_BRANCHES, _IDENTITY_BRANCHES),
     )
@@ -125,13 +118,9 @@ _BAKER_BACKWARD = tuple(
 
 
 def _baker_map() -> TorusMap:
-    jac = _frozen(np.array([[2.0, 0.0], [0.0, 0.5]]))
     return TorusMap(
         name="baker",
         step=_baker_step,
-        # constant away from the discontinuity; the line q = 0.5 uses the
-        # same matrix (left-closed branch convention)
-        jacobian=lambda x: jac,
         step_batch=_baker_step_batch,
         **_pieces_map(_BAKER_FORWARD, _BAKER_BACKWARD),
     )
@@ -154,11 +143,9 @@ _CAT_BACKWARD = (geometry.Branch(None, (1.0, -1.0, -1.0, 2.0, 0.0, 0.0), wrap=Tr
 
 
 def _cat_map() -> TorusMap:
-    jac = _frozen(np.array([[2.0, 1.0], [1.0, 1.0]]))
     return TorusMap(
         name="cat",
         step=_cat_step,
-        jacobian=lambda x: jac,
         step_batch=_cat_step_batch,
         **_pieces_map(_CAT_FORWARD, _CAT_BACKWARD),
     )
@@ -179,16 +166,6 @@ def make_map(name: str) -> TorusMap:
     except KeyError:
         raise ConfigurationError(
             f"unknown map {name!r}; valid names: {', '.join(MAP_NAMES)}") from None
-
-
-def iterate(torus_map: TorusMap, x0: PhasePoint, n: int) -> Trajectory:
-    """Forward orbit of length n+1 starting at x0."""
-    if n < 0:
-        raise ValueError("step count must be nonnegative")
-    points = [x0]
-    for _ in range(n):
-        points.append(torus_map.step(points[-1]))
-    return Trajectory(tuple(points), torus_map.name, n)
 
 
 def preimage_cell(torus_map: TorusMap, cell: tuple[float, float, float, float],

@@ -149,18 +149,6 @@ def entropy_nats(values: Iterable[float]) -> float:
     return -math.fsum(v * math.log(v) for v in values if v != 0.0)
 
 
-def partition_entropy(measures: Iterable[float]) -> float:
-    """Entropy of a probability vector; entries must be >= 0 and sum to 1."""
-    vals = [float(v) for v in measures]
-    for v in vals:
-        if v < 0.0:
-            raise ValueError("measures must be nonnegative")
-    total = math.fsum(vals)
-    if abs(total - 1.0) > 1e-6:
-        raise ValueError(f"measures sum to {total!r}, not 1")
-    return entropy_nats(vals)
-
-
 # --- exact refinement -------------------------------------------------------
 
 def _exact_record(n: int, codes: np.ndarray, measures: np.ndarray,
@@ -338,11 +326,10 @@ def refine_series(torus_map: TorusMap, part: GridPartition, n_max: int,
         f"valid names: {', '.join(MEASURE_MODES)}")
 
 
-def refine(torus_map: TorusMap, part: GridPartition, n: int,
-           measure_mode: str = "exact",
-           mc_config: Optional[McConfig] = None) -> RefinementRecord:
-    """Refinement record at a single depth n."""
-    return refine_series(torus_map, part, n, measure_mode, mc_config)[-1]
+def progress_line(record: RefinementRecord, n_max: int) -> str:
+    """The progress line of one finished depth of an n_max-deep series."""
+    return (f"depth {record.n}/{n_max}: {record.nonempty_words} words, "
+            f"H={record.entropy:.6g}")
 
 
 # --- entropy-rate estimates -------------------------------------------------
@@ -417,8 +404,13 @@ class HksEstimate:
 
 def hks_estimate(torus_map: TorusMap, ladder, n_max: int,
                  measure_mode: str = "exact",
-                 mc_config: Optional[McConfig] = None) -> HksEstimate:
-    """Estimate the entropy rate as the max of h_mu over a grid ladder."""
+                 mc_config: Optional[McConfig] = None,
+                 on_record: Optional[Callable[[RefinementRecord], None]] = None
+                 ) -> HksEstimate:
+    """Estimate the entropy rate as the max of h_mu over a grid ladder.
+
+    on_record is passed to each grid's refine_series.
+    """
     ladder = list(ladder)
     if not ladder:
         raise ConfigurationError("partition ladder is empty")
@@ -427,7 +419,7 @@ def hks_estimate(torus_map: TorusMap, ladder, n_max: int,
         raise ConfigurationError(
             "ladder must be strictly increasing in resolution")
     all_records = [tuple(refine_series(torus_map, part, n_max, measure_mode,
-                                       mc_config))
+                                       mc_config, on_record))
                    for part in ladder]
     profile = tuple((part.m_q, part.m_p, h_mu(recs))
                     for part, recs in zip(ladder, all_records))

@@ -21,12 +21,12 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .errors import ResourceLimitError
+from .errors import ConfigurationError, ResourceLimitError
 from .gamow import BiorthOperator, GamowSpec, _check_dim, chain_traces, \
     decay_bounds
 from .maps import TorusMap
 from .partitions import GridPartition, McConfig, entropy_nats, fit_line, \
-    refine_series, tail_slope, word_rows
+    progress_line, refine_series, tail_slope, word_rows
 
 VERDICTS = ("exponential", "not_exponential", "inconclusive")
 
@@ -204,12 +204,9 @@ class _Measured:
 def _classical_measures(src: ClassicalSource, n_max: int, word_budget: int,
                         seed: int,
                         progress: Optional[Callable[[str], None]]) -> _Measured:
-    def report(r):
-        progress(f"depth {r.n}/{n_max}: {r.nonempty_words} words, H={r.entropy:.6g}")
-
-    records = refine_series(src.torus_map, src.partition, n_max,
-                            src.measure_mode, src.mc_config,
-                            report if progress else None)
+    records = refine_series(
+        src.torus_map, src.partition, n_max, src.measure_mode, src.mc_config,
+        (lambda r: progress(progress_line(r, n_max))) if progress else None)
     final = records[-1]
     if final.nonempty_words > word_budget:
         rng = np.random.default_rng(seed)
@@ -265,19 +262,29 @@ def _quantum_measures(src: QuantumSource, n_max: int, word_budget: int,
             f"--depth {int(ln_tiny / math.log(bounds[0])) - 1} is the largest "
             "depth at which no word can")
 
-    def report(n, col):
-        progress(f"depth {n}/{n_max}: mean |trace| {col.mean():.6g}")
+    # distinct prefixes only, for the entropy profile (shared prefixes of
+    # several sampled words are one cell, not many).  The words are distinct
+    # and lex-sorted, so row i starts a new length-(n+1) prefix exactly when
+    # its first column differing from row i-1 is at most n; row 0 always does.
+    first_diff = np.concatenate(([0], np.argmax(words[1:] != words[:-1], axis=1)))
+    per_depth = []
 
-    mags, tr = chain_traces(spec, ops, words, on_depth=report if progress else None)
+    def on_depth(n, col):
+        # a family whose cell measures sum above 1 is no sub-partition, and
+        # semiclassical_h_mu would refuse it after the last depth
+        vals = col[first_diff <= n]
+        total = math.fsum(vals.tolist())
+        if total > 1.0 + 1e-6:
+            raise ConfigurationError(
+                f"cell measures at depth {n} sum to {total!r}, above 1; "
+                "lower --total-mass or --off-scale")
+        per_depth.append(vals)
+        if progress:
+            progress(f"depth {n}/{n_max}: mean |trace| {col.mean():.6g}")
+
+    mags, tr = chain_traces(spec, ops, words, on_depth=on_depth)
     with np.errstate(invalid="ignore", divide="ignore"):
         ratios = np.where(mags[:, -1] > 0.0, np.abs(tr.imag) / mags[:, -1], 0.0)
-
-    # distinct prefixes only, for the entropy profile (shared prefixes of
-    # several sampled words are one cell, not many)
-    per_depth = []
-    for n in range(n_max + 1):
-        _, first = np.unique(words[:, :n + 1], axis=0, return_index=True)
-        per_depth.append(mags[np.sort(first), n])
 
     desc = {"omega0": spec.omega0, "gamma0": spec.gamma0, "hbar": spec.hbar,
             "alpha": spec.alpha, "n_max": spec.n_max, "cells": m,

@@ -415,6 +415,39 @@ def test_quantum_underflow_is_refused_before_the_chains(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
+@pytest.mark.parametrize("mass", ["1.0", "0.9999"])
+def test_quantum_cells_summing_above_one_fail_at_the_first_depth(tmp_path, mass):
+    # |trace| adds the small diagonal entries to the (0,0) lead, so these
+    # cell measures sum above 1 already at depth 0; the run stops there
+    # instead of taking every chain product and failing in the entropy step
+    proc = _run_module(["prescription", "--source", "gamow", "--cells", "4",
+                        "--depth", "7", "--n-max", "8", "--total-mass", mass,
+                        "--out", str(tmp_path)], 60)
+    assert proc.returncode == 2, proc.stderr
+    assert "depth 0 sum to" in proc.stderr and "--total-mass" in proc.stderr
+    assert "depth 1/7" not in proc.stderr
+    assert not list(tmp_path.glob("*.json"))
+
+
+@pytest.mark.parametrize("argv,prefix", [
+    (["ks-entropy", "--map", "baker", "--depth", "5"], ""),
+    (["pesin", "--map", "baker", "--depth", "5", "--lyap-steps", "200"], ""),
+    (["ks-entropy", "--map", "baker", "--ladder", "2x1,2x2", "--depth", "5"],
+     "grid 2x2 "),
+    (["pesin", "--map", "cat", "--mode", "mc", "--mc-samples", "1000",
+      "--ladder", "2x2,4x4", "--depth", "5", "--lyap-steps", "200"],
+     "grid 4x4 "),
+])
+def test_refinement_progress_streams_to_stderr(tmp_path, capsys, argv, prefix):
+    code, out, err = run_cli(argv + ["--out", str(tmp_path)], capsys)
+    assert code == 0
+    lines = [line for line in err.splitlines() if line.startswith(prefix)]
+    assert [line.split(":")[0] for line in lines[-6:]] == \
+        [f"{prefix}depth {n}/5" for n in range(6)]
+    assert re.fullmatch(prefix + r"depth 5/5: \d+ words, H=\S+", lines[-1])
+    assert "depth 0/5" not in out
+
+
 def test_classical_progress_streams_before_refusal(tmp_path, capsys):
     # depths 0 and 1 are reported as they finish, before the word cap stops
     # the run at depth 2

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from pesinlab import (GridPartition, LyapunovSpectrum, McConfig, PhasePoint,
-                      h_mu, lyapunov_spectrum, make_map, pesin_residual,
-                      positive_sum_field, refine_series)
+from pesinlab import (MAP_NAMES, GridPartition, LyapunovSpectrum, McConfig,
+                      PhasePoint, h_mu, lyapunov_spectrum, make_map,
+                      pesin_residual, positive_sum_field, refine_series)
+from pesinlab.lyapunov import _qr_step
 
 LN2 = math.log(2.0)
 CAT_SIGMA = math.log((3.0 + math.sqrt(5.0)) / 2.0)
@@ -64,6 +65,49 @@ def test_positive_sum_field_matches_pointwise():
     assert abs(positive_sum_field(make_map("identity"), pts, 1000)) < 1e-6
     assert abs(positive_sum_field(make_map("cat"), pts, 10_000) - CAT_SIGMA) < 1e-6
     assert abs(positive_sum_field(make_map("baker"), pts, 10_000) - LN2) < 1e-6
+
+
+# --- the orbit-stepping reference --------------------------------------------
+
+def _branch_jacobian(torus_map, x):
+    """Linear part of the forward branch whose domain holds x."""
+    for br in torus_map.branches:
+        if br.rect is None or br.rect[0] <= x.q < br.rect[1]:
+            a = br.affine
+            return (1.0, 0.0, 0.0, 1.0) if a is None else a[:4]
+    raise AssertionError(f"no branch holds {x}")
+
+
+def _orbit_spectrum(torus_map, x0, n):
+    """The spectrum loop that steps the orbit and reads J at every point."""
+    warmup = min(100, n // 10)
+    x = x0
+    qm = (1.0, 0.0, 0.0, 1.0)
+    for _ in range(warmup):
+        qm, _ = _qr_step(qm, _branch_jacobian(torus_map, x))
+        x = torus_map.step(x)
+    s1 = 0.0
+    s2 = 0.0
+    for _ in range(n):
+        qm, (r11, r22) = _qr_step(qm, _branch_jacobian(torus_map, x))
+        s1 += math.log(r11)
+        s2 += math.log(r22)
+        x = torus_map.step(x)
+    exps = tuple(sorted((s1 / n, s2 / n), reverse=True))
+    return LyapunovSpectrum(exps, n, x0, sum(e for e in exps if e > 0.0))
+
+
+@pytest.mark.parametrize("n", [100, 500, 10_000])
+@pytest.mark.parametrize("name", MAP_NAMES)
+def test_spectrum_equals_orbit_stepping_reference(name, n):
+    m = make_map(name)
+    rng = np.random.default_rng(n)
+    pts = [PhasePoint(*rng.random(2)) for _ in range(5)]
+    reference = [_orbit_spectrum(m, x0, n) for x0 in pts]
+    for x0, ref in zip(pts, reference):
+        assert lyapunov_spectrum(m, x0, n) == ref
+    sums = [ref.positive_sum for ref in reference]
+    assert positive_sum_field(m, pts, n) == math.fsum(sums) / len(sums)
 
 
 def test_positive_sum_field_rejects_empty():

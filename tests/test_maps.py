@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from pesinlab import (ConfigurationError, MAP_NAMES, PhasePoint,
-                      UnsupportedOperationError, iterate, make_map,
-                      preimage_cell)
+                      UnsupportedOperationError, make_map, preimage_cell)
 from pesinlab.geometry import polygon_area
 from pesinlab.maps import TorusMap
 
@@ -45,38 +44,43 @@ def test_phase_point_wraps_into_unit_square():
     assert (x.q, x.p) == (0.25, 0.5)
 
 
+def _orbit(m, x0, n):
+    points = [x0]
+    for _ in range(n):
+        points.append(m.step(points[-1]))
+    return points
+
+
 def test_iterate_identity_constant():
-    t = iterate(make_map("identity"), PhasePoint(0.1, 0.2), 5)
-    assert len(t.points) == 6
-    assert all(p == t.points[0] for p in t.points)
+    points = _orbit(make_map("identity"), PhasePoint(0.1, 0.2), 5)
+    assert all(p == points[0] for p in points)
 
 
 def test_iterate_cat_fixed_point():
-    t = iterate(make_map("cat"), PhasePoint(0.0, 0.0), 10)
-    assert len(t.points) == 11
-    assert all(p.q == 0.0 and p.p == 0.0 for p in t.points)
+    points = _orbit(make_map("cat"), PhasePoint(0.0, 0.0), 10)
+    assert all(p.q == 0.0 and p.p == 0.0 for p in points)
 
 
 def test_iterate_baker_third():
-    t = iterate(make_map("baker"), PhasePoint(1.0 / 3.0, 0.0), 2)
+    points = _orbit(make_map("baker"), PhasePoint(1.0 / 3.0, 0.0), 2)
     expect = [(1.0 / 3.0, 0.0), (2.0 / 3.0, 0.0), (1.0 / 3.0, 0.5)]
-    for point, (q, p) in zip(t.points, expect):
+    for point, (q, p) in zip(points, expect):
         assert abs(point.q - q) < 1e-12
         assert abs(point.p - p) < 1e-12
 
 
-def test_iterate_rejects_negative_count():
-    with pytest.raises(ValueError):
-        iterate(make_map("baker"), PhasePoint(0.1, 0.1), -1)
-
-
 def test_trajectory_chains_under_step():
+    # Monte Carlo refinement steps its sample cloud with step_batch depth
+    # after depth; a 20-step batch orbit must follow the pointwise one
+    pts = np.array(RANDOM_POINTS[:50])
     for name in MAP_NAMES:
         m = make_map(name)
-        t = iterate(m, PhasePoint(0.137, 0.642), 20)
-        for a, b in zip(t.points, t.points[1:]):
-            s = m.step(a)
-            assert abs(s.q - b.q) < 1e-12 and abs(s.p - b.p) < 1e-12
+        batch = pts
+        orbits = [_orbit(m, PhasePoint(q, p), 20) for q, p in pts]
+        for k in range(1, 21):
+            batch = m.step_batch(batch)
+            for orbit, out in zip(orbits, batch):
+                assert (orbit[k].q, orbit[k].p) == (out[0], out[1])
 
 
 def test_preimage_identity_is_cell():
@@ -122,18 +126,42 @@ def test_preimage_rejects_bad_cell():
 
 def test_preimage_requires_backward_pieces():
     bare = TorusMap(name="opaque", step=lambda x: x,
-                    jacobian=lambda x: np.eye(2), step_batch=lambda pts: pts)
+                    jacobian=(1.0, 0.0, 0.0, 1.0), step_batch=lambda pts: pts)
     with pytest.raises(UnsupportedOperationError):
         preimage_cell(bare, (0.0, 0.5, 0.0, 1.0), 1)
 
 
 @pytest.mark.parametrize("name", MAP_NAMES)
 def test_jacobian_determinant_is_unimodular(name):
+    a, b, c, d = make_map(name).jacobian
+    assert abs(abs(a * d - b * c) - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("name", MAP_NAMES)
+def test_jacobian_is_every_forward_branch_linear_part(name):
     m = make_map(name)
-    for q, p in RANDOM_POINTS:
-        jac = m.jacobian(PhasePoint(q, p))
-        det = jac[0, 0] * jac[1, 1] - jac[0, 1] * jac[1, 0]
-        assert abs(abs(det) - 1.0) < 1e-12
+    assert isinstance(m.jacobian, tuple) and len(m.jacobian) == 4
+    assert all(isinstance(v, float) for v in m.jacobian)
+    for br in m.branches:
+        linear = (1.0, 0.0, 0.0, 1.0) if br.affine is None else br.affine[:4]
+        assert m.jacobian == linear
+
+
+@pytest.mark.parametrize("name", MAP_NAMES)
+def test_jacobian_matches_finite_differences(name):
+    # the constant tangent matrix is the derivative of step away from the
+    # branch cuts and the torus wrap
+    m = make_map(name)
+    a, b, c, d = m.jacobian
+    h = 1e-7
+    for q, p in ((0.11, 0.13), (0.31, 0.22), (0.61, 0.17), (0.83, 0.05)):
+        x = m.step(PhasePoint(q, p))
+        xq = m.step(PhasePoint(q + h, p))
+        xp = m.step(PhasePoint(q, p + h))
+        assert abs((xq.q - x.q) / h - a) < 1e-6
+        assert abs((xp.q - x.q) / h - b) < 1e-6
+        assert abs((xq.p - x.p) / h - c) < 1e-6
+        assert abs((xp.p - x.p) / h - d) < 1e-6
 
 
 @pytest.mark.parametrize("name", MAP_NAMES)
@@ -152,5 +180,4 @@ def test_baker_discontinuity_uses_left_branch():
     x = m.step(PhasePoint(0.5, 0.0))
     # q = 0.5 belongs to the upper branch under the left-closed convention
     assert (x.q, x.p) == (0.0, 0.5)
-    jac = m.jacobian(PhasePoint(0.5, 0.0))
-    assert jac[0, 0] == 2.0 and jac[1, 1] == 0.5
+    assert m.jacobian == (2.0, 0.0, 0.0, 0.5)

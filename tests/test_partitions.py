@@ -4,9 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from pesinlab import (ConfigurationError, GridPartition, McConfig, h_mu,
-                      h_mu_ratio, hks_estimate, make_map, partition_entropy,
-                      refine, refine_series, word_rows)
+from pesinlab import (ConfigurationError, GridPartition, McConfig,
+                      entropy_nats, h_mu, h_mu_ratio, hks_estimate, make_map,
+                      refine_series, word_rows)
 from pesinlab import geometry
 from pesinlab.partitions import _mc_entropy, fit_line
 
@@ -14,28 +14,18 @@ LN2 = math.log(2.0)
 CAT_SIGMA = math.log((3.0 + math.sqrt(5.0)) / 2.0)
 
 
-# --- partition_entropy ------------------------------------------------------
+# --- entropy_nats -----------------------------------------------------------
 
 def test_entropy_single_cell():
-    assert partition_entropy([1.0]) == 0.0
+    assert entropy_nats([1.0]) == 0.0
 
 
 def test_entropy_uniform_four():
-    assert abs(partition_entropy([0.25] * 4) - math.log(4.0)) < 1e-15
+    assert abs(entropy_nats([0.25] * 4) - math.log(4.0)) < 1e-15
 
 
 def test_entropy_zero_convention():
-    assert abs(partition_entropy([0.5, 0.5, 0.0, 0.0]) - LN2) < 1e-15
-
-
-def test_entropy_rejects_negative():
-    with pytest.raises(ValueError):
-        partition_entropy([0.5, 0.6, -0.1])
-
-
-def test_entropy_rejects_bad_sum():
-    with pytest.raises(ValueError):
-        partition_entropy([0.5, 0.4])
+    assert abs(entropy_nats([0.5, 0.5, 0.0, 0.0]) - LN2) < 1e-15
 
 
 # --- grid bookkeeping -------------------------------------------------------
@@ -67,21 +57,21 @@ def test_grid_rejects_nonpositive():
 # --- refine -----------------------------------------------------------------
 
 def test_refine_identity_no_refinement():
-    rec = refine(make_map("identity"), GridPartition(2, 2), 3)
+    rec = refine_series(make_map("identity"), GridPartition(2, 2), 3)[-1]
     assert rec.nonempty_words == 4
     for value in rec.measures:
         assert value == 0.25
 
 
 def test_refine_baker_binary_depth4():
-    rec = refine(make_map("baker"), GridPartition(2, 1), 4)
+    rec = refine_series(make_map("baker"), GridPartition(2, 1), 4)[-1]
     assert rec.nonempty_words == 32
     for value in rec.measures:
         assert value == 2.0 ** -5
 
 
 def test_refine_cat_sums_to_one():
-    rec = refine(make_map("cat"), GridPartition(2, 2), 1)
+    rec = refine_series(make_map("cat"), GridPartition(2, 2), 1)[-1]
     total = math.fsum(rec.measures)
     assert abs(total - 1.0) < 1e-9
 
@@ -111,7 +101,7 @@ def test_word_rows_lookup():
 
 @pytest.mark.parametrize("n", range(13))
 def test_baker_measures_exact_all_depths(n):
-    rec = refine(make_map("baker"), GridPartition(2, 1), n)
+    rec = refine_series(make_map("baker"), GridPartition(2, 1), n)[-1]
     assert rec.nonempty_words == 2 ** (n + 1)
     vals = rec.measures
     assert (vals == 2.0 ** -(n + 1)).all()
@@ -249,17 +239,17 @@ def test_mc_mode_invariants(name, grid):
 
 def test_mc_seed_determinism():
     part = GridPartition(4, 4)
-    a = refine(make_map("cat"), part, 5, "mc", McConfig(20_000, seed=9))
-    b = refine(make_map("cat"), part, 5, "mc", McConfig(20_000, seed=9))
-    c = refine(make_map("cat"), part, 5, "mc", McConfig(20_000, seed=10))
+    a, b, c = (refine_series(make_map("cat"), part, 5, "mc",
+                             McConfig(20_000, seed=seed))[-1]
+               for seed in (9, 9, 10))
     assert (a.measures == b.measures).all()
     assert a.entropy == b.entropy
     assert a.entropy != c.entropy
 
 
 def test_mc_stderr_is_binomial():
-    rec = refine(make_map("identity"), GridPartition(2, 1), 0, "mc",
-                 McConfig(10_000, seed=0))
+    rec = refine_series(make_map("identity"), GridPartition(2, 1), 0, "mc",
+                        McConfig(10_000, seed=0))[-1]
     for f, stderr in zip(rec.measures, rec.stderrs):
         assert abs(stderr - math.sqrt(f * (1 - f) / 10_000)) < 1e-15
     assert rec.meta["n_samples"] == 10_000

@@ -9,7 +9,7 @@ import pytest
 from pesinlab import (BiorthOperator, ClassicalSource, GamowSpec,
                       GridPartition, PhasePoint, QuantumSource,
                       lyapunov_spectrum, make_cell_operators, make_map,
-                      pesin_residual, prescription_run, refine, refine_series,
+                      pesin_residual, prescription_run, refine_series,
                       word_rows)
 from pesinlab.serialize import (PRESCRIPTION_CSV_HEADER,
                                 REFINEMENT_CSV_HEADER, biorth_doc,
@@ -38,7 +38,7 @@ def test_csv_writer_layout(tmp_path):
 
 
 def test_refinement_doc_fields():
-    rec = refine(make_map("baker"), GridPartition(2, 1), 2)
+    rec = refine_series(make_map("baker"), GridPartition(2, 1), 2)[-1]
     doc = refinement_record_doc(rec)
     assert doc["n"] == 2
     assert doc["R_n"] == 8
