@@ -16,7 +16,7 @@ from .gamow import (BiorthOperator, ChainResult, GamowSpec, chain_trace,
                     make_cell_operators, off_mass_ratio)
 from .lyapunov import (LyapunovSpectrum, PesinReport, lyapunov_spectrum,
                        pesin_residual, positive_sum_field)
-from .maps import MAP_NAMES, PhasePoint, TorusMap, make_map, preimage_cell
+from .maps import MAP_NAMES, PhasePoint, TorusMap, make_map
 from .partitions import (MC_ESTIMATORS, MEASURE_MODES, GridPartition,
                          HksEstimate, McConfig, RefinementRecord,
                          entropy_nats, fit_line, h_mu, h_mu_ratio,
@@ -41,11 +41,11 @@ __all__ = [
     "UnsupportedOperationError", "VERDICTS", "chain_trace", "chain_traces",
     "decay_bounds", "decay_detect", "eigenvalues", "entropy_nats",
     "evolution_factors", "evolve_matrix_oracle", "evolve_operator",
-    "fit_line", "h_mu", "h_mu_ratio", "hks_estimate",
+    "fit_line", "h_mu", "h_mu_ratio", "hbar_expansion_check", "hks_estimate",
     "lyapunov_spectrum", "make_cell_operators", "make_map",
     "moyal_bracket", "mu_via_quantum", "off_mass_ratio", "pairing",
     "pesin_residual", "poisson_bracket",
-    "positive_sum_field", "preimage_cell", "prescription_run",
+    "positive_sum_field", "prescription_run",
     "quantum_fit_onset", "refine_series", "semiclassical_h_mu",
     "star_product", "word_rows", "__version__",
 ]

@@ -28,7 +28,7 @@ from .errors import (ConfigurationError, ResourceLimitError,
                      UnsupportedOperationError)
 from .gamow import GamowSpec, evolve_operator, make_cell_operators, \
     off_mass_ratio
-from .lyapunov import lyapunov_spectrum, pesin_residual, positive_sum_field
+from .lyapunov import lyapunov_spectrum, pesin_residual
 from .maps import MAP_NAMES, PhasePoint, make_map
 from .partitions import (MC_ESTIMATORS, MEASURE_MODES, GridPartition,
                          McConfig, h_mu, h_mu_ratio, hks_estimate,
@@ -74,7 +74,6 @@ class Param:
     choices: tuple[str, ...] = ()
     echo: Optional[str] = "any"
     help: Optional[str] = None
-    flagless: tuple[str, ...] = ()  # commands that take it from files only
 
 
 PARAMS = (
@@ -87,9 +86,6 @@ PARAMS = (
     Param("map", "choice", (LYAP,) + _REFINE, choices=MAP_NAMES,
           echo="classical"),
     Param("steps", "int", (LYAP,), 10000, low=100, help="orbit length"),
-    Param("x0", "text", (LYAP,), help="starting point, e.g. 0.3,0.7"),
-    Param("samples", "int", (LYAP, PESIN), 10, low=1,
-          help="random orbits to average"),
     Param("grid", "text", _REFINE, echo="classical",
           help="partition grid, e.g. 2x1 or 8x8"),
     Param("depth", "int", _REFINE, help="refinement depth n_max"),
@@ -101,7 +97,7 @@ PARAMS = (
           echo="classical", help="entropy estimator for mc mode"),
     Param("ladder", "text", (KS, PESIN),
           help="comma list of grids, e.g. 2x1,2x2,4x4"),
-    Param("include_words", "switch", (KS, PESIN), flagless=(PESIN,),
+    Param("include_words", "switch", (KS,),
           help="embed per-word measures in the JSON output"),
     Param("lyap_steps", "int", (PESIN,), 10000, low=100,
           help="orbit length for the exponent side"),
@@ -256,18 +252,6 @@ def _parse_ladder(value):
     return [GridPartition(*_parse_grid(p)) for p in parts]
 
 
-def _parse_x0(value):
-    if isinstance(value, str):
-        parts = value.split(",")
-    elif isinstance(value, (list, tuple)):
-        parts = list(value)
-    else:
-        parts = None
-    if parts is None or len(parts) != 2:
-        raise ConfigurationError(f"x0 must look like '0.3,0.7', got {value!r}")
-    return PhasePoint(_as_float("x0 q", parts[0]), _as_float("x0 p", parts[1]))
-
-
 def _default_grid(map_name: str) -> str:
     # the hyperbolic automorphism needs more cells than the piecewise maps
     # before the partition resolves its expansion rate
@@ -388,37 +372,33 @@ def _cell_operators(cfg, opt):
 
 # --- commands ---------------------------------------------------------------
 
+def _spectrum(torus_map, seed, steps):
+    """The map's Lyapunov spectrum, recorded from a start drawn from seed.
+
+    The exponents do not depend on the start (see pesinlab.lyapunov), so
+    one spectrum is all either command needs.
+    """
+    x0 = PhasePoint(*np.random.default_rng(seed).random(2))
+    return lyapunov_spectrum(torus_map, x0, steps)
+
+
 def cmd_lyapunov(args):
     cfg, opt, out_dir = _prologue(args)
     torus_map = make_map(_required(opt, "map", MAP_NAMES))
-    steps, samples = opt["steps"], opt["samples"]
-    rng = np.random.default_rng(opt["seed"])
-    if cfg["x0"] is None:
-        q, p = rng.random(2)
-        x0 = PhasePoint(float(q), float(p))
-    else:
-        x0 = _parse_x0(cfg["x0"])
-    cfg["x0"] = [x0.q, x0.p]
-
-    spectrum = lyapunov_spectrum(torus_map, x0, steps)
-    points = [PhasePoint(float(q), float(p))
-              for q, p in rng.random((samples, 2))]
-    field = positive_sum_field(torus_map, points, steps)
+    steps = opt["steps"]
+    spectrum = _spectrum(torus_map, opt["seed"], steps)
 
     doc = {"command": "lyapunov", "config": _echo(cfg),
-           "spectrum": serialize.spectrum_doc(spectrum),
-           "field_positive_sum": field, "field_samples": samples}
-    header = ("sigma1", "sigma2", "positive_sum", "field_positive_sum")
+           "spectrum": serialize.spectrum_doc(spectrum)}
+    header = ("sigma1", "sigma2", "positive_sum")
     rows = [[serialize.fmt_float(spectrum.exponents[0]),
              serialize.fmt_float(spectrum.exponents[1]),
-             serialize.fmt_float(spectrum.positive_sum),
-             serialize.fmt_float(field)]]
+             serialize.fmt_float(spectrum.positive_sum)]]
     written = _emit(out_dir, "lyapunov", opt["format"], doc, header, rows)
 
     print(f"map {opt['map']}: exponents [{_fmt(spectrum.exponents[0])}, "
           f"{_fmt(spectrum.exponents[1])}] over {steps} iterations")
-    print(f"sum of positive exponents {_fmt(spectrum.positive_sum)} "
-          f"(single orbit), {_fmt(field)} (mean of {samples} orbits)")
+    print(f"sum of positive exponents {_fmt(spectrum.positive_sum)}")
     print("wrote " + ", ".join(written))
     return 0
 
@@ -488,7 +468,7 @@ def cmd_pesin(args):
     cfg, opt, out_dir = _prologue(args)
     torus_map = make_map(_required(opt, "map", MAP_NAMES))
     part, mc, depth = _refinement_setup(cfg, opt, 12, 10, low=4)
-    lyap_steps, samples = opt["lyap_steps"], opt["samples"]
+    lyap_steps = opt["lyap_steps"]
 
     if cfg["ladder"] is not None:
         ladder = _parse_ladder(cfg["ladder"])
@@ -508,15 +488,11 @@ def cmd_pesin(args):
                  "records": [serialize.refinement_record_doc(r)
                              for r in records]}
 
-    rng = np.random.default_rng(opt["seed"])
-    points = [PhasePoint(float(q), float(p))
-              for q, p in rng.random((samples, 2))]
-    positive = positive_sum_field(torus_map, points, lyap_steps)
+    positive = _spectrum(torus_map, opt["seed"], lyap_steps).positive_sum
     report = pesin_residual(max(h_side, 0.0), positive)
 
     doc = {"command": "pesin", "config": _echo(cfg), "h_estimate": h_doc,
-           "lyapunov": {"positive_sum_mean": positive, "samples": samples,
-                        "steps": lyap_steps},
+           "lyapunov": {"positive_sum": positive, "steps": lyap_steps},
            "report": serialize.pesin_doc(report)}
     header = ("h_ks", "positive_sum", "residual", "relative_residual")
     rows = [[serialize.fmt_float(report.h_ks_estimate),
@@ -544,6 +520,9 @@ def cmd_prescription(args):
         depth = _depth(cfg, 80, low=7)
         source = QuantumSource(*_cell_operators(cfg, opt))
     cfg["depth"] = depth
+    if opt["onset"] is not None:
+        # the fits need at least 4 tail points among depths 0..depth
+        _as_int("onset", opt["onset"], high=depth - 3)
 
     run = prescription_run(source, depth, word_budget=opt["word_budget"],
                            seed=opt["seed"], r2_threshold=opt["r2_threshold"],
@@ -633,7 +612,7 @@ def build_parser():
     for name, (func, help_text) in _COMMANDS.items():
         sub = subs.add_parser(name, help=help_text)
         for p in PARAMS:
-            if name not in p.commands or p.kind == "file" or name in p.flagless:
+            if name not in p.commands or p.kind == "file":
                 continue
             kwargs = {"help": p.help}
             if p.kind == "switch":

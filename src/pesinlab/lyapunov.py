@@ -78,7 +78,7 @@ def lyapunov_spectrum(torus_map: TorusMap, x0: PhasePoint, n: int) -> LyapunovSp
         s1 += math.log(r11)
         s2 += math.log(r22)
     exps = tuple(sorted((s1 / n, s2 / n), reverse=True))
-    return LyapunovSpectrum(exps, n, x0, sum(e for e in exps if e > 0.0))
+    return LyapunovSpectrum(exps, n, x0, sum((e for e in exps if e > 0.0), 0.0))
 
 
 def positive_sum_field(torus_map: TorusMap, sample_points, n: int) -> float:

@@ -14,7 +14,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import geometry
-from .errors import ConfigurationError, UnsupportedOperationError
+from .errors import ConfigurationError
 
 MAP_NAMES = ("identity", "baker", "cat")
 
@@ -39,7 +39,7 @@ class PhasePoint:
 
 @dataclass(frozen=True)
 class TorusMap:
-    """A named map of the torus with its derivative and preimage structure.
+    """A named map of the torus with its derivative and branch structure.
 
     ``jacobian`` is the map's constant tangent matrix as a row-major
     (a, b, c, d) tuple: every built-in map is affine with one linear part
@@ -47,10 +47,10 @@ class TorusMap:
     piecewise-affine forward action on convex polygon pieces as
     geometry.Branch data (None when the map has no such description);
     exact refinement applies it to whole batches of pieces.
-    ``forward_pieces`` / ``backward_pieces`` apply the forward and inverse
-    actions to one polygon; ``step_batch`` applies the map to an (N, 2)
-    coordinate array.  These extra fields exist so refinement and preimage
-    code never has to rediscover branch structure.
+    ``forward_pieces`` applies the forward action to one polygon;
+    ``step_batch`` applies the map to an (N, 2) coordinate array.  These
+    extra fields exist so refinement code never has to rediscover branch
+    structure.
     """
 
     name: str
@@ -59,15 +59,12 @@ class TorusMap:
     step_batch: Callable[[np.ndarray], np.ndarray] = field(repr=False, default=None)
     forward_pieces: Optional[Callable[[geometry.Polygon], list[geometry.Polygon]]] = field(
         repr=False, default=None)
-    backward_pieces: Optional[Callable[[geometry.Polygon], list[geometry.Polygon]]] = field(
-        repr=False, default=None)
     branches: Optional[tuple[geometry.Branch, ...]] = field(repr=False, default=None)
 
 
 # --- identity ---------------------------------------------------------------
 
-def _pieces_map(forward: tuple[geometry.Branch, ...],
-                backward: tuple[geometry.Branch, ...]) -> dict:
+def _pieces_map(forward: tuple[geometry.Branch, ...]) -> dict:
     """The TorusMap jacobian and piece fields of a map given by its branches.
 
     The jacobian is the (a, b, c, d) that every forward branch of a
@@ -76,8 +73,7 @@ def _pieces_map(forward: tuple[geometry.Branch, ...],
     affine = forward[0].affine
     return {"jacobian": (1.0, 0.0, 0.0, 1.0) if affine is None else affine[:4],
             "branches": forward,
-            "forward_pieces": partial(geometry.branch_images, branches=forward),
-            "backward_pieces": partial(geometry.branch_images, branches=backward)}
+            "forward_pieces": partial(geometry.branch_images, branches=forward)}
 
 
 _IDENTITY_BRANCHES = (geometry.Branch(None, None),)
@@ -88,7 +84,7 @@ def _identity_map() -> TorusMap:
         name="identity",
         step=lambda x: x,
         step_batch=lambda pts: np.array(pts, dtype=float),
-        **_pieces_map(_IDENTITY_BRANCHES, _IDENTITY_BRANCHES),
+        **_pieces_map(_IDENTITY_BRANCHES),
     )
 
 
@@ -106,14 +102,10 @@ def _baker_step_batch(pts: np.ndarray) -> np.ndarray:
 
 
 # (q, p) -> (2q - k, p/2 + k/2) on the half q in [k/2, (k+1)/2], exact on
-# dyadic vertices; the inverse maps the half p in [k/2, (k+1)/2] back
+# dyadic vertices
 _BAKER_FORWARD = tuple(
     geometry.Branch((0.5 * k, 0.5 * (k + 1), 0.0, 1.0),
                     (2.0, 0.0, 0.0, 0.5, -float(k), 0.5 * k))
-    for k in (0, 1))
-_BAKER_BACKWARD = tuple(
-    geometry.Branch((0.0, 1.0, 0.5 * k, 0.5 * (k + 1)),
-                    (0.5, 0.0, 0.0, 2.0, 0.5 * k, -float(k)))
     for k in (0, 1))
 
 
@@ -122,7 +114,7 @@ def _baker_map() -> TorusMap:
         name="baker",
         step=_baker_step,
         step_batch=_baker_step_batch,
-        **_pieces_map(_BAKER_FORWARD, _BAKER_BACKWARD),
+        **_pieces_map(_BAKER_FORWARD),
     )
 
 
@@ -139,7 +131,6 @@ def _cat_step_batch(pts: np.ndarray) -> np.ndarray:
 
 
 _CAT_FORWARD = (geometry.Branch(None, (2.0, 1.0, 1.0, 1.0, 0.0, 0.0), wrap=True),)
-_CAT_BACKWARD = (geometry.Branch(None, (1.0, -1.0, -1.0, 2.0, 0.0, 0.0), wrap=True),)
 
 
 def _cat_map() -> TorusMap:
@@ -147,7 +138,7 @@ def _cat_map() -> TorusMap:
         name="cat",
         step=_cat_step,
         step_batch=_cat_step_batch,
-        **_pieces_map(_CAT_FORWARD, _CAT_BACKWARD),
+        **_pieces_map(_CAT_FORWARD),
     )
 
 
@@ -167,32 +158,3 @@ def make_map(name: str) -> TorusMap:
         raise ConfigurationError(
             f"unknown map {name!r}; valid names: {', '.join(MAP_NAMES)}") from None
 
-
-def preimage_cell(torus_map: TorusMap, cell: tuple[float, float, float, float],
-                  j: int) -> list[geometry.Polygon]:
-    """Exact preimage of an axis-aligned rectangle under j map applications.
-
-    Parameters
-    ----------
-    cell : (q0, q1, p0, p1) with 0 <= q0 < q1 <= 1 and likewise for p.
-    j : number of inverse applications.
-
-    Returns
-    -------
-    A list of convex polygons (rectangles or wrapped parallelograms) whose
-    total area equals the area of the cell.
-    """
-    q0, q1, p0, p1 = cell
-    if not (0.0 <= q0 < q1 <= 1.0 and 0.0 <= p0 < p1 <= 1.0):
-        raise ValueError("cell must be a nonempty axis-aligned rectangle inside the unit square")
-    if j < 0:
-        raise ValueError("preimage depth must be nonnegative")
-    if torus_map.backward_pieces is None:
-        raise UnsupportedOperationError(
-            f"map {torus_map.name!r} has no piecewise-linear preimage description")
-    pieces = [geometry.rect_polygon(q0, q1, p0, p1)]
-    for _ in range(j):
-        # a piece that only touches a torus square leaves a zero-area sliver
-        pieces = [w for piece in pieces for w in torus_map.backward_pieces(piece)
-                  if geometry.polygon_area(w) > 0.0]
-    return pieces

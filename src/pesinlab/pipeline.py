@@ -30,6 +30,10 @@ from .partitions import GridPartition, McConfig, entropy_nats, fit_line, \
 
 VERDICTS = ("exponential", "not_exponential", "inconclusive")
 
+# quantum runs refuse word sets whose chain products would pass this many
+# bytes: gamow.chain_traces holds three (W, n, n) complex arrays at a time
+CHAIN_BYTES_CAP = 2 * 2 ** 30
+
 
 @dataclass(frozen=True)
 class DecayReport:
@@ -239,7 +243,16 @@ def _quantum_measures(src: QuantumSource, n_max: int, word_budget: int,
     spec = src.spec
     ops = src.cell_ops
     m = len(ops)
-    if m ** (n_max + 1) <= word_budget:
+    all_words = m ** (n_max + 1)
+    n_words = min(all_words, word_budget)
+    chain_bytes = 3 * n_words * spec.n_max ** 2 * 16
+    if chain_bytes > CHAIN_BYTES_CAP:
+        raise ResourceLimitError(
+            f"{n_words} words of {spec.n_max}x{spec.n_max} chain products "
+            f"need {chain_bytes / 2 ** 30:.3g} GiB, above the "
+            f"{CHAIN_BYTES_CAP / 2 ** 30:.3g} GiB cap; lower --word-budget "
+            "or --n-max")
+    if all_words <= word_budget:
         words = np.array(list(itertools.product(range(m), repeat=n_max + 1)),
                          dtype=np.int32)
         sampling = "exhaustive"

@@ -11,11 +11,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pesinlab import GridPartition, make_map
+from pesinlab import GridPartition, PhasePoint, lyapunov_spectrum, make_map
 from pesinlab.cli import main
 
 LN2 = math.log(2.0)
 CAT_SIGMA = math.log((3.0 + math.sqrt(5.0)) / 2.0)
+CAT_SIGMA_500 = lyapunov_spectrum(make_map("cat"), PhasePoint(0.0, 0.0),
+                                  500).positive_sum
 
 
 def run_cli(argv, capsys):
@@ -32,9 +34,10 @@ def test_lyapunov_cat(tmp_path, capsys):
     assert code == 0
     doc = json.loads((tmp_path / "lyapunov.json").read_text())
     assert abs(doc["spectrum"]["exponents"][0] - CAT_SIGMA) < 1e-6
-    assert abs(doc["field_positive_sum"] - CAT_SIGMA) < 1e-6
-    assert (tmp_path / "lyapunov.csv").exists()
-    assert "0.962424" in out
+    assert list(doc) == ["command", "config", "spectrum"]
+    csv = (tmp_path / "lyapunov.csv").read_text().splitlines()
+    assert csv[0] == "sigma1,sigma2,positive_sum"
+    assert "sum of positive exponents 0.962424\n" in out
 
 
 def test_lyapunov_identity(tmp_path, capsys):
@@ -52,19 +55,27 @@ def test_lyapunov_requires_map(tmp_path, capsys):
 
 
 def test_lyapunov_x0_flag(tmp_path, capsys):
+    # the exponents do not depend on the start, so there is no --x0: the
+    # recorded start is the seed's first draw
     code, _, _ = run_cli(["lyapunov", "--map", "cat", "--steps", "500",
-                          "--x0", "0.1,0.2", "--out", str(tmp_path)], capsys)
+                          "--seed", "5", "--out", str(tmp_path)], capsys)
     assert code == 0
     doc = json.loads((tmp_path / "lyapunov.json").read_text())
-    assert doc["config"]["x0"] == [0.1, 0.2]
-    assert doc["spectrum"]["x0"] == [0.1, 0.2]
+    assert doc["spectrum"]["x0"] == np.random.default_rng(5).random(2).tolist()
+    assert "x0" not in doc["config"]
+    with pytest.raises(SystemExit) as exit_info:
+        main(["lyapunov", "--map", "cat", "--x0", "0.1,0.2",
+              "--out", str(tmp_path)])
+    assert exit_info.value.code == 2
 
 
 def test_lyapunov_bad_x0(tmp_path, capsys):
-    code, _, err = run_cli(["lyapunov", "--map", "cat", "--x0", "nonsense",
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"map": "cat", "x0": [0.1, 0.2]}))
+    code, _, err = run_cli(["lyapunov", "--config", str(cfg_path),
                             "--out", str(tmp_path)], capsys)
     assert code == 2
-    assert "x0" in err
+    assert "unknown config keys: x0" in err
 
 
 def test_no_subcommand_is_usage_error(capsys):
@@ -174,6 +185,16 @@ def test_pesin_baker_defaults(tmp_path, capsys):
     assert "residual (entropy minus exponent sum)" in out
 
 
+def test_pesin_lyapunov_block(tmp_path, capsys):
+    code, _, _ = run_cli(["pesin", "--map", "cat", "--depth", "4",
+                          "--lyap-steps", "500", "--format", "json",
+                          "--out", str(tmp_path)], capsys)
+    assert code == 0
+    doc = json.loads((tmp_path / "pesin.json").read_text())
+    assert doc["lyapunov"] == {"positive_sum": CAT_SIGMA_500, "steps": 500}
+    assert doc["report"]["lyapunov_positive_sum"] == CAT_SIGMA_500
+
+
 def test_pesin_identity_both_sides_zero(tmp_path, capsys):
     code, _, _ = run_cli(["pesin", "--map", "identity", "--depth", "8",
                           "--lyap-steps", "500", "--out", str(tmp_path)],
@@ -238,13 +259,29 @@ def test_prescription_json_only_skips_plot_script(tmp_path, capsys):
     assert not (tmp_path / "prescription_plot.py").exists()
 
 
-def test_prescription_late_onset_is_run_failure(tmp_path, capsys):
-    code, _, err = run_cli(["prescription", "--source", "classical",
-                            "--map", "baker", "--grid", "2x1",
-                            "--depth", "12", "--onset", "11",
-                            "--out", str(tmp_path)], capsys)
-    assert code == 1
-    assert "run failed" in err
+@pytest.mark.parametrize("argv", [
+    ["--source", "classical", "--map", "baker", "--grid", "2x1",
+     "--depth", "12", "--onset", "10"],
+    ["--source", "gamow", "--depth", "10", "--onset", "8",
+     "--word-budget", "16"],
+])
+def test_prescription_late_onset_is_refused_up_front(tmp_path, capsys, argv):
+    # the fits need 4 points at or beyond the onset, so onset <= depth - 3
+    code, _, err = run_cli(["prescription", *argv, "--out", str(tmp_path)],
+                           capsys)
+    assert code == 2
+    assert "onset must be at most" in err
+    assert "depth 0/" not in err
+    assert not list(tmp_path.glob("*.json"))
+
+
+def test_prescription_last_fittable_onset_runs(tmp_path, capsys):
+    code, _, _ = run_cli(["prescription", "--source", "gamow", "--depth", "10",
+                          "--onset", "7", "--word-budget", "16", "--n-max", "8",
+                          "--format", "json", "--out", str(tmp_path)], capsys)
+    assert code == 0
+    doc = json.loads((tmp_path / "prescription.json").read_text())
+    assert doc["decay"]["onset"] == 7
 
 
 # --- gamow-evolve -----------------------------------------------------------
@@ -351,6 +388,11 @@ _PRESCRIBED = {"generation": "prescribed", "n_max": 2, "cells": 2}
     (["gamow-evolve"],
      dict(_PRESCRIBED, tables=[_table(0.5), _table(0.25)], labels=5),
      "labels must be a list of 2 names"),
+    # keys no output depends on are not accepted
+    (["lyapunov"], {"map": "cat", "samples": 2}, "unknown config keys: samples"),
+    (["pesin"], {"map": "baker", "samples": 2}, "unknown config keys: samples"),
+    (["pesin"], {"map": "baker", "include_words": True},
+     "unknown config keys: include_words"),
 ])
 def test_bad_config_file_is_configuration_error(tmp_path, capsys, argv, cfg,
                                                 cause):
@@ -373,7 +415,7 @@ def _run_module(args, timeout):
 
 @pytest.mark.parametrize("command", [
     ["ks-entropy", "--map", "cat"],
-    ["pesin", "--map", "cat", "--lyap-steps", "200", "--samples", "2"],
+    ["pesin", "--map", "cat", "--lyap-steps", "200"],
 ])
 def test_default_exact_cat_is_refused_up_front(tmp_path, command):
     # exact 8x8 at depth 12 would need about 10^9 words; a fresh interpreter
@@ -429,6 +471,18 @@ def test_quantum_cells_summing_above_one_fail_at_the_first_depth(tmp_path, mass)
     assert not list(tmp_path.glob("*.json"))
 
 
+def test_quantum_word_budget_past_the_memory_cap_is_refused(tmp_path):
+    # 4^10 exhaustive words of 32x32 chain products would need three 16 GiB
+    # arrays; the run must stop before building the words
+    proc = _run_module(["prescription", "--source", "gamow", "--cells", "4",
+                        "--depth", "9", "--word-budget", "2000000",
+                        "--out", str(tmp_path)], 60)
+    assert proc.returncode == 2, proc.stderr
+    assert "--word-budget" in proc.stderr and "--n-max" in proc.stderr
+    assert "depth 0/9" not in proc.stderr
+    assert not list(tmp_path.glob("*.json"))
+
+
 @pytest.mark.parametrize("argv,prefix", [
     (["ks-entropy", "--map", "baker", "--depth", "5"], ""),
     (["pesin", "--map", "baker", "--depth", "5", "--lyap-steps", "200"], ""),
@@ -462,19 +516,17 @@ def test_classical_progress_streams_before_refusal(tmp_path, capsys):
 # --- echoed configuration ---------------------------------------------------
 
 @pytest.mark.parametrize("argv,stem,config", [
-    (["lyapunov", "--map", "cat", "--steps", "200", "--samples", "2",
-      "--x0", "0.25,0.5"], "lyapunov",
-     {"map": "cat", "samples": 2, "seed": 0, "steps": 200, "x0": [0.25, 0.5]}),
+    (["lyapunov", "--map", "cat", "--steps", "200"], "lyapunov",
+     {"map": "cat", "seed": 0, "steps": 200}),
     (["ks-entropy", "--map", "baker", "--depth", "4"], "ks_entropy",
      {"depth": 4, "estimator": "chao_shen", "grid": [2, 1],
       "include_words": False, "ladder": None, "map": "baker",
       "mc_samples": 1000000, "mode": "exact", "seed": 0}),
-    (["pesin", "--map", "baker", "--depth", "4", "--lyap-steps", "200",
-      "--samples", "2"], "pesin",
+    (["pesin", "--map", "baker", "--depth", "4", "--lyap-steps", "200"],
+     "pesin",
      {"depth": 4, "estimator": "chao_shen", "grid": [2, 1],
-      "include_words": None, "ladder": None, "lyap_steps": 200,
-      "map": "baker", "mc_samples": 1000000, "mode": "exact", "samples": 2,
-      "seed": 0}),
+      "ladder": None, "lyap_steps": 200, "map": "baker",
+      "mc_samples": 1000000, "mode": "exact", "seed": 0}),
     (["prescription", "--source", "classical", "--map", "baker",
       "--depth", "8"], "prescription",
      {"depth": 8, "estimator": "chao_shen", "grid": [2, 1], "map": "baker",
@@ -523,6 +575,18 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
                             "--out", str(tmp_path)], capsys)
     assert code == 2
     assert "speed" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["lyapunov", "--map", "cat", "--samples", "2"],
+    ["pesin", "--map", "baker", "--samples", "2"],
+    ["pesin", "--map", "baker", "--include-words"],
+])
+def test_removed_flags_are_usage_errors(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv + ["--out", str(tmp_path)])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_malformed_config_rejected(tmp_path, capsys):

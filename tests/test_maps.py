@@ -3,10 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from pesinlab import (ConfigurationError, MAP_NAMES, PhasePoint,
-                      UnsupportedOperationError, make_map, preimage_cell)
-from pesinlab.geometry import polygon_area
-from pesinlab.maps import TorusMap
+from pesinlab import ConfigurationError, MAP_NAMES, PhasePoint, make_map
 
 rng = np.random.default_rng(20240817)
 RANDOM_POINTS = [tuple(p) for p in rng.random((1000, 2))]
@@ -81,54 +78,6 @@ def test_trajectory_chains_under_step():
             batch = m.step_batch(batch)
             for orbit, out in zip(orbits, batch):
                 assert (orbit[k].q, orbit[k].p) == (out[0], out[1])
-
-
-def test_preimage_identity_is_cell():
-    pieces = preimage_cell(make_map("identity"), (0.0, 0.5, 0.0, 1.0), 3)
-    assert len(pieces) == 1
-    assert abs(polygon_area(pieces[0]) - 0.5) < 1e-15
-
-
-def test_preimage_baker_left_half():
-    # inverting q < 1/2 pulls back to two vertical strips of width 1/4
-    pieces = preimage_cell(make_map("baker"), (0.0, 0.5, 0.0, 1.0), 1)
-    assert len(pieces) == 2
-    total = sum(polygon_area(p) for p in pieces)
-    assert abs(total - 0.5) < 1e-12
-    spans = sorted((min(x for x, _ in poly), max(x for x, _ in poly))
-                   for poly in pieces)
-    assert spans[0] == (0.0, 0.25)
-    assert spans[1] == (0.5, 0.75)
-
-
-@pytest.mark.parametrize("name", MAP_NAMES)
-def test_preimage_preserves_area(name):
-    cell = (0.125, 0.625, 0.25, 0.75)
-    for j in (1, 2, 3):
-        pieces = preimage_cell(make_map(name), cell, j)
-        total = sum(polygon_area(p) for p in pieces)
-        assert abs(total - 0.25) < 1e-12
-
-
-@pytest.mark.parametrize("name", MAP_NAMES)
-def test_preimage_has_no_zero_area_pieces(name):
-    # this cell's cat preimages touch torus squares at single points
-    for j in (1, 2, 3):
-        pieces = preimage_cell(make_map(name), (0.0, 0.125, 0.0, 0.5), j)
-        assert all(polygon_area(p) > 0.0 for p in pieces)
-        assert abs(sum(polygon_area(p) for p in pieces) - 0.0625) < 1e-12
-
-
-def test_preimage_rejects_bad_cell():
-    with pytest.raises(ValueError):
-        preimage_cell(make_map("baker"), (0.5, 0.5, 0.0, 1.0), 1)
-
-
-def test_preimage_requires_backward_pieces():
-    bare = TorusMap(name="opaque", step=lambda x: x,
-                    jacobian=(1.0, 0.0, 0.0, 1.0), step_batch=lambda pts: pts)
-    with pytest.raises(UnsupportedOperationError):
-        preimage_cell(bare, (0.0, 0.5, 0.0, 1.0), 1)
 
 
 @pytest.mark.parametrize("name", MAP_NAMES)

@@ -8,6 +8,7 @@ benchmark run, so these checks keep it in the fast suite.
 import dataclasses
 import importlib
 import importlib.util
+import types
 from pathlib import Path
 
 import pytest
@@ -48,3 +49,11 @@ def test_traced_map_fields_survive_replace(name):
 def test_exported_names_resolve():
     for name in pesinlab.__all__:
         assert hasattr(pesinlab, name), name
+
+
+def test_public_names_are_exported():
+    # from pesinlab import * and the check above only see what __all__ lists
+    public = {name for name, value in vars(pesinlab).items()
+              if not name.startswith("_")
+              and not isinstance(value, types.ModuleType)}
+    assert public <= set(pesinlab.__all__), sorted(public - set(pesinlab.__all__))
