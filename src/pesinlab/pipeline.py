@@ -31,8 +31,14 @@ from .partitions import GridPartition, McConfig, entropy_nats, fit_line, \
 VERDICTS = ("exponential", "not_exponential", "inconclusive")
 
 # quantum runs refuse word sets whose chain products would pass this many
-# bytes: gamow.chain_traces holds three (W, n, n) complex arrays at a time
+# bytes: gamow.chain_traces holds one (W, n, n) complex buffer
 CHAIN_BYTES_CAP = 2 * 2 ** 30
+
+# decay_detect's default slope cut, the one per-word verdicts use
+RATE_FLOOR = -1e-3
+# batched per-word fits this close to a verdict boundary defer to
+# decay_detect; numpy's sums differ from fsum's far below it
+VERDICT_MARGIN = 1e-9
 
 
 @dataclass(frozen=True)
@@ -47,7 +53,7 @@ class DecayReport:
 
 def decay_detect(values, onset: Optional[int] = None, onset_fraction: float = 0.5,
                  r2_threshold: float = 0.99,
-                 rate_floor: float = -1e-3) -> DecayReport:
+                 rate_floor: float = RATE_FLOOR) -> DecayReport:
     """Fit ln magnitude against n on the tail and classify the decay.
 
     Exponential: the linear fit in n explains the tail at least as well as a
@@ -179,13 +185,56 @@ def quantum_fit_onset(spec: GamowSpec, n_max: int) -> int:
     return n_max // 2
 
 
+def _fit_rows(xs: list, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """fit_line's (slope, R^2) of every row of ys against the shared xs.
+
+    The x sums are fit_line's fsums; the y sums are numpy's.  A y mean off by
+    d moves sxy by d * sum(x - x_mean), about 0, and syy by len(xs) * d^2,
+    so on any row that is not flat both stay within a few ulp of fit_line's.
+    """
+    x_mean = math.fsum(xs) / len(xs)
+    dx = np.array(xs) - x_mean
+    sxx = math.fsum((x - x_mean) ** 2 for x in xs)
+    dy = ys - ys.mean(axis=1, keepdims=True)
+    sxy = dy @ dx
+    syy = np.einsum("ij,ij->i", dy, dy)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        r2 = np.where(syy == 0.0, 1.0,
+                      1.0 - np.maximum(syy - sxy * sxy / sxx, 0.0) / syy)
+    return sxy / sxx, r2
+
+
 def _word_verdicts(mags: np.ndarray, onset: int, r2_threshold: float) -> float:
-    passing = 0
-    for row in mags:
+    """Fraction of rows that decay_detect calls exponential, in one pass.
+
+    One numpy fit of every row decides each verdict.  Rows within
+    VERDICT_MARGIN of a decision boundary, and rows decay_detect would
+    refuse or could not fit, go through decay_detect itself, so the verdicts
+    (and errors) are decay_detect's.  Rows too flat for a trusted R^2 have
+    slopes near 0, a whole margin from RATE_FLOOR, and are not exponential
+    either way.
+    """
+    tail = list(range(onset, mags.shape[1]))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        ys = np.log(mags[:, onset:])
+    slope, r2_lin = _fit_rows(tail, ys)
+    logged = [n for n in tail if n > 0]
+    if len(logged) >= 3:
+        _, r2_log = _fit_rows([math.log(n) for n in logged],
+                              ys[:, len(tail) - len(logged):])
+    else:
+        r2_log = np.full(len(mags), -math.inf)
+    near = ((mags <= 0.0).any(axis=1) | ~np.isfinite(ys).all(axis=1)
+            | (np.abs(r2_lin - r2_log) <= VERDICT_MARGIN)
+            | (np.abs(slope - RATE_FLOOR) <= VERDICT_MARGIN)
+            | (np.abs(r2_lin - r2_threshold) <= VERDICT_MARGIN))
+    exponential = (r2_lin >= r2_log) & (slope < RATE_FLOOR) \
+        & (r2_lin >= r2_threshold)
+    passing = int(np.count_nonzero(exponential & ~near))
+    for row in mags[near]:
         rep = decay_detect(list(enumerate(row)), onset=onset,
                            r2_threshold=r2_threshold)
-        if rep.verdict == "exponential":
-            passing += 1
+        passing += rep.verdict == "exponential"
     return passing / mags.shape[0]
 
 
@@ -196,7 +245,7 @@ class _Measured:
     desc: dict
     words: np.ndarray
     mags: np.ndarray
-    measures: list                 # distinct word measures, per depth
+    entropies: list                # plug-in entropy of each depth's measures
     entropy_profile: tuple[float, ...]
     word_counts: tuple[int, ...]
     sampling: str
@@ -230,9 +279,11 @@ def _classical_measures(src: ClassicalSource, n_max: int, word_budget: int,
                       "estimator": src.mc_config.estimator}
     # the profile keeps each record's own entropy: in mc mode that is the
     # configured estimator, not the plug-in entropy of the measures
+    profile = tuple(r.entropy for r in records)
+    entropies = list(profile) if src.measure_mode == "exact" else \
+        [entropy_nats(r.measures.tolist()) for r in records]
     return _Measured(
-        desc, words, mags, [r.measures for r in records],
-        tuple(r.entropy for r in records),
+        desc, words, mags, entropies, profile,
         tuple(r.nonempty_words for r in records),
         sampling, n_max // 2, False, None)
 
@@ -245,7 +296,7 @@ def _quantum_measures(src: QuantumSource, n_max: int, word_budget: int,
     m = len(ops)
     all_words = m ** (n_max + 1)
     n_words = min(all_words, word_budget)
-    chain_bytes = 3 * n_words * spec.n_max ** 2 * 16
+    chain_bytes = n_words * spec.n_max ** 2 * 16
     if chain_bytes > CHAIN_BYTES_CAP:
         raise ResourceLimitError(
             f"{n_words} words of {spec.n_max}x{spec.n_max} chain products "
@@ -282,9 +333,9 @@ def _quantum_measures(src: QuantumSource, n_max: int, word_budget: int,
     first_diff = np.concatenate(([0], np.argmax(words[1:] != words[:-1], axis=1)))
     per_depth = []
 
-    def on_depth(n, col):
+    def on_depth(n, col, k):
         # a family whose cell measures sum above 1 is no sub-partition, and
-        # semiclassical_h_mu would refuse it after the last depth
+        # semiclassical_h_mu would refuse its measures
         vals = col[first_diff <= n]
         total = math.fsum(vals.tolist())
         if total > 1.0 + 1e-6:
@@ -293,9 +344,11 @@ def _quantum_measures(src: QuantumSource, n_max: int, word_budget: int,
                 "lower --total-mass or --off-scale")
         per_depth.append(vals)
         if progress:
-            progress(f"depth {n}/{n_max}: mean |trace| {col.mean():.6g}")
+            progress(f"depth {n}/{n_max}: mean |trace| {col.mean():.6g}, "
+                     f"dim {k}")
 
     mags, tr = chain_traces(spec, ops, words, on_depth=on_depth)
+    entropies = [entropy_nats(vals.tolist()) for vals in per_depth]
     with np.errstate(invalid="ignore", divide="ignore"):
         ratios = np.where(mags[:, -1] > 0.0, np.abs(tr.imag) / mags[:, -1], 0.0)
 
@@ -303,8 +356,7 @@ def _quantum_measures(src: QuantumSource, n_max: int, word_budget: int,
             "alpha": spec.alpha, "n_max": spec.n_max, "cells": m,
             "labels": [op.label for op in ops]}
     return _Measured(
-        desc, words, mags, per_depth,
-        tuple(entropy_nats(vals) for vals in per_depth),
+        desc, words, mags, entropies, tuple(entropies),
         tuple(len(vals) for vals in per_depth),
         sampling, quantum_fit_onset(spec, n_max),
         bool(np.any(ratios > 1e-6)), bounds)
@@ -338,6 +390,6 @@ def prescription_run(source: Source, n_max: int, word_budget: int = 4096,
     passing = _word_verdicts(got.mags, onset, r2_threshold)
     return PrescriptionRun(
         kind, got.desc, n_max, got.words, got.mags, got.entropy_profile,
-        got.word_counts, semiclassical_h_mu(got.measures), report, passing,
+        got.word_counts, tail_slope(got.entropies), report, passing,
         report.verdict == "exponential" and passing == 1.0,
         got.sampling, onset, r2_threshold, seed, got.imag_flag, got.bounds)

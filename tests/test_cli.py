@@ -472,8 +472,8 @@ def test_quantum_cells_summing_above_one_fail_at_the_first_depth(tmp_path, mass)
 
 
 def test_quantum_word_budget_past_the_memory_cap_is_refused(tmp_path):
-    # 4^10 exhaustive words of 32x32 chain products would need three 16 GiB
-    # arrays; the run must stop before building the words
+    # 4^10 exhaustive words of 32x32 chain products would need a 16 GiB
+    # buffer; the run must stop before building the words
     proc = _run_module(["prescription", "--source", "gamow", "--cells", "4",
                         "--depth", "9", "--word-budget", "2000000",
                         "--out", str(tmp_path)], 60)

@@ -2,11 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pesinlab import (BiorthOperator, GamowSpec, ResourceLimitError,
-                      chain_trace, decay_bounds, eigenvalues,
-                      evolution_factors, evolve_matrix_oracle,
-                      evolve_operator, make_cell_operators, off_mass_ratio)
+from pesinlab import (BiorthOperator, GamowSpec, QuantumSource,
+                      ResourceLimitError, chain_trace, chain_traces,
+                      decay_bounds, eigenvalues, evolution_factors,
+                      evolve_matrix_oracle, evolve_operator,
+                      make_cell_operators, off_mass_ratio, prescription_run)
+from pesinlab.gamow import TRUNCATION_EPS
 
 
 def _chain_ops(rng, count, n_max=32, lead_lo=0.3, lead_hi=0.7, off=3e-4):
@@ -200,6 +204,122 @@ def test_chain_error_plateaus_past_relaxation(seed):
     errs = [chain_trace(spec, ops[:n + 1], n).rel_error for n in (100, 120, 140)]
     assert errs[1] <= errs[0] * (1 + 1e-3)
     assert errs[2] <= errs[0] * (1 + 1e-3)
+
+
+# --- truncated chain kernel -------------------------------------------------
+
+def _untruncated_chain_traces(spec, cell_ops, words, start_step=0):
+    """The full n_max x n_max product loop that chain_traces truncates."""
+    base = np.stack([op.coeffs for op in cell_ops])
+    mags = np.empty(words.shape)
+    product = None
+    for n in range(words.shape[1]):
+        syms, rows = np.unique(words[:, n], return_inverse=True)
+        evolved = base[syms]
+        if start_step + n:
+            evolved = evolved * evolution_factors(spec, start_step + n)
+        product = evolved[rows] if product is None else product @ evolved[rows]
+        trace = np.einsum("wii->w", product)
+        mags[:, n] = np.abs(trace)
+    return mags, trace
+
+
+# (cells, n_max, depth, word_budget, seed): the golden quantum runs of
+# test_pipeline.py, whose last one reaches truncation dimension 5
+@pytest.mark.parametrize("case", [(3, 8, 12, 64, 5), (2, 6, 7, 256, 0),
+                                  (4, 32, 40, 256, 1), (4, 32, 80, 512, 0)],
+                         ids=lambda c: "m%d-d%d-n%d-w%d-s%d" % c)
+def test_truncated_kernel_is_bit_identical_on_golden_runs(case):
+    cells, n_max, depth, word_budget, seed = case
+    spec = GamowSpec(n_max=n_max)
+    ops = make_cell_operators(spec, cells, seed=seed)
+    run = prescription_run(QuantumSource(spec, tuple(ops)), depth,
+                           word_budget=word_budget, seed=seed)
+    mags, _ = _untruncated_chain_traces(spec, ops, run.words)
+    assert np.array_equal(run.word_magnitudes, mags)
+
+
+def test_truncation_dimension_falls_with_depth():
+    spec = GamowSpec()
+    ops = make_cell_operators(spec, 4, seed=0)
+    dims = []
+    words = np.zeros((1, 81), dtype=int)
+    chain_traces(spec, ops, words, on_depth=lambda n, col, k: dims.append(k))
+    assert (dims[0], dims[10], dims[40], dims[80]) == (32, 21, 8, 5)
+    assert all(b <= a for a, b in zip(dims, dims[1:]))
+
+
+def test_truncation_dimension_ignores_the_word_set():
+    # k_n comes from every cell operator, so words using one symbol see the
+    # same dimensions as words using all four, and shared rows the same bits
+    spec = GamowSpec()
+    ops = make_cell_operators(spec, 4, seed=3)
+    rng = np.random.default_rng(3)
+    mixed = rng.integers(0, 4, size=(40, 60))
+    mixed[0] = 0
+    runs = []
+    for words in (mixed, mixed[:1]):
+        dims = []
+        mags, _ = chain_traces(spec, ops, words,
+                               on_depth=lambda n, col, k: dims.append(k))
+        runs.append((dims, mags))
+    assert runs[0][0] == runs[1][0]
+    assert np.array_equal(runs[0][1][:1], runs[1][1])
+
+
+def test_zero_lead_disables_truncation():
+    spec = GamowSpec(n_max=6)
+    c = np.zeros((6, 6))
+    c[0, 0] = 0.5
+    zero = BiorthOperator(np.zeros((6, 6)))
+    dims = []
+    chain_traces(spec, [BiorthOperator(c), zero], np.zeros((1, 4), dtype=int),
+                 on_depth=lambda n, col, k: dims.append(k))
+    assert dims == [6, 6, 6, 6]
+
+
+@st.composite
+def chain_families(draw):
+    """Random or prescribed cell families, specs and words for chain tests."""
+    n_max = draw(st.integers(2, 32))
+    spec = GamowSpec(omega0=draw(st.floats(0.1, 3.0)),
+                     gamma0=draw(st.floats(0.02, 1.0)),
+                     alpha=draw(st.floats(0.2, 3.0)), n_max=n_max)
+    m = draw(st.integers(2, 5))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    rng = np.random.default_rng(seed)
+    if draw(st.booleans()):
+        ops = make_cell_operators(
+            spec, m, seed=seed, support=draw(st.integers(1, n_max)),
+            total_mass=draw(st.floats(0.3, 1.0)),
+            spread=draw(st.floats(0.0, 0.9)),
+            off_scale=10.0 ** draw(st.floats(-6.0, -1.0)))
+    else:
+        # off-diagonal magnitudes up to the bound of 1 that configs allow
+        leads = 1e-3 + rng.dirichlet(np.ones(m)) * draw(st.floats(0.3, 0.99))
+        tables = []
+        for lead in leads:
+            c = rng.random((n_max, n_max)) * np.exp(
+                2j * np.pi * rng.random((n_max, n_max)))
+            c[0, 0] = lead
+            tables.append(c)
+        ops = make_cell_operators(spec, m, "prescribed", tables=tables)
+    words = rng.integers(0, m, size=(8, draw(st.integers(1, 150))))
+    return spec, ops, words
+
+
+@settings(max_examples=60, deadline=None)
+@given(chain_families())
+def test_truncation_error_within_stated_bound(family):
+    spec, ops, words = family
+    mags, _ = chain_traces(spec, ops, words)
+    ref, _ = _untruncated_chain_traces(spec, ops, words)
+    # the bound is relative, so it holds where the magnitudes are normal
+    # doubles (quantum runs refuse depths whose lead products leave them)
+    depth = np.arange(1, words.shape[1] + 1)
+    bound = depth * spec.n_max * (TRUNCATION_EPS + 2.0 ** -53) * ref
+    normal = ref >= np.finfo(float).tiny
+    assert (np.abs(mags - ref) <= bound)[normal].all()
 
 
 # --- decay bounds -----------------------------------------------------------

@@ -9,6 +9,7 @@ from pesinlab import (BiorthOperator, ClassicalSource, GamowSpec,
                       entropy_nats, h_mu, make_cell_operators, make_map, mu_via_quantum,
                       prescription_run, quantum_fit_onset, refine_series,
                       semiclassical_h_mu, word_rows)
+from pesinlab.pipeline import RATE_FLOOR, VERDICT_MARGIN, _word_verdicts
 
 LN2 = math.log(2.0)
 
@@ -203,7 +204,9 @@ def test_classical_magnitudes_match_partition_bit_for_bit():
 # (cells, n_max, depth, word_budget, seed): the first 16 hex digits of the
 # sha256 of words.tobytes(), of word_magnitudes.tobytes() and of
 # repr(entropy_profile), recorded from the per-depth loop that preceded
-# gamow.chain_traces, which must repeat it bit for bit
+# gamow.chain_traces, which must repeat it bit for bit.  The depth-80 run
+# was recorded from the untruncated chain_traces, and its chain products
+# shrink to 5 columns under truncation.
 GOLDEN_QUANTUM_RUNS = {
     (3, 8, 12, 64, 5): ("4364657646b96e3e", "5ce412c982e7eaf1",
                         "bc5a9d51777681f8"),
@@ -211,6 +214,8 @@ GOLDEN_QUANTUM_RUNS = {
                         "ffd20e4c33f47e26"),
     (4, 32, 40, 256, 1): ("646955935797c4cc", "5bd232c0ddeb3e2a",
                           "1a6316abbaa5961f"),
+    (4, 32, 80, 512, 0): ("acb69febae15f446", "37dad3c8a3cf7664",
+                          "f73ac25c693fd5da"),
 }
 
 
@@ -239,6 +244,69 @@ def test_quantum_magnitudes_are_prefix_measures_bit_for_bit():
     for word, mags in zip(run.words.tolist(), run.word_magnitudes):
         for n in range(len(word)):
             assert mu_via_quantum(spec, ops, word[:n + 1]) == mags[n]
+
+
+def _loop_verdicts(mags, onset, r2_threshold):
+    return sum(decay_detect(list(enumerate(row)), onset=onset,
+                            r2_threshold=r2_threshold).verdict == "exponential"
+               for row in mags) / len(mags)
+
+
+@pytest.mark.parametrize("case", GOLDEN_QUANTUM_RUNS,
+                         ids=lambda c: "m%d-d%d-n%d-w%d-s%d" % c)
+def test_batched_verdicts_match_decay_detect_on_golden_runs(case):
+    _, _, run = _quantum_run(*case)
+    for r2_threshold in (0.5, 0.99, 0.9999, 1.0):
+        assert _word_verdicts(run.word_magnitudes, run.onset, r2_threshold) \
+            == _loop_verdicts(run.word_magnitudes, run.onset, r2_threshold)
+
+
+def _mixed_rows():
+    """Rows of every verdict, with some on or next to a decision boundary."""
+    n = np.arange(21.0)
+    noise = np.random.default_rng(0).standard_normal((6, 21))
+    rows = [np.exp(-0.5 * n), np.exp(RATE_FLOOR * n),
+            np.exp((RATE_FLOOR + VERDICT_MARGIN / 2) * n),
+            np.exp((RATE_FLOOR - 2 * VERDICT_MARGIN) * n),
+            (n + 1.0) ** -2, np.ones(21), np.full(21, 0.3),
+            np.exp(-1e-13 * n), np.exp(-n ** 1.5 / 4)]
+    rows += [np.exp(-0.2 * n + s * z) for s, z in zip(
+        (0.01, 0.1, 0.3, 1.0, 3.0, 10.0), noise)]
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("onset", [0, 1, 3, 10, 17])
+@pytest.mark.parametrize("r2_threshold", [0.5, 0.99, 1.0])
+def test_batched_verdicts_match_decay_detect_on_mixed_rows(onset,
+                                                           r2_threshold):
+    mags = _mixed_rows()
+    expect = _loop_verdicts(mags, onset, r2_threshold)
+    assert 0.0 < expect < 1.0 or r2_threshold == 1.0
+    assert _word_verdicts(mags, onset, r2_threshold) == expect
+
+
+def test_batched_verdicts_raise_decay_detects_error():
+    mags = _mixed_rows()
+    mags[4, 2] = 0.0
+    mags[7, 15] = -1.0
+    with pytest.raises(ValueError, match="magnitude at n=2 is 0.0"):
+        _word_verdicts(mags, 10, 0.99)
+
+
+def test_run_entropy_rate_is_the_plug_in_tail_slope():
+    # prescription_run takes the rate from the per-depth entropies it
+    # already holds; semiclassical_h_mu on the measures must agree
+    spec, ops, run = _quantum_run(3, 8, 12, 64, 5)
+    measures = [run.word_magnitudes[np.unique(run.words[:, :n + 1], axis=0,
+                                              return_index=True)[1], n]
+                for n in range(13)]
+    cfg = McConfig(20_000, seed=3)
+    src = ClassicalSource(make_map("cat"), GridPartition(4, 4), "mc", cfg)
+    mc = prescription_run(src, 8, word_budget=64)
+    recs = refine_series(make_map("cat"), GridPartition(4, 4), 8, "mc", cfg)
+    assert mc.semiclassical_h_mu == semiclassical_h_mu(
+        [r.measures for r in recs])
+    assert run.semiclassical_h_mu == semiclassical_h_mu(measures)
 
 
 def test_classical_mc_profile_keeps_estimator_entropies():
