@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ConfigurationError, ResourceLimitError
 
@@ -115,6 +114,9 @@ def evolve_matrix_oracle(spec: GamowSpec, op: BiorthOperator, j: int) -> BiorthO
     if spec.n_max > _ORACLE_DIM_CAP:
         raise ResourceLimitError(
             f"dense oracle capped at dimension {_ORACLE_DIM_CAP}, got {spec.n_max}")
+    # imported here: no command uses the oracle, and scipy costs start-up
+    import scipy.linalg
+
     h = np.diag(eigenvalues(spec))
     t = spec.alpha * j / spec.hbar
     u = scipy.linalg.expm(-1j * t * h)

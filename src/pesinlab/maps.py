@@ -126,8 +126,14 @@ def _cat_step(x: PhasePoint) -> PhasePoint:
 
 def _cat_step_batch(pts: np.ndarray) -> np.ndarray:
     pts = np.asarray(pts, dtype=float)
-    return np.column_stack(((2.0 * pts[:, 0] + pts[:, 1]) % 1.0,
-                            (pts[:, 0] + pts[:, 1]) % 1.0))
+    out = np.empty_like(pts)
+    np.multiply(pts[:, 0], 2.0, out=out[:, 0])
+    out[:, 0] += pts[:, 1]
+    np.add(pts[:, 0], pts[:, 1], out=out[:, 1])
+    # both sums are >= 0 on the torus, where x - floor(x) is the exact
+    # fractional part, as x % 1.0 is, so the bits are those of x % 1.0
+    out -= np.floor(out)
+    return out
 
 
 _CAT_FORWARD = (geometry.Branch(None, (2.0, 1.0, 1.0, 1.0, 0.0, 0.0), wrap=True),)

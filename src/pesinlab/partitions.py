@@ -30,6 +30,14 @@ _ZERO_AREA = 1e-15
 # exact refinement refuses depths projected past this many words
 EXACT_WORD_CAP = 2 ** 20
 
+# Monte Carlo refinement refuses runs that could need more bytes than this
+# (the budget of pipeline.CHAIN_BYTES_CAP): MC_SAMPLE_BYTES per sample for
+# the cloud and the loop's per-sample arrays, whose peak measured 97 bytes
+# on baker 2x1 and 93 on cat 8x8, plus 16 bytes (code and measure) for each
+# of up to n_samples words at every depth
+MC_BYTES_CAP = 2 * 2 ** 30
+MC_SAMPLE_BYTES = 128
+
 MEASURE_MODES = ("exact", "mc")
 MC_ESTIMATORS = ("plugin", "miller_madow", "grassberger", "chao_shen")
 
@@ -277,27 +285,55 @@ def _mc_record(codes: np.ndarray, counts: np.ndarray, n: int, cfg: McConfig,
                             torus_map.name, (part.m_q, part.m_p), "mc", meta)
 
 
+def _check_mc_bytes(n_max: int, cfg: McConfig) -> None:
+    """Refuse a run whose cloud, loop arrays and records could top the cap.
+
+    The bound does not depend on the grid, so on a ladder the first grid
+    is refused before anything is allocated.
+    """
+    need = cfg.n_samples * (MC_SAMPLE_BYTES + 16 * (n_max + 1))
+    if need > MC_BYTES_CAP:
+        raise ResourceLimitError(
+            f"Monte Carlo refinement of {cfg.n_samples} samples to depth "
+            f"{n_max} may need {need / 2 ** 30:.3g} GiB, above the "
+            f"{MC_BYTES_CAP / 2 ** 30:.3g} GiB cap; lower --mc-samples "
+            "or --depth")
+
+
 def _mc_series(torus_map: TorusMap, part: GridPartition, n_max: int,
                cfg: McConfig,
                on_record: Optional[Callable[[RefinementRecord], None]]
                ) -> list[RefinementRecord]:
+    _check_mc_bytes(n_max, cfg)
     rng = np.random.default_rng(cfg.seed)
     pts = rng.random((cfg.n_samples, 2))
     m = part.n_cells
 
-    # Words are tracked as compressed integer ids.  Re-encoding against the
-    # previous depth's unique ids keeps codes below n_samples * m, and since
-    # np.unique sorts ascending, lexicographic word order is preserved
-    # inductively at every depth.
-    sym = part.cell_index_batch(pts)
-    codes, ids, counts = np.unique(sym, return_inverse=True, return_counts=True)
+    # The cloud is kept in the previous depth's word order: perm lists the
+    # samples word by word and ids holds each one's word row, ascending.  A
+    # key is the prefix row times m plus the last symbol, so the keys are
+    # already sorted by prefix and only each prefix's run is out of order; a
+    # stable argsort (timsort) finds and merges such runs instead of sorting
+    # the cloud from scratch.  Sorted keys are the ascending codes, so
+    # lexicographic word order holds inductively at every depth.
+    perm = np.arange(cfg.n_samples)
+    ids = np.zeros(cfg.n_samples, dtype=np.int64)
+    new = np.empty(cfg.n_samples, dtype=bool)
+    new[0] = True
     records = []
     for n in range(n_max + 1):
         if n > 0:
             pts = torus_map.step_batch(pts)
-            sym = part.cell_index_batch(pts)
-            codes, ids, counts = np.unique(ids * m + sym, return_inverse=True,
-                                           return_counts=True)
+        keys = ids * m + part.cell_index_batch(pts)[perm]
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        perm = perm[order]
+        np.not_equal(keys[1:], keys[:-1], out=new[1:])
+        starts = np.flatnonzero(new)
+        codes = keys[starts]
+        counts = np.diff(starts, append=cfg.n_samples)
+        np.cumsum(new, out=ids)
+        ids -= 1
         records.append(_mc_record(codes, counts, n, cfg, torus_map, part))
         if on_record is not None:
             on_record(records[-1])

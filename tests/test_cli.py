@@ -483,6 +483,33 @@ def test_quantum_word_budget_past_the_memory_cap_is_refused(tmp_path):
     assert not list(tmp_path.glob("*.json"))
 
 
+@pytest.mark.parametrize("command", [
+    ["ks-entropy", "--map", "cat"],
+    ["pesin", "--map", "cat", "--ladder", "2x2,4x4", "--lyap-steps", "200"],
+])
+def test_oversized_mc_cloud_is_refused_up_front(tmp_path, command):
+    # 10^12 samples cannot be allocated at all; the run must name the two
+    # flags that size it and stop before drawing the cloud
+    proc = _run_module([*command, "--mode", "mc", "--mc-samples",
+                        str(10 ** 12), "--out", str(tmp_path)], 60)
+    assert proc.returncode == 2, proc.stderr
+    assert "--mc-samples" in proc.stderr and "--depth" in proc.stderr
+    assert "depth 0/" not in proc.stderr
+    assert not list(tmp_path.glob("*.json"))
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # only the dense evolution oracle needs scipy, and no command calls it
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, pesinlab.cli; print('scipy' in sys.modules)"],
+        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ,
+                 PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src")))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
 @pytest.mark.parametrize("argv,prefix", [
     (["ks-entropy", "--map", "baker", "--depth", "5"], ""),
     (["pesin", "--map", "baker", "--depth", "5", "--lyap-steps", "200"], ""),

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -122,6 +123,33 @@ def test_step_batch_matches_step(name):
         s = m.step(PhasePoint(q, p))
         assert abs(s.q - out[0]) < 1e-12
         assert abs(s.p - out[1]) < 1e-12
+
+
+def _cat_step_by_mod(pts):
+    return np.column_stack(((2.0 * pts[:, 0] + pts[:, 1]) % 1.0,
+                            (pts[:, 0] + pts[:, 1]) % 1.0))
+
+
+# 0 and the largest double below 1, plus coordinates whose sums 2q+p or q+p
+# are exactly 1 or 2, or round up to 1 (0.5 + (0.5 - 2^-55))
+CAT_EDGE_COORDS = [0.0, 2.0 ** -53, 0.25, 0.5 - 2.0 ** -55, 0.5, 0.75,
+                   1.0 - 2.0 ** -53]
+
+
+def test_cat_step_batch_is_bitwise_the_mod_form():
+    edges = np.array(list(itertools.product(CAT_EDGE_COORDS, repeat=2)))
+    pts = np.concatenate([edges, np.random.default_rng(7).random((100_000, 2))])
+    sums = np.column_stack((2.0 * edges[:, 0] + edges[:, 1],
+                            edges[:, 0] + edges[:, 1]))
+    assert {1.0, 2.0} <= set(sums[:, 0].tolist())
+    assert 1.0 in sums[:, 1].tolist()
+    batched = make_map("cat").step_batch(pts)
+    assert batched.shape == pts.shape and batched.dtype == pts.dtype
+    assert batched.tobytes() == _cat_step_by_mod(pts).tobytes()
+    step = make_map("cat").step
+    for (q, p), out in zip(pts[:len(edges) + 500], batched):
+        x = step(PhasePoint(q, p))
+        assert np.array([x.q, x.p]).tobytes() == out.tobytes()
 
 
 def test_baker_discontinuity_uses_left_branch():

@@ -3,11 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pesinlab import (ConfigurationError, GridPartition, McConfig,
+from pesinlab import (MAP_NAMES, MC_ESTIMATORS, ConfigurationError,
+                      GridPartition, McConfig, ResourceLimitError,
                       entropy_nats, h_mu, h_mu_ratio, hks_estimate, make_map,
                       refine_series, word_rows)
-from pesinlab import geometry
+from pesinlab import geometry, partitions
 from pesinlab.partitions import _mc_entropy, fit_line
 
 LN2 = math.log(2.0)
@@ -245,6 +248,117 @@ def test_mc_seed_determinism():
     assert (a.measures == b.measures).all()
     assert a.entropy == b.entropy
     assert a.entropy != c.entropy
+
+
+# --- Monte Carlo grouping ---------------------------------------------------
+
+def _unique_mc_series(torus_map, part, n_max, cfg):
+    """(codes, counts) per depth from a full np.unique of every depth's keys.
+
+    The reference grouping: the word-order loop of refine_series must equal
+    it bit for bit.
+    """
+    pts = np.random.default_rng(cfg.seed).random((cfg.n_samples, 2))
+    m = part.n_cells
+    codes, ids, counts = np.unique(part.cell_index_batch(pts),
+                                   return_inverse=True, return_counts=True)
+    series = [(codes, counts)]
+    for _ in range(n_max):
+        pts = torus_map.step_batch(pts)
+        codes, ids, counts = np.unique(ids * m + part.cell_index_batch(pts),
+                                       return_inverse=True, return_counts=True)
+        series.append((codes, counts))
+    return series
+
+
+def _assert_mc_matches_reference(name, grid, depth, n_samples, seed):
+    part = GridPartition(*grid)
+    ref = _unique_mc_series(make_map(name), part, depth,
+                            McConfig(n_samples, seed=seed))
+    for estimator in MC_ESTIMATORS:
+        recs = refine_series(make_map(name), part, depth, "mc",
+                             McConfig(n_samples, seed=seed, estimator=estimator))
+        assert len(recs) == len(ref)
+        for rec, (codes, counts) in zip(recs, ref):
+            assert rec.codes.dtype == codes.dtype
+            assert rec.codes.tobytes() == codes.tobytes()
+            assert rec.measures.tobytes() == (counts / n_samples).tobytes()
+            assert repr(rec.entropy) == repr(
+                _mc_entropy(counts, n_samples, estimator))
+
+
+MC_GRIDS = [(1, 1), (2, 1), (4, 4), (8, 8)]
+
+
+@pytest.mark.parametrize("n_samples", [1, 2, 17, 10_000])
+@pytest.mark.parametrize("grid", MC_GRIDS, ids=lambda g: "%dx%d" % g)
+@pytest.mark.parametrize("name", MAP_NAMES)
+def test_mc_grouping_matches_unique_reference(name, grid, n_samples):
+    _assert_mc_matches_reference(name, grid, 6, n_samples, seed=1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(MAP_NAMES), st.sampled_from(MC_GRIDS),
+       st.integers(0, 10), st.integers(1, 3000), st.integers(0, 2 ** 32 - 1))
+def test_mc_grouping_matches_unique_reference_property(name, grid, depth,
+                                                       n_samples, seed):
+    _assert_mc_matches_reference(name, grid, depth, n_samples, seed)
+
+
+# per depth, in the format of GOLDEN_RECORDS, for
+# (map, m_q, m_p, depth, n_samples, seed) with the chao_shen estimator;
+# recorded at the commit before the Monte Carlo loop kept its cloud in word
+# order, when every depth ran np.unique and the cat step took x % 1.0
+GOLDEN_MC_RECORDS = {
+    ("cat", 8, 8, 10, 100_000, 0): (
+        ("7a4644928f3a08db", "6cbbd494df2da74f", "4.158596448930776"),
+        ("68e37b8a934c7ad4", "b137aa0208624971", "5.543920312713618"),
+        ("806e70de93323bf3", "12f4068b8a7bdcd0", "6.809181448026121"),
+        ("ce3f7f4cd8298c14", "f2f2ee4bf4a917a0", "7.950702763952666"),
+        ("274c217856344343", "f60283b99adb6ab5", "9.02302426095197"),
+        ("9b88ced36f18daa7", "7b44ca320e845757", "10.031583551051337"),
+        ("589842c53cb6e05b", "680c1097daa5374a", "10.993812974062251"),
+        ("9fa1459318c5f112", "073a5ec96be08a78", "11.916081910555517"),
+        ("19b4f857aa98ee81", "55158f09fbbe6a04", "12.847092821131284"),
+        ("c9c501a4e815cf58", "5af040a44be2e477", "13.792118734680297"),
+        ("7064bc52865f81b3", "a19050d5f4a5a967", "14.766955076578677"),
+    ),
+    ("baker", 2, 1, 8, 10_000, 0): (
+        ("9d34149fbd1fe777", "ab5dd8a179a2ee60", "0.6931267004201329"),
+        ("a1e03200f1f82ad2", "f121df1d3c3cfa7e", "1.3862447187741593"),
+        ("fece8d601cd4c902", "c7f164a0e149b72d", "2.079096020922968"),
+        ("f23d672bb9b341f9", "7227621668e51fd8", "2.7716810430089454"),
+        ("bcc9bcfc670935c6", "b235509fa069af0f", "3.4638736427482115"),
+        ("7a4644928f3a08db", "5bc819bd9f1ae8fe", "4.155455267729106"),
+        ("3e4f0a2fd9498da7", "a4f35c6a22cd5591", "4.844514351429136"),
+        ("bbd330b12e8159e1", "3e27fee472707786", "5.532208310190365"),
+        ("5738153ec97595b1", "e954ad22ce4b0abe", "6.213117076737792"),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", GOLDEN_MC_RECORDS,
+                         ids=lambda c: "%s-%dx%d-d%d-N%d-s%d" % c)
+def test_mc_records_match_golden(case):
+    name, m_q, m_p, depth, n_samples, seed = case
+    recs = refine_series(make_map(name), GridPartition(m_q, m_p), depth, "mc",
+                         McConfig(n_samples, seed=seed))
+    assert tuple(_digest(r) for r in recs) == GOLDEN_MC_RECORDS[case]
+
+
+def test_mc_memory_cap_is_checked_before_the_cloud(monkeypatch):
+    # 1000 samples to depth 3 need 1000 * (MC_SAMPLE_BYTES + 16 * 4) bytes
+    need = 1000 * (partitions.MC_SAMPLE_BYTES + 64)
+    args = (make_map("cat"), GridPartition(4, 4), 3, "mc", McConfig(1000))
+    monkeypatch.setattr(partitions, "MC_BYTES_CAP", need)
+    assert len(refine_series(*args)) == 4
+    monkeypatch.setattr(partitions, "MC_BYTES_CAP", need - 1)
+    monkeypatch.setattr(np.random, "default_rng", None)  # nothing is drawn
+    with pytest.raises(ResourceLimitError, match="--mc-samples or --depth"):
+        refine_series(*args)
+    with pytest.raises(ResourceLimitError):
+        hks_estimate(make_map("cat"), [GridPartition(2, 2), GridPartition(4, 4)],
+                     3, "mc", McConfig(1000))
 
 
 def test_mc_stderr_is_binomial():
