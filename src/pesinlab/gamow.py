@@ -27,8 +27,10 @@ _ORACLE_DIM_CAP = 200
 # chain_traces drops the entries of evolved cell operators that are at most
 # this many times the smallest (0, 0) lead; its docstring bounds the error
 TRUNCATION_EPS = 1e-18
-# rows of chain products per batched pass (64 measured fastest at n_max 32)
-CHUNK_ROWS = 64
+# complex entries of gathered parent products per chunk of chain_traces
+CHUNK_ENTRIES = 2 ** 15
+# OpenBLAS runs a GEMM with m n k below this on the calling thread
+GEMM_ONE_THREAD = 2 ** 16 - 1
 
 
 @dataclass(frozen=True)
@@ -154,34 +156,73 @@ def _truncation_dim(evolved: np.ndarray) -> int:
     return int(shell[(np.abs(evolved) > floor).any(axis=0)].max()) + 1
 
 
+def _gemm_rows(k: int, k_prev: int) -> int:
+    """Chain rows per GEMM at depth dimension k after k_prev.
+
+    OpenBLAS starts a second thread once m n k reaches 2^16; a GEMM of r
+    rows of k x k_prev by one k_prev x k link stays below that whenever
+    r > 1.
+    """
+    return max(1, GEMM_ONE_THREAD // (k * k * k_prev))
+
+
+def _first_diffs(words: np.ndarray) -> np.ndarray:
+    """First column where each row differs from the row above.
+
+    Row 0 gives 0 and a repeat of the row above gives the word length, so
+    row i starts a new length-(n+1) prefix exactly when its entry is <= n.
+    """
+    n_rows, depth = words.shape
+    first = np.full(n_rows, depth, dtype=np.int32)
+    first[0] = 0
+    for col in range(depth - 1, -1, -1):
+        first[1:][words[1:, col] != words[:-1, col]] = col
+    return first
+
+
 def chain_traces(spec: GamowSpec, cell_ops, words, start_step: int = 0,
-                 on_depth: Optional[Callable[[int, np.ndarray, int], None]] = None
+                 on_depth: Optional[Callable[[int, np.ndarray, int, np.ndarray],
+                                             None]] = None
                  ) -> tuple[np.ndarray, np.ndarray]:
     """|trace| of every prefix chain of every word, and each full trace.
 
     Row w of the (W, N) int array words is the chain cell_ops[words[w, 0]],
     ..., link n evolved to step start_step + n.  Each depth evolves every
-    cell once and extends every product by one matmul per row.
+    cell once and extends the product of every distinct prefix by one link.
 
     Truncation.  Past the relaxation time entry (r, s) of an evolved
     operator decays like exp(-gamma0 alpha j (r + s) / hbar), so depth n
-    keeps only the leading k_n columns of the running products, (W, n_max,
-    k_n).  k_n is _truncation_dim of all of cell_ops at step start_step + n,
-    capped by k_{n-1}: every dropped entry is at most TRUNCATION_EPS times
-    the smallest (0, 0) lead.  k_n never depends on the symbols in words,
-    so a row's bits do not depend on the other rows.  Against the
-    untruncated products, a depth-n magnitude moves by at most
+    keeps only the leading k_n columns of the running products.  k_n is
+    _truncation_dim of all of cell_ops at step start_step + n, capped by
+    k_{n-1}: every dropped entry is at most TRUNCATION_EPS times the
+    smallest (0, 0) lead.  The depth-n trace reads rows < k_n only, and row
+    r of a product depends only on row r of the one before, so each running
+    product is k_n x k_n.  k_n never depends on the symbols in words, so a
+    row's bits do not depend on the other rows.  Against the untruncated
+    products, a depth-n magnitude moves by at most
     (n + 1) n_max (TRUNCATION_EPS + 2^-53) of its size: the dropped terms
     give the first part, and BLAS rounds the shorter sums in another order.
     With the default random cells the magnitudes are bit-identical.
 
-    Memory.  The products share one flat buffer of W n_max^2 entries,
-    rewritten in place CHUNK_ROWS rows at a time through one chunk of
-    scratch: a chunk's new products never reach the old products of a
-    later chunk, because k_n <= k_{n-1}.
+    Prefix sharing.  Rows with the same length-(n+1) prefix have the same
+    depth-n product, so the rows are taken in lexicographic order and each
+    distinct prefix's product is computed once, from its parent prefix's.
+    Within a chunk the prefixes are grouped by their depth-n symbol, and
+    each group is multiplied by its one link in GEMMs of _gemm_rows rows,
+    none large enough to start a BLAS thread.  BLAS forms each entry of a
+    GEMM the same way whatever its row count, so every magnitude has the
+    bits of a product taken row by row; tests/test_gamow.py keeps that
+    kernel as the reference.
 
-    on_depth(n, mags[:, n], k_n) runs as each depth finishes; returns
-    mags (W, N) and traces (W,).
+    Memory.  The products share one flat buffer of W n_max^2 entries, one
+    slot per row of the sorted words; a prefix lives in the slot of its
+    first row.  A prefix's parent sits in the same slot or an earlier one,
+    so chunks of CHUNK_ENTRIES gathered entries run from the last slot
+    down, and each chunk gathers its parents before writing its products.
+
+    on_depth(n, mags[:, n], k_n, prefix_mags) runs as each depth finishes,
+    with the magnitudes of the depth's distinct prefixes in lexicographic
+    order; returns mags (W, N) and traces (W,).
     """
     words = np.asarray(words)
     if not 0 <= words.min() <= words.max() < len(cell_ops):
@@ -191,10 +232,19 @@ def chain_traces(spec: GamowSpec, cell_ops, words, start_step: int = 0,
     base = np.stack([op.coeffs for op in cell_ops])
     n_rows = words.shape[0]
     dim = spec.n_max
+    # sorted row i is given row unsort[i]; rows already in lexicographic
+    # order, as quantum prescription's are, skip the sort
+    unsort = slice(None)
+    first = _first_diffs(words)
+    steps = np.flatnonzero(first < words.shape[1])[1:]
+    if (words[steps, first[steps]] < words[steps - 1, first[steps]]).any():
+        unsort = np.lexsort(words.T[::-1])
+        words = words[unsort]
+        first = _first_diffs(words)
     mags = np.empty(words.shape)
-    trace = np.empty(n_rows, dtype=complex)
-    flat = np.empty(n_rows * dim * dim, dtype=complex)
-    scratch = np.empty(min(n_rows, CHUNK_ROWS) * dim * dim, dtype=complex)
+    flat = np.empty((n_rows, dim * dim), dtype=complex)
+    product = np.empty(min(n_rows * dim * dim, max(CHUNK_ENTRIES, dim * dim)),
+                       dtype=complex)
     k_prev = dim
     for n in range(words.shape[1]):
         # evolve_operator's arithmetic, once per cell and depth
@@ -202,23 +252,45 @@ def chain_traces(spec: GamowSpec, cell_ops, words, start_step: int = 0,
         if start_step + n:
             evolved = base * evolution_factors(spec, start_step + n)
         k = min(_truncation_dim(evolved), k_prev)
-        old = flat[:n_rows * dim * k_prev].reshape(n_rows, dim, k_prev)
-        new = flat[:n_rows * dim * k].reshape(n_rows, dim, k)
-        links = evolved[:, :k_prev, :k] if n else evolved[:, :, :k]
-        for lo in range(0, n_rows, CHUNK_ROWS):
-            hi = min(lo + CHUNK_ROWS, n_rows)
-            if n:
-                out = scratch[:(hi - lo) * dim * k].reshape(hi - lo, dim, k)
-                np.matmul(old[lo:hi], links[words[lo:hi, n]], out=out)
-                new[lo:hi] = out
-            else:
-                new[lo:hi] = links[words[lo:hi, n]]
-            trace[lo:hi] = np.einsum("wii->w", new[lo:hi, :k])
-        np.abs(trace, out=mags[:, n])
-        k_prev = k
+        heads = np.flatnonzero(first <= n)          # each prefix's slot
+        trace = np.empty(len(heads), dtype=complex)
+        if n == 0:
+            out = evolved[words[heads, 0], :k, :k]
+            flat[heads, :k * k] = out.reshape(len(heads), k * k)
+            trace[:] = np.einsum("wii->w", out)
+        else:
+            links = evolved[:, :k_prev, :k]
+            per_gemm = _gemm_rows(k, k_prev)
+            step = max(1, CHUNK_ENTRIES // (k * k_prev))
+            for hi in range(len(heads), 0, -step):
+                lo = max(hi - step, 0)
+                syms = words[heads[lo:hi], n]
+                sel = np.argsort(syms, kind="stable")
+                slots = heads[lo:hi][sel]
+                parents = prev_heads[np.searchsorted(prev_heads, slots, "right") - 1]
+                # rows < k of each parent, gathered before any slot is written
+                old = flat[parents, :k * k_prev].reshape(hi - lo, k, k_prev)
+                out = product[:(hi - lo) * k * k].reshape(hi - lo, k, k)
+                g_hi = 0
+                for sym, size in enumerate(np.bincount(syms).tolist()):
+                    g_lo, g_hi = g_hi, g_hi + size
+                    cut = g_hi - size % per_gemm
+                    # whole GEMMs of per_gemm prefixes, then one of the rest
+                    for a, b in ((g_lo, cut), (cut, g_hi)):
+                        if b > a:
+                            m = k * min(per_gemm, b - a)
+                            np.matmul(old[a:b].reshape(-1, m, k_prev), links[sym],
+                                      out=out[a:b].reshape(-1, m, k))
+                flat[slots, :k * k] = out.reshape(hi - lo, k * k)
+                trace[lo + sel] = np.einsum("wii->w", out)
+        prefix_mags = np.abs(trace)
+        mags[unsort, n] = np.repeat(prefix_mags, np.diff(heads, append=n_rows))
+        prev_heads, k_prev = heads, k
         if on_depth is not None:
-            on_depth(n, mags[:, n], k)
-    return mags, trace
+            on_depth(n, mags[:, n], k, prefix_mags)
+    traces = np.empty(n_rows, dtype=complex)
+    traces[unsort] = np.repeat(trace, np.diff(heads, append=n_rows))
+    return mags, traces
 
 
 def chain_trace(spec: GamowSpec, ops, n: int, start_step: int = 0) -> ChainResult:

@@ -260,10 +260,11 @@ def _grassberger_terms(max_count: int) -> np.ndarray:
 
 def _mc_entropy(counts: np.ndarray, n_samples: int, estimator: str) -> float:
     freqs = counts / n_samples
+    # entropy_nats runs faster over Python floats than numpy scalars
     if estimator == "plugin":
-        return entropy_nats(freqs)
+        return entropy_nats(freqs.tolist())
     if estimator == "miller_madow":
-        return entropy_nats(freqs) + (len(counts) - 1) / (2.0 * n_samples)
+        return entropy_nats(freqs.tolist()) + (len(counts) - 1) / (2.0 * n_samples)
     if estimator == "grassberger":
         g = _grassberger_terms(int(counts.max()))
         return math.log(n_samples) - float(np.sum(counts * g[counts])) / n_samples

@@ -288,6 +288,15 @@ def _classical_measures(src: ClassicalSource, n_max: int, word_budget: int,
         sampling, n_max // 2, False, None)
 
 
+def _distinct_rows(words: np.ndarray) -> np.ndarray:
+    """np.unique(words, axis=0): the distinct rows in lexicographic order."""
+    words = words[np.lexsort(words.T[::-1])]
+    keep = np.empty(len(words), dtype=bool)
+    keep[:1] = True
+    np.any(words[1:] != words[:-1], axis=1, out=keep[1:])
+    return words[keep]
+
+
 def _quantum_measures(src: QuantumSource, n_max: int, word_budget: int,
                       seed: int,
                       progress: Optional[Callable[[str], None]]) -> _Measured:
@@ -310,7 +319,7 @@ def _quantum_measures(src: QuantumSource, n_max: int, word_budget: int,
     else:
         rng = np.random.default_rng(seed)
         words = rng.integers(0, m, size=(word_budget, n_max + 1), dtype=np.int32)
-        words = np.unique(words, axis=0)
+        words = _distinct_rows(words)
         sampling = "sampled"
 
     # past the relaxation time a trace follows its word's (0, 0) lead
@@ -326,23 +335,19 @@ def _quantum_measures(src: QuantumSource, n_max: int, word_budget: int,
             f"--depth {int(ln_tiny / math.log(bounds[0])) - 1} is the largest "
             "depth at which no word can")
 
-    # distinct prefixes only, for the entropy profile (shared prefixes of
-    # several sampled words are one cell, not many).  The words are distinct
-    # and lex-sorted, so row i starts a new length-(n+1) prefix exactly when
-    # its first column differing from row i-1 is at most n; row 0 always does.
-    first_diff = np.concatenate(([0], np.argmax(words[1:] != words[:-1], axis=1)))
+    # the entropy profile takes each depth's distinct prefixes once (shared
+    # prefixes of several sampled words are one cell, not many)
     per_depth = []
 
-    def on_depth(n, col, k):
+    def on_depth(n, col, k, prefix_mags):
         # a family whose cell measures sum above 1 is no sub-partition, and
         # semiclassical_h_mu would refuse its measures
-        vals = col[first_diff <= n]
-        total = math.fsum(vals.tolist())
+        total = math.fsum(prefix_mags.tolist())
         if total > 1.0 + 1e-6:
             raise ConfigurationError(
                 f"cell measures at depth {n} sum to {total!r}, above 1; "
                 "lower --total-mass or --off-scale")
-        per_depth.append(vals)
+        per_depth.append(prefix_mags)
         if progress:
             progress(f"depth {n}/{n_max}: mean |trace| {col.mean():.6g}, "
                      f"dim {k}")

@@ -10,7 +10,8 @@ from pesinlab import (BiorthOperator, GamowSpec, QuantumSource,
                       decay_bounds, eigenvalues, evolution_factors,
                       evolve_matrix_oracle, evolve_operator,
                       make_cell_operators, off_mass_ratio, prescription_run)
-from pesinlab.gamow import TRUNCATION_EPS
+from pesinlab.gamow import (GEMM_ONE_THREAD, TRUNCATION_EPS, _gemm_rows,
+                            _truncation_dim)
 
 
 def _chain_ops(rng, count, n_max=32, lead_lo=0.3, lead_hi=0.7, off=3e-4):
@@ -244,7 +245,7 @@ def test_truncation_dimension_falls_with_depth():
     ops = make_cell_operators(spec, 4, seed=0)
     dims = []
     words = np.zeros((1, 81), dtype=int)
-    chain_traces(spec, ops, words, on_depth=lambda n, col, k: dims.append(k))
+    chain_traces(spec, ops, words, on_depth=lambda n, col, k, _: dims.append(k))
     assert (dims[0], dims[10], dims[40], dims[80]) == (32, 21, 8, 5)
     assert all(b <= a for a, b in zip(dims, dims[1:]))
 
@@ -261,7 +262,7 @@ def test_truncation_dimension_ignores_the_word_set():
     for words in (mixed, mixed[:1]):
         dims = []
         mags, _ = chain_traces(spec, ops, words,
-                               on_depth=lambda n, col, k: dims.append(k))
+                               on_depth=lambda n, col, k, _: dims.append(k))
         runs.append((dims, mags))
     assert runs[0][0] == runs[1][0]
     assert np.array_equal(runs[0][1][:1], runs[1][1])
@@ -274,8 +275,156 @@ def test_zero_lead_disables_truncation():
     zero = BiorthOperator(np.zeros((6, 6)))
     dims = []
     chain_traces(spec, [BiorthOperator(c), zero], np.zeros((1, 4), dtype=int),
-                 on_depth=lambda n, col, k: dims.append(k))
+                 on_depth=lambda n, col, k, _: dims.append(k))
     assert dims == [6, 6, 6, 6]
+
+
+def _per_row_chain_traces(spec, cell_ops, words, start_step=0):
+    """The per-row truncated kernel that chain_traces replaced.
+
+    Every row keeps its own (n_max, k_n) product, extended by one matmul per
+    row and depth, 64 rows at a time, with no sharing between rows.
+    """
+    base = np.stack([op.coeffs for op in cell_ops])
+    n_rows = words.shape[0]
+    dim = spec.n_max
+    mags = np.empty(words.shape)
+    trace = np.empty(n_rows, dtype=complex)
+    flat = np.empty(n_rows * dim * dim, dtype=complex)
+    scratch = np.empty(min(n_rows, 64) * dim * dim, dtype=complex)
+    k_prev = dim
+    for n in range(words.shape[1]):
+        evolved = base
+        if start_step + n:
+            evolved = base * evolution_factors(spec, start_step + n)
+        k = min(_truncation_dim(evolved), k_prev)
+        old = flat[:n_rows * dim * k_prev].reshape(n_rows, dim, k_prev)
+        new = flat[:n_rows * dim * k].reshape(n_rows, dim, k)
+        links = evolved[:, :k_prev, :k] if n else evolved[:, :, :k]
+        for lo in range(0, n_rows, 64):
+            hi = min(lo + 64, n_rows)
+            if n:
+                out = scratch[:(hi - lo) * dim * k].reshape(hi - lo, dim, k)
+                np.matmul(old[lo:hi], links[words[lo:hi, n]], out=out)
+                new[lo:hi] = out
+            else:
+                new[lo:hi] = links[words[lo:hi, n]]
+            trace[lo:hi] = np.einsum("wii->w", new[lo:hi, :k])
+        np.abs(trace, out=mags[:, n])
+        k_prev = k
+    return mags, trace
+
+
+def _assert_matches_per_row(spec, ops, words, start_step=0):
+    mags, trace = chain_traces(spec, ops, words, start_step)
+    ref_mags, ref_trace = _per_row_chain_traces(spec, ops, words, start_step)
+    assert mags.tobytes() == ref_mags.tobytes()
+    assert trace.tobytes() == ref_trace.tobytes()
+
+
+def _sampled_words(m, depth, count, seed):
+    """The distinct lex-sorted words a sampled quantum run tracks."""
+    rng = np.random.default_rng(seed)
+    return np.unique(rng.integers(0, m, size=(count, depth + 1),
+                                  dtype=np.int32), axis=0)
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_kernel_matches_per_row_kernel_on_default_family(seed):
+    spec = GamowSpec()
+    ops = make_cell_operators(spec, 4, seed=seed)
+    _assert_matches_per_row(spec, ops, _sampled_words(4, 80, 4096, seed))
+
+
+def test_kernel_matches_per_row_kernel_with_support_8():
+    spec = GamowSpec()
+    ops = make_cell_operators(spec, 4, seed=0, support=8)
+    _assert_matches_per_row(spec, ops, _sampled_words(4, 80, 4096, 0))
+
+
+@pytest.mark.parametrize("n_max, cells", [(2, 2), (2, 3), (8, 4)])
+def test_kernel_matches_per_row_kernel_at_small_n_max(n_max, cells):
+    spec = GamowSpec(n_max=n_max)
+    ops = make_cell_operators(spec, cells, seed=n_max)
+    _assert_matches_per_row(spec, ops, _sampled_words(cells, 60, 2000, 1))
+
+
+@pytest.mark.parametrize("start_step", [1, 5, 40])
+def test_kernel_matches_per_row_kernel_past_start_step(start_step):
+    spec = GamowSpec()
+    ops = make_cell_operators(spec, 4, seed=3)
+    _assert_matches_per_row(spec, ops, _sampled_words(4, 30, 500, 3),
+                            start_step)
+
+
+def test_kernel_matches_per_row_kernel_on_one_word():
+    spec = GamowSpec()
+    ops = make_cell_operators(spec, 4, seed=4)
+    _assert_matches_per_row(spec, ops, _sampled_words(4, 80, 1, 4))
+
+
+def test_kernel_matches_per_row_kernel_on_unsorted_repeated_rows():
+    spec = GamowSpec()
+    ops = make_cell_operators(spec, 3, seed=5)
+    rng = np.random.default_rng(5)
+    words = rng.integers(0, 3, size=(300, 40))
+    words = np.concatenate([words, words[:100], words[:10]])
+    words[200:220, 20:] = 1               # rows sharing long prefixes
+    rng.shuffle(words)
+    _assert_matches_per_row(spec, ops, words)
+
+
+def test_on_depth_gets_each_distinct_prefix_in_lex_order():
+    spec = GamowSpec(n_max=8)
+    ops = make_cell_operators(spec, 3, seed=2)
+    words = _sampled_words(3, 12, 400, 2)
+    first_diff = np.concatenate(
+        ([0], np.argmax(words[1:] != words[:-1], axis=1)))
+    seen = []
+    mags, _ = chain_traces(spec, ops, words, on_depth=lambda n, col, k, p:
+                           seen.append((col.copy(), p)))
+    for n, (col, prefix_mags) in enumerate(seen):
+        assert col.tobytes() == mags[:, n].tobytes()
+        assert prefix_mags.tobytes() == col[first_diff <= n].tobytes()
+
+
+def test_on_depth_prefixes_of_unsorted_repeated_rows():
+    spec = GamowSpec(n_max=6)
+    ops = make_cell_operators(spec, 2, seed=9)
+    words = np.array([[1, 0, 1], [0, 1, 1], [1, 0, 1], [0, 1, 0]])
+    seen = []
+    mags, _ = chain_traces(spec, ops, words, on_depth=lambda n, col, k, p:
+                           seen.append(p))
+    order = [3, 1, 0]                     # one row of each prefix, lex order
+    assert [len(p) for p in seen] == [2, 2, 3]
+    assert seen[2].tobytes() == mags[order, 2].tobytes()
+    assert seen[1].tobytes() == mags[[1, 0], 1].tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 33), st.integers(2, 5), st.integers(1, 40),
+       st.integers(1, 300), st.integers(0, 30), st.integers(0, 2 ** 32 - 1))
+def test_kernel_matches_per_row_kernel_on_random_words(n_max, m, depth, rows,
+                                                       start_step, seed):
+    spec = GamowSpec(n_max=n_max)
+    ops = make_cell_operators(spec, m, seed=seed % 1000,
+                              support=1 + seed % n_max)
+    rng = np.random.default_rng(seed)
+    # few symbols in the early columns, so rows share prefixes and repeat
+    words = rng.integers(0, m, size=(rows, depth))
+    words[:, :depth // 2] %= 2
+    _assert_matches_per_row(spec, ops, words, start_step)
+
+
+def test_gemm_sizing_stays_on_one_thread():
+    for k_prev in range(1, 65):
+        for k in range(1, k_prev + 1):
+            rows = _gemm_rows(k, k_prev)
+            assert rows >= 1
+            if rows > 1:
+                assert rows * k * k * k_prev < 2 ** 16
+            # and one more row would reach it
+            assert (rows + 1) * k * k * k_prev > GEMM_ONE_THREAD
 
 
 @st.composite

@@ -391,6 +391,21 @@ def test_miller_madow_adds_fixed_bonus():
     assert abs(gap - (3 - 1) / 2000.0) < 1e-15
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_plugin_estimators_take_the_bits_of_the_array_path(seed):
+    # _mc_entropy hands entropy_nats Python floats; numpy scalars, which it
+    # used to get, must give the same sum to the bit
+    rng = np.random.default_rng(seed)
+    n_samples = int(rng.integers(1, 10 ** 6))
+    counts = np.bincount(rng.integers(0, 1 + n_samples // 3, n_samples))
+    counts = counts[counts > 0]
+    freqs = counts / n_samples
+    plugin = entropy_nats(freqs)
+    assert repr(_mc_entropy(counts, n_samples, "plugin")) == repr(plugin)
+    assert repr(_mc_entropy(counts, n_samples, "miller_madow")) == repr(
+        plugin + (len(counts) - 1) / (2.0 * n_samples))
+
+
 def test_grassberger_close_to_plugin_at_large_counts():
     counts = np.full(10, 100_000)
     gap = _mc_entropy(counts, 1_000_000, "grassberger") - _mc_entropy(
