@@ -281,15 +281,9 @@ def _prologue(args):
     return cfg, opt, out_dir
 
 
-def _jsonable(value):
-    if isinstance(value, (tuple, list)):
-        return [_jsonable(v) for v in value]
-    return value
-
-
 def _echo(cfg, groups=_ECHO_ALL):
     keys = {p.key for p in PARAMS if p.echo in groups}
-    return {k: _jsonable(cfg[k]) for k in sorted(cfg) if k in keys}
+    return {k: cfg[k] for k in sorted(cfg) if k in keys}
 
 
 def _emit(out_dir, stem, fmt, doc, header, rows):

@@ -21,6 +21,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ConfigurationError, ResourceLimitError
+from .partitions import prefix_levels
 
 _ORACLE_DIM_CAP = 200
 
@@ -166,20 +167,6 @@ def _gemm_rows(k: int, k_prev: int) -> int:
     return max(1, GEMM_ONE_THREAD // (k * k * k_prev))
 
 
-def _first_diffs(words: np.ndarray) -> np.ndarray:
-    """First column where each row differs from the row above.
-
-    Row 0 gives 0 and a repeat of the row above gives the word length, so
-    row i starts a new length-(n+1) prefix exactly when its entry is <= n.
-    """
-    n_rows, depth = words.shape
-    first = np.full(n_rows, depth, dtype=np.int32)
-    first[0] = 0
-    for col in range(depth - 1, -1, -1):
-        first[1:][words[1:, col] != words[:-1, col]] = col
-    return first
-
-
 def chain_traces(spec: GamowSpec, cell_ops, words, start_step: int = 0,
                  on_depth: Optional[Callable[[int, np.ndarray, int, np.ndarray],
                                              None]] = None
@@ -205,8 +192,9 @@ def chain_traces(spec: GamowSpec, cell_ops, words, start_step: int = 0,
     With the default random cells the magnitudes are bit-identical.
 
     Prefix sharing.  Rows with the same length-(n+1) prefix have the same
-    depth-n product, so the rows are taken in lexicographic order and each
-    distinct prefix's product is computed once, from its parent prefix's.
+    depth-n product, so each distinct prefix's product is computed once,
+    from its parent's.  partitions.prefix_levels groups the rows, which
+    need not be sorted or distinct: a prefix's code names its parent.
     Within a chunk the prefixes are grouped by their depth-n symbol, and
     each group is multiplied by its one link in GEMMs of _gemm_rows rows,
     none large enough to start a BLAS thread.  BLAS forms each entry of a
@@ -232,30 +220,22 @@ def chain_traces(spec: GamowSpec, cell_ops, words, start_step: int = 0,
     base = np.stack([op.coeffs for op in cell_ops])
     n_rows = words.shape[0]
     dim = spec.n_max
-    # sorted row i is given row unsort[i]; rows already in lexicographic
-    # order, as quantum prescription's are, skip the sort
-    unsort = slice(None)
-    first = _first_diffs(words)
-    steps = np.flatnonzero(first < words.shape[1])[1:]
-    if (words[steps, first[steps]] < words[steps - 1, first[steps]]).any():
-        unsort = np.lexsort(words.T[::-1])
-        words = words[unsort]
-        first = _first_diffs(words)
     mags = np.empty(words.shape)
     flat = np.empty((n_rows, dim * dim), dtype=complex)
     product = np.empty(min(n_rows * dim * dim, max(CHUNK_ENTRIES, dim * dim)),
                        dtype=complex)
     k_prev = dim
-    for n in range(words.shape[1]):
+    # heads[g] is prefix g's slot: its first row in lexicographic order
+    for n, (perm, heads, codes, ids) in enumerate(
+            prefix_levels(words, len(cell_ops))):
         # evolve_operator's arithmetic, once per cell and depth
         evolved = base
         if start_step + n:
             evolved = base * evolution_factors(spec, start_step + n)
         k = min(_truncation_dim(evolved), k_prev)
-        heads = np.flatnonzero(first <= n)          # each prefix's slot
         trace = np.empty(len(heads), dtype=complex)
         if n == 0:
-            out = evolved[words[heads, 0], :k, :k]
+            out = evolved[codes, :k, :k]
             flat[heads, :k * k] = out.reshape(len(heads), k * k)
             trace[:] = np.einsum("wii->w", out)
         else:
@@ -264,10 +244,10 @@ def chain_traces(spec: GamowSpec, cell_ops, words, start_step: int = 0,
             step = max(1, CHUNK_ENTRIES // (k * k_prev))
             for hi in range(len(heads), 0, -step):
                 lo = max(hi - step, 0)
-                syms = words[heads[lo:hi], n]
+                parent_ids, syms = np.divmod(codes[lo:hi], len(cell_ops))
                 sel = np.argsort(syms, kind="stable")
                 slots = heads[lo:hi][sel]
-                parents = prev_heads[np.searchsorted(prev_heads, slots, "right") - 1]
+                parents = prev_heads[parent_ids[sel]]
                 # rows < k of each parent, gathered before any slot is written
                 old = flat[parents, :k * k_prev].reshape(hi - lo, k, k_prev)
                 out = product[:(hi - lo) * k * k].reshape(hi - lo, k, k)
@@ -284,12 +264,12 @@ def chain_traces(spec: GamowSpec, cell_ops, words, start_step: int = 0,
                 flat[slots, :k * k] = out.reshape(hi - lo, k * k)
                 trace[lo + sel] = np.einsum("wii->w", out)
         prefix_mags = np.abs(trace)
-        mags[unsort, n] = np.repeat(prefix_mags, np.diff(heads, append=n_rows))
+        mags[perm, n] = prefix_mags[ids]
         prev_heads, k_prev = heads, k
         if on_depth is not None:
             on_depth(n, mags[:, n], k, prefix_mags)
     traces = np.empty(n_rows, dtype=complex)
-    traces[unsort] = np.repeat(trace, np.diff(heads, append=n_rows))
+    traces[perm] = trace[ids]
     return mags, traces
 
 

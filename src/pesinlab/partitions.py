@@ -80,8 +80,8 @@ class RefinementRecord:
 
     Rows are in lexicographic word order.  codes[i] names row i by its
     length-n prefix: the prefix's row in the depth n-1 record times the
-    alphabet size (the grid's cell count), plus the last symbol; at depth 0
-    the code is the symbol itself.  Lex order makes codes ascending.
+    alphabet size (the grid's cell count), plus the last symbol (at depth 0
+    the symbol itself), as group_prefixes makes them; so codes ascend.
     word_rows turns a series of records back into symbol words.
     """
 
@@ -132,6 +132,43 @@ def word_rows(records: Sequence[RefinementRecord],
         prefix_measures[:, d] = records[d].measures[pos]
         pos, words[:, d] = np.divmod(records[d].codes[pos], m)
     return words, prefix_measures
+
+
+def group_prefixes(keys: np.ndarray):
+    """Group equal integer keys with one stable argsort.
+
+    Returns order, the stable sorting permutation; starts, where each group
+    begins in the sorted keys; codes, the distinct keys, ascending; and
+    ids, the group of each sorted position.  Keys of prefix ids times the
+    alphabet size plus a symbol make codes RefinementRecord codes.
+    """
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    new = np.empty(len(keys), dtype=bool)
+    new[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=new[1:])
+    starts = np.flatnonzero(new)
+    codes = keys[starts]
+    # the sorted keys are spent, so their buffer takes the ids
+    ids = np.cumsum(new, out=keys)
+    ids -= 1
+    return order, starts, codes, ids
+
+
+def prefix_levels(words: np.ndarray, m: int):
+    """group_prefixes over the columns of (W, N) words on m symbols.
+
+    Yields, per depth n, perm, the rows stably sorted by their length-(n+1)
+    prefixes, with the depth's starts, codes and ids (ids[i] is the prefix
+    of row perm[i]).  At the last depth words[perm[starts]] are the
+    distinct rows in lexicographic order.
+    """
+    perm = np.arange(len(words))
+    ids = np.zeros(len(words), dtype=np.int64)
+    for n in range(words.shape[1]):
+        order, starts, codes, ids = group_prefixes(ids * m + words[perm, n])
+        perm = perm[order]
+        yield perm, starts, codes, ids
 
 
 @dataclass(frozen=True)
@@ -201,9 +238,10 @@ def _refine_pieces(verts: np.ndarray, counts: np.ndarray, owner: np.ndarray,
     verts, counts, keys, areas = geometry.concat_batches(kept)
     # the pieces stay where they are; a word's measure is an fsum, which
     # does not depend on the order of its pieces
-    codes, owner, sizes = np.unique(keys, return_inverse=True, return_counts=True)
-    order = np.argsort(owner, kind="stable")
-    starts = np.cumsum(sizes) - sizes
+    order, starts, codes, ids = group_prefixes(keys)
+    owner = np.empty_like(ids)
+    owner[order] = ids
+    sizes = np.diff(starts, append=len(keys))
     measures = areas[order[starts]]
     for w in np.flatnonzero(sizes > 1):
         measures[w] = math.fsum(areas[order[starts[w]:starts[w] + sizes[w]]].tolist())
@@ -311,30 +349,22 @@ def _mc_series(torus_map: TorusMap, part: GridPartition, n_max: int,
     m = part.n_cells
 
     # The cloud is kept in the previous depth's word order: perm lists the
-    # samples word by word and ids holds each one's word row, ascending.  A
-    # key is the prefix row times m plus the last symbol, so the keys are
-    # already sorted by prefix and only each prefix's run is out of order; a
-    # stable argsort (timsort) finds and merges such runs instead of sorting
-    # the cloud from scratch.  Sorted keys are the ascending codes, so
-    # lexicographic word order holds inductively at every depth.
+    # samples word by word and ids holds each one's word row, ascending.
+    # The keys of group_prefixes are then already sorted by prefix and only
+    # each prefix's run is out of order; its stable argsort (timsort) finds
+    # and merges such runs instead of sorting the cloud from scratch.  This
+    # is prefix_levels' loop, with each depth's column computed only once
+    # the previous one is gone.
     perm = np.arange(cfg.n_samples)
     ids = np.zeros(cfg.n_samples, dtype=np.int64)
-    new = np.empty(cfg.n_samples, dtype=bool)
-    new[0] = True
     records = []
     for n in range(n_max + 1):
         if n > 0:
             pts = torus_map.step_batch(pts)
-        keys = ids * m + part.cell_index_batch(pts)[perm]
-        order = np.argsort(keys, kind="stable")
-        keys = keys[order]
+        order, starts, codes, ids = group_prefixes(
+            ids * m + part.cell_index_batch(pts)[perm])
         perm = perm[order]
-        np.not_equal(keys[1:], keys[:-1], out=new[1:])
-        starts = np.flatnonzero(new)
-        codes = keys[starts]
         counts = np.diff(starts, append=cfg.n_samples)
-        np.cumsum(new, out=ids)
-        ids -= 1
         records.append(_mc_record(codes, counts, n, cfg, torus_map, part))
         if on_record is not None:
             on_record(records[-1])

@@ -26,7 +26,7 @@ from .gamow import BiorthOperator, GamowSpec, _check_dim, chain_traces, \
     decay_bounds
 from .maps import TorusMap
 from .partitions import GridPartition, McConfig, entropy_nats, fit_line, \
-    progress_line, refine_series, tail_slope, word_rows
+    prefix_levels, progress_line, refine_series, tail_slope, word_rows
 
 VERDICTS = ("exponential", "not_exponential", "inconclusive")
 
@@ -66,9 +66,9 @@ def decay_detect(values, onset: Optional[int] = None, onset_fraction: float = 0.
     if len(pts) < 8:
         raise ValueError("decay detection needs at least 8 points")
     for n, v in pts:
-        if v <= 0.0:
-            raise ValueError(
-                f"magnitude at n={n} is {v!r}; zero measures must be dropped upstream")
+        if not (math.isfinite(v) and v > 0.0):
+            raise ValueError(f"magnitude at n={n} is {v!r}; decay fits "
+                             "need finite, positive magnitudes")
     if onset is None:
         onset = math.ceil(onset_fraction * pts[-1][0])
     tail = [(n, v) for n, v in pts if n >= onset]
@@ -288,15 +288,6 @@ def _classical_measures(src: ClassicalSource, n_max: int, word_budget: int,
         sampling, n_max // 2, False, None)
 
 
-def _distinct_rows(words: np.ndarray) -> np.ndarray:
-    """np.unique(words, axis=0): the distinct rows in lexicographic order."""
-    words = words[np.lexsort(words.T[::-1])]
-    keep = np.empty(len(words), dtype=bool)
-    keep[:1] = True
-    np.any(words[1:] != words[:-1], axis=1, out=keep[1:])
-    return words[keep]
-
-
 def _quantum_measures(src: QuantumSource, n_max: int, word_budget: int,
                       seed: int,
                       progress: Optional[Callable[[str], None]]) -> _Measured:
@@ -319,7 +310,9 @@ def _quantum_measures(src: QuantumSource, n_max: int, word_budget: int,
     else:
         rng = np.random.default_rng(seed)
         words = rng.integers(0, m, size=(word_budget, n_max + 1), dtype=np.int32)
-        words = _distinct_rows(words)
+        for perm, starts, _, _ in prefix_levels(words, m):
+            pass
+        words = words[perm[starts]]             # distinct, lexicographic
         sampling = "sampled"
 
     # past the relaxation time a trace follows its word's (0, 0) lead

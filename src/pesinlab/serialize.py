@@ -23,7 +23,9 @@ def fmt_float(x) -> str:
 
 def write_json(path, doc) -> Path:
     path = Path(path)
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    # bare NaN or Infinity would not be JSON
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True,
+                               allow_nan=False) + "\n")
     return path
 
 

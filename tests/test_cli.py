@@ -483,6 +483,17 @@ def test_quantum_word_budget_past_the_memory_cap_is_refused(tmp_path):
     assert not list(tmp_path.glob("*.json"))
 
 
+def test_non_finite_quantum_magnitudes_fail_without_json(tmp_path):
+    # omega0 = 1e308 overflows the eigenvalues, so every trace from depth 1
+    # on is NaN; the run must fail naming it, not write NaN into the JSON
+    proc = _run_module(["prescription", "--source", "gamow", "--omega0",
+                        "1e308", "--depth", "10", "--word-budget", "16",
+                        "--out", str(tmp_path)], 60)
+    assert proc.returncode == 1, proc.stderr
+    assert re.search(r"magnitude at n=\d+ is nan; decay fits need finite", proc.stderr)
+    assert not (tmp_path / "prescription.json").exists()
+
+
 @pytest.mark.parametrize("command", [
     ["ks-entropy", "--map", "cat"],
     ["pesin", "--map", "cat", "--ladder", "2x2,4x4", "--lyap-steps", "200"],

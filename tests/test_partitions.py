@@ -179,6 +179,89 @@ def test_exact_records_do_not_depend_on_chunk_size(case, monkeypatch):
     assert [_digest(r) for r in chunked] == [_digest(r) for r in whole]
 
 
+# --- prefix grouping --------------------------------------------------------
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 12), st.integers(1, 40),
+       st.integers(1, 200), st.integers(0, 2 ** 32 - 1))
+def test_prefix_levels_match_np_unique(m, depth, pool, rows, seed):
+    # unsorted rows, many of them repeated, sharing prefixes of every length
+    rng = np.random.default_rng(seed)
+    words = rng.integers(0, m, size=(pool, depth))[rng.integers(0, pool, rows)]
+    inverse = np.zeros(rows, dtype=np.int64)
+    levels = []
+    for n, (perm, starts, codes, ids) in enumerate(
+            partitions.prefix_levels(words, m)):
+        expect, inverse = np.unique(inverse * m + words[:, n],
+                                    return_inverse=True)
+        assert perm.tobytes() == np.lexsort(words[:, :n + 1].T[::-1]).tobytes()
+        assert codes.tobytes() == expect.tobytes()
+        assert ids.tobytes() == inverse[perm].tobytes()
+        assert (words[perm[starts], :n + 1]
+                == np.unique(words[:, :n + 1], axis=0)).all()
+        levels.append(codes)
+        # word_rows' decoding of the codes walks back to the prefixes
+        pos = np.arange(len(codes))
+        prefixes = np.empty((len(codes), n + 1), dtype=words.dtype)
+        for d in range(n, -1, -1):
+            pos, prefixes[:, d] = np.divmod(levels[d][pos], m)
+        assert prefixes.tobytes() == np.unique(words[:, :n + 1],
+                                               axis=0).tobytes()
+
+
+def _unique_refine_pieces(verts, counts, owner, torus_map, part):
+    """_refine_pieces grouping its keys with np.unique and a second argsort.
+
+    The reference grouping: the group_prefixes path must return the same
+    codes, measures and pieces bit for bit.
+    """
+    q_edges = np.array([k / part.m_q for k in range(part.m_q + 1)])
+    p_edges = np.array([k / part.m_p for k in range(part.m_p + 1)])
+    kept = []
+    for lo in range(0, len(counts), geometry.CHUNK_ROWS):
+        hi = lo + geometry.CHUNK_ROWS
+        mv, mn, src = geometry.branch_images_batch(verts[lo:hi], counts[lo:hi],
+                                                   torus_map.branches)
+        cv, cn, img, iq, ip = geometry.grid_cuts_batch(mv, mn, q_edges, p_edges)
+        areas = geometry.polygon_area_batch(cv, cn)
+        thick = areas > partitions._ZERO_AREA
+        keys = owner[lo:hi][src[img]] * part.n_cells + iq * part.m_p + ip
+        kept.append((cv[thick], cn[thick], keys[thick], areas[thick]))
+    verts, counts, keys, areas = geometry.concat_batches(kept)
+    codes, owner, sizes = np.unique(keys, return_inverse=True, return_counts=True)
+    order = np.argsort(owner, kind="stable")
+    starts = np.cumsum(sizes) - sizes
+    measures = areas[order[starts]]
+    for w in np.flatnonzero(sizes > 1):
+        measures[w] = math.fsum(areas[order[starts[w]:starts[w] + sizes[w]]].tolist())
+    return codes, measures, verts[:, :int(counts.max(initial=0))], counts, owner
+
+
+@pytest.mark.parametrize("case", [("identity", 2, 2, 4), ("baker", 2, 1, 10),
+                                  ("cat", 3, 3, 5), ("cat", 8, 8, 4)],
+                         ids=lambda c: "%s-%dx%d-d%d" % c)
+def test_exact_grouping_matches_unique_reference(case, monkeypatch):
+    name, m_q, m_p, depth = case
+    part = GridPartition(m_q, m_p)
+    recs = refine_series(make_map(name), part, depth)
+    grouped = partitions._refine_pieces
+
+    def both(*args):
+        # every output, the piece owners too, on the same pieces
+        got, ref = grouped(*args), _unique_refine_pieces(*args)
+        for a, b in zip(got, ref):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+        return ref
+
+    monkeypatch.setattr(partitions, "_refine_pieces", both)
+    ref = refine_series(make_map(name), part, depth)
+    assert len(recs) == len(ref) == depth + 1
+    for rec, r in zip(recs, ref):
+        assert rec.codes.dtype == r.codes.dtype
+        assert _digest(rec) == _digest(r)
+
+
 def test_baker_h_mu_is_ln2():
     recs = refine_series(make_map("baker"), GridPartition(2, 1), 12)
     assert abs(h_mu(recs) - LN2) < 0.01 * LN2

@@ -9,8 +9,8 @@ from pesinlab import (BiorthOperator, ClassicalSource, GamowSpec,
                       entropy_nats, h_mu, make_cell_operators, make_map, mu_via_quantum,
                       prescription_run, quantum_fit_onset, refine_series,
                       semiclassical_h_mu, word_rows)
-from pesinlab.pipeline import RATE_FLOOR, VERDICT_MARGIN, _distinct_rows, \
-    _word_verdicts
+from pesinlab.partitions import prefix_levels
+from pesinlab.pipeline import RATE_FLOOR, VERDICT_MARGIN, _word_verdicts
 
 LN2 = math.log(2.0)
 
@@ -338,12 +338,15 @@ def test_exhaustive_vs_sampled_regimes():
 @pytest.mark.parametrize("shape, m", [((1, 5), 4), ((4096, 81), 4),
                                       ((3000, 6), 2), ((500, 30), 3)])
 def test_distinct_rows_equal_np_unique(shape, m):
+    # prefix_levels' dedup of a sampled quantum run's words
     rng = np.random.default_rng(shape[0])
     words = rng.integers(0, m, size=shape, dtype=np.int32)
     dup = shape[0] // 4
     words[:dup] = words[shape[0] - dup:]   # exact duplicates
     expect = np.unique(words, axis=0)
-    got = _distinct_rows(words)
+    for perm, starts, _, _ in prefix_levels(words, m):
+        pass
+    got = words[perm[starts]]
     assert got.dtype == np.int32
     assert got.shape == expect.shape
     assert got.tobytes() == expect.tobytes()

@@ -32,6 +32,13 @@ def test_json_writer_is_canonical(tmp_path):
     assert json.loads(text) == {"a": [1.5, None], "b": 1}
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_json_writer_refuses_non_finite_numbers(tmp_path, value):
+    # bare NaN or Infinity is not JSON; the writer must not produce it
+    with pytest.raises(ValueError):
+        write_json(tmp_path / "doc.json", {"a": [1.0, value]})
+
+
 def test_csv_writer_layout(tmp_path):
     p = write_csv(tmp_path / "t.csv", ("x", "y"), [["1", "2"], ["3", "4"]])
     assert p.read_text() == "x,y\n1,2\n3,4\n"
