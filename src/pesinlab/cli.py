@@ -181,12 +181,17 @@ def _env_seed():
 
 
 def _as_int(name, value, low=None, high=None):
-    if isinstance(value, bool) or not isinstance(value, int):
+    # integral floats and integer strings convert; bools, fractions and
+    # anything else are refused rather than truncated
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    elif isinstance(value, str):
         try:
             value = int(value)
-        except (TypeError, ValueError):
-            raise ConfigurationError(
-                f"{name} must be an integer, got {value!r}") from None
+        except ValueError:
+            pass
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigurationError(f"{name} must be an integer, got {value!r}")
     if low is not None and value < low:
         raise ConfigurationError(f"{name} must be at least {low}, got {value}")
     if high is not None and value > high:
@@ -196,6 +201,8 @@ def _as_int(name, value, low=None, high=None):
 
 def _as_float(name, value, low=None, strict=False):
     try:
+        if isinstance(value, bool):  # a JSON true is no number
+            raise TypeError
         value = float(value)
     except (TypeError, ValueError):
         raise ConfigurationError(
@@ -215,6 +222,8 @@ def _parse(p: Param, value):
         return _as_int(p.key, value, p.low, p.high)
     if p.kind == "float":
         return _as_float(p.key, value, p.low, p.strict)
+    if p.kind == "switch" and not isinstance(value, bool):
+        raise ConfigurationError(f"{p.key} must be true or false, got {value!r}")
     if p.kind == "choice" and value not in p.choices:
         raise ConfigurationError(
             f"{p.key} must be one of {', '.join(p.choices)}; got {value!r}")

@@ -32,14 +32,15 @@ Exact refinement (partitions) computes each kept piece's area once and
 takes a word's measure as the fsum of its pieces' areas, so neither the
 order of the pieces nor the chunking changes a measure by a bit.
 
-Pruning.  A piece is clipped against a box (a branch domain, a torus
-square, a grid cell) only when its bounding box overlaps the box strictly.
-Otherwise the clip is None, or it keeps only vertices on one line of the
-box and its crossings, which lie on that line too, so every shoelace term
-cancels against another and the area is exactly 0.
+Pruning.  A piece is clipped against a box (a branch domain, or a cell of
+a grid; the torus squares are the integer grid's cells) only when its
+bounding box overlaps the box strictly.  Otherwise the clip is None, or it
+keeps only vertices on one line of the box and its crossings, which lie on
+that line too, so every shoelace term cancels against another and the
+area is exactly 0.
 
 Memory.  Every stage runs on at most ``CHUNK_ROWS`` rows at a time: the
-(piece, box) pairs of a clip, the rows of an area sum, and, in exact
+(piece, cell) pairs of a grid cut, the rows of an area sum, and, in exact
 refinement, the pieces mapped forward in one pass.  Scratch arrays stay
 bounded whatever the number of pieces; only the pieces kept at a depth
 are held in full.
@@ -49,7 +50,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -129,9 +130,9 @@ def affine_image(poly: Polygon, a: float, b: float, c: float, d: float,
 
 
 def _torus_squares(lo: float, hi: float) -> range:
-    # integer i with [i, i+1] overlapping [lo, hi] strictly (one square
-    # when the span is a single integer point)
-    return range(math.floor(lo), max(math.ceil(hi), math.floor(lo) + 1))
+    # integer i with [i, i+1] overlapping [lo, hi] strictly, the grid-cut
+    # rule: none when the span is a single integer point
+    return range(math.floor(lo), math.ceil(hi))
 
 
 def wrap_to_torus(poly: Polygon) -> list[Polygon]:
@@ -322,45 +323,36 @@ def _row_chunks(sizes: np.ndarray):
         start = stop
 
 
-def _clip_to_boxes(verts: np.ndarray, counts: np.ndarray, i0: np.ndarray,
-                   ni: np.ndarray, j0: np.ndarray, nj: np.ndarray,
-                   box: Callable[[np.ndarray, np.ndarray], np.ndarray]):
-    """Clip row r against box(i, j) for i0 <= i < i0+ni, j0 <= j < j0+nj.
+def grid_cuts_batch(verts: np.ndarray, counts: np.ndarray,
+                    q_edges: np.ndarray, p_edges: np.ndarray):
+    """Clip every row against the cells of a grid it overlaps strictly.
 
-    Pairs run i-major within a row and rows in order, CHUNK_ROWS at a time.
-    Returns (verts, counts, rows, i, j) of the clips that are not None.
+    Cell (iq, ip) is [q_edges[iq], q_edges[iq+1]] x [p_edges[ip],
+    p_edges[ip+1]].  The (row, cell) pairs run iq-major within a row and
+    rows in order, CHUNK_ROWS pairs at a time.  Returns (verts, counts,
+    rows, iq, ip) of the clips that are not None, by row and then by cell.
     """
-    ni, nj = np.maximum(ni, 0), np.maximum(nj, 0)
-    sizes = ni * nj
+    lo, hi = _bounds(verts, counts)
+    iq0 = np.searchsorted(q_edges[1:], lo[:, 0], side="right")
+    nq = np.maximum(np.searchsorted(q_edges[:-1], hi[:, 0], side="left") - iq0, 0)
+    ip0 = np.searchsorted(p_edges[1:], lo[:, 1], side="right")
+    npc = np.maximum(np.searchsorted(p_edges[:-1], hi[:, 1], side="left") - ip0, 0)
+    sizes = nq * npc
     firsts = np.cumsum(sizes) - sizes
     parts = []
     for start, stop in _row_chunks(sizes):
         rows = np.repeat(np.arange(start, stop), sizes[start:stop])
         local = np.arange(firsts[start], firsts[start] + len(rows)) - firsts[rows]
-        i = i0[rows] + local // nj[rows]
-        j = j0[rows] + local % nj[rows]
-        v, n, kept = clip_to_rect_batch(verts[rows], counts[rows], box(i, j))
-        parts.append((v, n, rows[kept], i[kept], j[kept]))
+        iq = iq0[rows] + local // npc[rows]
+        ip = ip0[rows] + local % npc[rows]
+        cells = np.column_stack((q_edges[iq], q_edges[iq + 1],
+                                 p_edges[ip], p_edges[ip + 1]))
+        v, n, kept = clip_to_rect_batch(verts[rows], counts[rows], cells)
+        parts.append((v, n, rows[kept], iq[kept], ip[kept]))
     if not parts:
         empty = np.zeros(0, dtype=np.int64)
         return np.zeros((0, 0, 2)), empty, empty, empty, empty
     return concat_batches(parts)
-
-
-def wrap_to_torus_batch(verts: np.ndarray, counts: np.ndarray):
-    """wrap_to_torus of every row; returns (verts, counts, rows)."""
-    lo, hi = _bounds(verts, counts)
-    first = np.floor(lo).astype(np.int64)
-    stop = np.maximum(np.ceil(hi).astype(np.int64), first + 1)
-    span = stop - first
-
-    def square(i, j):
-        return np.column_stack((i, i + 1, j, j + 1)).astype(float)
-
-    v, n, rows, i, j = _clip_to_boxes(verts, counts, first[:, 0], span[:, 0],
-                                      first[:, 1], span[:, 1], square)
-    v = v - np.stack((i, j), axis=-1).astype(float)[:, None, :]
-    return v, n, rows
 
 
 def branch_images_batch(verts: np.ndarray, counts: np.ndarray,
@@ -380,7 +372,12 @@ def branch_images_batch(verts: np.ndarray, counts: np.ndarray,
         if br.affine is not None:
             v = affine_image_batch(v, *br.affine)
         if br.wrap:
-            v, n, sub = wrap_to_torus_batch(v, n)
+            # cut by the integer grid (padding vertices only widen it), then
+            # move each cut back by its cell's corner
+            q_edges, p_edges = map(np.arange, np.floor(v.min(axis=(0, 1), initial=0.0)),
+                                   np.ceil(v.max(axis=(0, 1), initial=0.0)) + 1)
+            v, n, sub, iq, ip = grid_cuts_batch(v, n, q_edges, p_edges)
+            v = v - np.stack((q_edges[iq], p_edges[ip]), axis=-1)[:, None, :]
             rows = rows[sub]
         parts.append((v, n, rows))
     v, n, rows = concat_batches(parts)
@@ -388,24 +385,3 @@ def branch_images_batch(verts: np.ndarray, counts: np.ndarray,
         order = np.argsort(rows, kind="stable")
         v, n, rows = v[order], n[order], rows[order]
     return v, n, rows
-
-
-def grid_cuts_batch(verts: np.ndarray, counts: np.ndarray,
-                    q_edges: np.ndarray, p_edges: np.ndarray):
-    """Clip every row against the cells of a grid it overlaps strictly.
-
-    Cell (iq, ip) is [q_edges[iq], q_edges[iq+1]] x [p_edges[ip],
-    p_edges[ip+1]].  Returns (verts, counts, rows, iq, ip) of the clips
-    that are not None, by row and then by cell.
-    """
-    lo, hi = _bounds(verts, counts)
-    iq0 = np.searchsorted(q_edges[1:], lo[:, 0], side="right")
-    iq1 = np.searchsorted(q_edges[:-1], hi[:, 0], side="left")
-    ip0 = np.searchsorted(p_edges[1:], lo[:, 1], side="right")
-    ip1 = np.searchsorted(p_edges[:-1], hi[:, 1], side="left")
-
-    def cell(iq, ip):
-        return np.column_stack((q_edges[iq], q_edges[iq + 1],
-                                p_edges[ip], p_edges[ip + 1]))
-
-    return _clip_to_boxes(verts, counts, iq0, iq1 - iq0, ip0, ip1 - ip0, cell)

@@ -51,6 +51,11 @@ class DecayReport:
     loglog_quality: float
 
 
+def _bad_magnitude(n: int, v: float) -> ValueError:
+    return ValueError(f"magnitude at n={n} is {v!r}; decay fits need finite, "
+                      "positive magnitudes")
+
+
 def decay_detect(values, onset: Optional[int] = None, onset_fraction: float = 0.5,
                  r2_threshold: float = 0.99,
                  rate_floor: float = RATE_FLOOR) -> DecayReport:
@@ -67,8 +72,7 @@ def decay_detect(values, onset: Optional[int] = None, onset_fraction: float = 0.
         raise ValueError("decay detection needs at least 8 points")
     for n, v in pts:
         if not (math.isfinite(v) and v > 0.0):
-            raise ValueError(f"magnitude at n={n} is {v!r}; decay fits "
-                             "need finite, positive magnitudes")
+            raise _bad_magnitude(n, v)
     if onset is None:
         onset = math.ceil(onset_fraction * pts[-1][0])
     tail = [(n, v) for n, v in pts if n >= onset]
@@ -336,6 +340,9 @@ def _quantum_measures(src: QuantumSource, n_max: int, word_budget: int,
         # a family whose cell measures sum above 1 is no sub-partition, and
         # semiclassical_h_mu would refuse its measures
         total = math.fsum(prefix_mags.tolist())
+        if not math.isfinite(total):
+            # decay_detect would refuse this depth's mean after the last one
+            raise _bad_magnitude(n, float(col.mean()))
         if total > 1.0 + 1e-6:
             raise ConfigurationError(
                 f"cell measures at depth {n} sum to {total!r}, above 1; "

@@ -296,25 +296,14 @@ def poisson_bracket(f: PolySymbol, g: PolySymbol) -> PolySymbol:
 
 
 def moyal_bracket(f: PolySymbol, g: PolySymbol) -> PolySymbol:
-    """(f star g - g star f) / (i hbar), via the odd part of the series.
-
-    The closed form sums (i hbar)^(k-1) / (2^(k-1) k!) times the odd-order
-    bidifferential terms, so no division by hbar ever happens; hbar > 0 is
-    still required because the defining quotient is singular at 0.
+    """(f star g - g star f) / (i hbar), exactly: the difference times the
+    exact rational -i / hbar.  Needs hbar > 0, where the quotient is defined.
     """
     f._binary(g)
     if f.hbar == 0.0:
         raise ValueError("the Moyal bracket needs hbar > 0")
-    hbar = Fraction(f.hbar)
-    total = f._wrap({})
-    for k in range(1, min(f.degree, g.degree) + 1, 2):
-        term = _bidiff_term(f, g, k)
-        if term.is_zero:
-            continue
-        factor = _I_POWERS[(k - 1) % 4].scale(
-            hbar ** (k - 1) / (2 ** (k - 1) * factorial(k)))
-        total = total + term * factor
-    return total
+    commutator = star_product(f, g) - star_product(g, f)
+    return commutator * _RC(im=-1 / Fraction(f.hbar))
 
 
 def hbar_expansion_check(f: PolySymbol, g: PolySymbol):
@@ -322,24 +311,22 @@ def hbar_expansion_check(f: PolySymbol, g: PolySymbol):
 
     hbar is treated as a formal parameter: the answer is the order of the
     first nonvanishing series term, found exactly, with math.inf meaning the
-    defect is identically zero.  By construction the first value is >= 1 and
-    the second >= 2.
+    defect is identically zero.  The star defect is the first nonzero
+    bidifferential order k >= 1; the Moyal bracket keeps the odd orders k
+    at hbar^(k-1), so its defect is the first nonzero odd k >= 3, less 1.
+    By construction the first value is >= 1 and the second >= 2.
     """
     f._binary(g)
     if f.is_constant or g.is_constant:
         raise ValueError("expansion orders are only meaningful for nonconstant symbols")
     kmax = min(f.degree, g.degree)
-    star_defect = math.inf
-    for k in range(1, kmax + 1):
-        if not _bidiff_term(f, g, k).is_zero:
-            star_defect = k
-            break
-    moyal_defect = math.inf
-    for k in range(3, kmax + 1, 2):
-        if not _bidiff_term(f, g, k).is_zero:
-            moyal_defect = k - 1
-            break
-    return star_defect, moyal_defect
+
+    def first_nonzero(orders):
+        return next((k for k in orders if not _bidiff_term(f, g, k).is_zero),
+                    math.inf)
+
+    return (first_nonzero(range(1, kmax + 1)),
+            first_nonzero(range(3, kmax + 1, 2)) - 1)
 
 
 # --- Gaussian pairing -------------------------------------------------------

@@ -393,6 +393,16 @@ _PRESCRIBED = {"generation": "prescribed", "n_max": 2, "cells": 2}
     (["pesin"], {"map": "baker", "samples": 2}, "unknown config keys: samples"),
     (["pesin"], {"map": "baker", "include_words": True},
      "unknown config keys: include_words"),
+    # values are refused, not truncated or coerced
+    (["ks-entropy", "--map", "baker"], {"depth": 7.9},
+     "depth must be an integer, got 7.9"),
+    (["prescription", "--source", "gamow", "--depth", "8"],
+     {"word_budget": 16.5}, "word_budget must be an integer, got 16.5"),
+    (["lyapunov", "--map", "cat"], {"seed": True},
+     "seed must be an integer, got True"),
+    (["gamow-evolve"], {"hbar": True}, "hbar must be a number, got True"),
+    (["ks-entropy", "--map", "baker", "--depth", "4"],
+     {"include_words": "false"}, "include_words must be true or false"),
 ])
 def test_bad_config_file_is_configuration_error(tmp_path, capsys, argv, cfg,
                                                 cause):
@@ -403,6 +413,19 @@ def test_bad_config_file_is_configuration_error(tmp_path, capsys, argv, cfg,
     assert code == 2
     assert cause in err
     assert [p.name for p in tmp_path.glob("*.json")] == ["cfg.json"]
+
+
+def test_integral_config_numbers_and_strings_convert(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"depth": 4.0, "seed": "3",
+                                    "include_words": False}))
+    code, _, _ = run_cli(["ks-entropy", "--map", "baker", "--config",
+                          str(cfg_path), "--out", str(tmp_path)], capsys)
+    assert code == 0
+    doc = json.loads((tmp_path / "ks_entropy.json").read_text())
+    assert len(doc["records"]) == 5
+    assert doc["config"]["seed"] == 3
+    assert "word_measures" not in doc["records"][0]
 
 
 def _run_module(args, timeout):
@@ -492,6 +515,8 @@ def test_non_finite_quantum_magnitudes_fail_without_json(tmp_path):
     assert proc.returncode == 1, proc.stderr
     assert re.search(r"magnitude at n=\d+ is nan; decay fits need finite", proc.stderr)
     assert not (tmp_path / "prescription.json").exists()
+    # the run stops at the first depth whose measures are not finite
+    assert "depth 2/10" not in proc.stderr
 
 
 @pytest.mark.parametrize("command", [

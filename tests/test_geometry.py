@@ -7,11 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pesinlab import MAP_NAMES, geometry, make_map
-from pesinlab.geometry import (affine_image, as_batch, branch_images_batch,
-                               clip_to_rect, clip_to_rect_batch,
-                               grid_cuts_batch, polygon_area,
-                               polygon_area_batch, rect_polygon,
-                               wrap_to_torus, wrap_to_torus_batch)
+from pesinlab.geometry import (Branch, affine_image, as_batch,
+                               branch_images_batch, clip_to_rect,
+                               clip_to_rect_batch, grid_cuts_batch,
+                               polygon_area, polygon_area_batch, rect_polygon,
+                               wrap_to_torus)
 
 rng = np.random.default_rng(4)
 
@@ -88,6 +88,16 @@ def test_wrap_preserves_area(seed):
     assert abs(total - w * h) < 1e-12
 
 
+def test_wrap_drops_polygon_collapsed_onto_integer_point():
+    # a zero-area piece on the integer point (1, 2) overlaps no torus
+    # square strictly, so neither wrap keeps anything of it
+    poly = ((1.0, 2.0), (1.0, 2.0), (1.0, 2.0))
+    assert wrap_to_torus(poly) == []
+    verts, counts, rows = branch_images_batch(*as_batch([poly]),
+                                              (Branch(None, None, wrap=True),))
+    assert len(counts) == 0 and len(rows) == 0
+
+
 # --- batched kernel against the per-polygon oracle --------------------------
 
 MATRICES = ((1.0, 0.0, 0.0, 1.0), (2.0, 0.0, 0.0, 0.5), (0.5, 0.0, 0.0, 2.0),
@@ -154,7 +164,8 @@ def test_batched_clip_matches_clip_to_rect(pairs):
 @given(st.lists(convex_polygons(), min_size=1, max_size=12), st.integers(1, 8))
 def test_batched_branches_match_forward_pieces(polys, chunk):
     with chunk_rows(chunk):
-        verts, counts, rows = wrap_to_torus_batch(*as_batch(polys))
+        verts, counts, rows = branch_images_batch(*as_batch(polys),
+                                                  (Branch(None, None, wrap=True),))
         wrapped = [wrap_to_torus(p) for p in polys]
         assert rows_of(verts, counts) == as_bytes([w for ws in wrapped for w in ws])
         assert rows.tolist() == [i for i, ws in enumerate(wrapped) for _ in ws]

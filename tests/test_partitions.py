@@ -115,8 +115,9 @@ def test_baker_measures_exact_all_depths(n):
 
 # per depth: the first 16 hex digits of the sha256 of codes.tobytes() and of
 # measures.tobytes(), and repr(entropy); recorded from the per-polygon
-# Sutherland-Hodgman refinement, so the batched kernel must repeat it bit
-# for bit
+# Sutherland-Hodgman refinement (the cat 3x5 and depth-6 cat 8x8 pins from
+# the batched kernel while it still wrapped by torus squares of its own),
+# so the batched kernel must repeat it bit for bit
 GOLDEN_RECORDS = {
     ("baker", 2, 1, 10): (
         ("9d34149fbd1fe777", "606e5166986dd9f1", "0.6931471805599453"),
@@ -146,6 +147,24 @@ GOLDEN_RECORDS = {
         ("9795192b22cc3cee", "86385ef67039b8fe", "7.068779865839941"),
         ("bd25dd8c819224d7", "38357c4f8f7c6143", "8.08827355608307"),
         ("6cd391c9e48280c3", "8b7bda8fdbcead38", "9.083107339477657"),
+    ),
+    ("cat", 3, 5, 6): (
+        ("4107167d6f03f7cb", "fc823912fd89bd4f", "2.70805020110221"),
+        ("2fd9070565c96846", "45281fc8bcbcf152", "4.176647083879278"),
+        ("0a1d0ad44335e521", "f6e1af308af05d7e", "5.381687356197524"),
+        ("67a7f04142a38dd0", "2c0dcb18087c309d", "6.486690075688951"),
+        ("d3f365b446616ff9", "5f2e47c161e0370c", "7.534985177288071"),
+        ("af7dc2fbb2ba8049", "85d07f18be19eff2", "8.552469046780622"),
+        ("177bbda0fa92315e", "8026b0d2e5717828", "9.545439791874816"),
+    ),
+    ("cat", 8, 8, 6): (
+        ("7a4644928f3a08db", "25493ecc62734a68", "4.1588830833596715"),
+        ("68e37b8a934c7ad4", "62fd56f6dba82940", "5.545177444479562"),
+        ("806e70de93323bf3", "ce33cc9f4dbdd36e", "6.813271703147391"),
+        ("ce3f7f4cd8298c14", "50966bc10f175f54", "7.963779048047347"),
+        ("11f9b9fb7791d24c", "f03f4d7b7578d9a4", "9.030438371863399"),
+        ("83a83743e2fce827", "51c04c2ba7a0cfe0", "10.049932062106517"),
+        ("eeccc3ec7ee86d9a", "e4fef0ca887ccf38", "11.04476584550114"),
     ),
     ("identity", 2, 2, 4): (
         ("a1e03200f1f82ad2", "5073e61eafb5e090", "1.3862943611198906"),

@@ -1,15 +1,19 @@
-"""The README's command examples must match the command-line parser.
+"""The README's command examples and names must match the package.
 
-A removed or renamed flag otherwise lives on in the documentation; these
-checks parse every example and look up every --flag the README mentions.
+A removed or renamed flag or function otherwise lives on in the
+documentation; these checks parse every example, look up every --flag the
+README mentions, and resolve every `module.name` of a pesinlab module.
 """
 
+import importlib
+import pkgutil
 import re
 import shlex
 from pathlib import Path
 
 import pytest
 
+import pesinlab
 from pesinlab.cli import build_parser
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -45,3 +49,14 @@ def test_readme_flags_exist():
     mentioned = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", README))
     unknown = mentioned - _accepted_flags() - FOREIGN_FLAGS
     assert not unknown, sorted(unknown)
+
+
+def test_readme_module_names_resolve():
+    modules = {m.name for m in pkgutil.iter_modules(pesinlab.__path__)}
+    named = [(mod, attr) for mod, attr
+             in re.findall(r"`([a-z_]+)\.([A-Za-z_]\w*)`", README)
+             if mod in modules]
+    assert len(named) >= 8
+    missing = [f"{mod}.{attr}" for mod, attr in named
+               if not hasattr(importlib.import_module(f"pesinlab.{mod}"), attr)]
+    assert not missing, missing

@@ -147,6 +147,14 @@ def test_defect_squares():
     assert moyal_d == math.inf
 
 
+def test_defect_skips_even_orders():
+    # a symbol commutes with itself, so Moyal - Poisson is 0 although the
+    # even order-4 term of the star series is not
+    f = PolySymbol.monomial(2, 2)
+    assert moyal_bracket(f, f).is_zero
+    assert hbar_expansion_check(f, f) == (2, math.inf)
+
+
 def test_defect_cubes():
     star_d, moyal_d = hbar_expansion_check(PolySymbol.monomial(3, 0),
                                            PolySymbol.monomial(0, 3))
