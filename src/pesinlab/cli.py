@@ -31,18 +31,13 @@ from .gamow import GamowSpec, evolve_operator, make_cell_operators, \
 from .lyapunov import lyapunov_spectrum, pesin_residual
 from .maps import MAP_NAMES, PhasePoint, make_map
 from .partitions import (MC_ESTIMATORS, MEASURE_MODES, GridPartition,
-                         McConfig, h_mu, h_mu_ratio, hks_estimate,
-                         progress_line, refine_series, word_rows)
+                         McConfig, h_mu_ratio, hks_estimate, progress_line,
+                         word_rows)
 from .pipeline import ClassicalSource, QuantumSource, prescription_run
 
 FORMATS = ("json", "csv", "both")
 SOURCES = ("classical", "gamow")
 GENERATIONS = ("random", "prescribed")
-
-# Monte Carlo entropies default to the coverage-adjusted estimator: the
-# plug-in one visibly flattens entropy slopes once the word count gets
-# within a couple of orders of magnitude of the sample count.
-DEFAULT_ESTIMATOR = "chao_shen"
 
 LYAP, KS, PESIN, PRESC, GAMOW = ("lyapunov", "ks-entropy", "pesin",
                                  "prescription", "gamow-evolve")
@@ -93,11 +88,14 @@ PARAMS = (
           echo="classical", help="measure backend"),
     Param("mc_samples", "int", _REFINE, 1_000_000, low=1, echo="classical",
           help="Monte Carlo sample count"),
-    Param("estimator", "choice", _REFINE, choices=MC_ESTIMATORS,
+    # Monte Carlo entropies default to the coverage-adjusted estimator: the
+    # plug-in one visibly flattens entropy slopes once the word count gets
+    # within a couple of orders of magnitude of the sample count.
+    Param("estimator", "choice", _REFINE, "chao_shen", choices=MC_ESTIMATORS,
           echo="classical", help="entropy estimator for mc mode"),
     Param("ladder", "text", (KS, PESIN),
           help="comma list of grids, e.g. 2x1,2x2,4x4"),
-    Param("include_words", "switch", (KS,),
+    Param("include_words", "switch", (KS,), False,
           help="embed per-word measures in the JSON output"),
     Param("lyap_steps", "int", (PESIN,), 10000, low=100,
           help="orbit length for the exponent side"),
@@ -318,11 +316,9 @@ def _refinement_setup(cfg, opt, exact_depth, mc_depth, low):
         cfg["grid"] = _default_grid(opt["map"])
     grid = _parse_grid(cfg["grid"])
     cfg["grid"] = list(grid)
-    if cfg["estimator"] is None:
-        cfg["estimator"] = DEFAULT_ESTIMATOR
     if opt["mode"] == "mc":
         mc = McConfig(n_samples=opt["mc_samples"], seed=opt["seed"],
-                      estimator=cfg["estimator"])
+                      estimator=opt["estimator"])
         return GridPartition(*grid), mc, _depth(cfg, mc_depth, low)
     # exact cat cells multiply by 3-4 per depth on the default 8x8 grid, and
     # depth 7 is the deepest that partitions.EXACT_WORD_CAP admits there
@@ -368,6 +364,10 @@ def _cell_operators(cfg, opt):
     if generation == "prescribed":
         draw = {"tables": _prescribed_tables(cfg), "labels": cfg.get("labels")}
     else:
+        for key in ("tables", "labels"):
+            if cfg.get(key) is not None:
+                raise ConfigurationError(
+                    f"{key} needs generation=prescribed")
         draw = {k: opt[k] for k in ("seed", "total_mass", "spread",
                                     "off_scale", "support")}
     return spec, make_cell_operators(spec, opt["cells"], generation, **draw)
@@ -406,62 +406,68 @@ def cmd_lyapunov(args):
     return 0
 
 
-def _ladder_outputs(torus_map, ladder, depth, mode, mc):
-    est = hks_estimate(torus_map, ladder, depth, mode, mc,
-                       _depth_progress(depth, ladder=True))
-    doc_part = {
-        "h_ks": est.value,
-        "profile": [{"grid": [mq, mp], "h_mu": h} for mq, mp, h in est.profile],
-        "ladders": [{"grid": [part.m_q, part.m_p],
-                     "records": [serialize.refinement_record_doc(r)
-                                 for r in recs]}
-                    for part, recs in zip(ladder, est.records)],
-    }
-    header = ("grid", "n", "R_n", "entropy")
-    rows = []
-    for part, recs in zip(ladder, est.records):
-        tag = f"{part.m_q}x{part.m_p}"
-        for r in recs:
-            rows.append([tag, str(r.n), str(r.nonempty_words),
-                         serialize.fmt_float(r.entropy)])
-    return est, doc_part, header, rows
+def _entropy_side(cfg, opt):
+    """The map and entropy estimate of ks-entropy and pesin.
+
+    One --grid runs as a ladder of one, so its est.value is h_mu of
+    est.records[0].  Returns the map, the estimate and whether a --ladder
+    ran.
+    """
+    torus_map = make_map(_required(opt, "map", MAP_NAMES))
+    part, mc, depth = _refinement_setup(cfg, opt, 12, 10, low=4)
+    laddered, ladder = cfg["ladder"] is not None, [part]
+    if laddered:
+        ladder = _parse_ladder(cfg["ladder"])
+        cfg["ladder"] = [[p.m_q, p.m_p] for p in ladder]
+    est = hks_estimate(torus_map, ladder, depth, opt["mode"], mc,
+                       _depth_progress(depth, ladder=laddered))
+    return torus_map, est, laddered
+
+
+def _profile_doc(est):
+    return [{"grid": [mq, mp], "h_mu": h} for mq, mp, h in est.profile]
 
 
 def cmd_ks_entropy(args):
     cfg, opt, out_dir = _prologue(args)
-    torus_map = make_map(_required(opt, "map", MAP_NAMES))
-    part, mc, depth = _refinement_setup(cfg, opt, 12, 10, low=4)
-    include_words = bool(cfg["include_words"])
-    cfg["include_words"] = include_words
+    if opt["include_words"] and cfg["ladder"] is not None:
+        raise ConfigurationError(
+            "--include-words needs one --grid; a --ladder embeds no words")
+    _, est, laddered = _entropy_side(cfg, opt)
 
-    if cfg["ladder"] is not None:
-        ladder = _parse_ladder(cfg["ladder"])
-        cfg["ladder"] = [[p.m_q, p.m_p] for p in ladder]
-        est, doc_part, header, rows = _ladder_outputs(
-            torus_map, ladder, depth, opt["mode"], mc)
-        doc = {"command": "ks-entropy", "config": _echo(cfg), **doc_part}
-        written = _emit(out_dir, "ks_entropy", opt["format"], doc, header, rows)
+    if laddered:
+        ladders, rows = [], []
+        for (mq, mp, _), recs in zip(est.profile, est.records):
+            ladders.append({"grid": [mq, mp], "records": [
+                serialize.refinement_record_doc(r) for r in recs]})
+            rows += [[f"{mq}x{mp}", *row]
+                     for row in serialize.refinement_rows(recs)]
+        doc = {"command": "ks-entropy", "config": _echo(cfg),
+               "h_ks": est.value, "profile": _profile_doc(est),
+               "ladders": ladders}
+        written = _emit(out_dir, "ks_entropy", opt["format"], doc,
+                        ("grid", *serialize.REFINEMENT_CSV_HEADER), rows)
         for mq, mp, h in est.profile:
             print(f"grid {mq}x{mp}: h_mu {_fmt(h)} nats/step")
         print(f"h_KS (max over ladder) {_fmt(est.value)} nats/step")
     else:
-        records = refine_series(torus_map, part, depth, opt["mode"], mc,
-                                _depth_progress(depth))
-        slope = h_mu(records)
+        records = est.records[0]
         ratio = h_mu_ratio(records)
-        final = records[-1]
         doc = {"command": "ks-entropy", "config": _echo(cfg),
                "records": [serialize.refinement_record_doc(
-                   r, word_rows(records[:r.n + 1])[0] if include_words else None)
+                   r, word_rows(records[:r.n + 1])[0]
+                   if opt["include_words"] else None)
                    for r in records],
-               "h_mu": slope, "h_mu_ratio": ratio}
+               "h_mu": est.value, "h_mu_ratio": ratio}
         written = _emit(out_dir, "ks_entropy", opt["format"], doc,
                         serialize.REFINEMENT_CSV_HEADER,
                         serialize.refinement_rows(records))
-        print(f"map {opt['map']} grid {part.m_q}x{part.m_p} "
-              f"mode {opt['mode']}: depth {depth}, "
-              f"R_{depth} = {final.nonempty_words}, H = {_fmt(final.entropy)}")
-        print(f"h_mu slope {_fmt(slope)} nats/step, "
+        final = records[-1]
+        (mq, mp), depth = final.grid, final.n
+        print(f"map {opt['map']} grid {mq}x{mp} mode {opt['mode']}: "
+              f"depth {depth}, R_{depth} = {final.nonempty_words}, "
+              f"H = {_fmt(final.entropy)}")
+        print(f"h_mu slope {_fmt(est.value)} nats/step, "
               f"H(n)/n at depth {depth}: {_fmt(ratio)}")
     print("wrote " + ", ".join(written))
     return 0
@@ -469,30 +475,19 @@ def cmd_ks_entropy(args):
 
 def cmd_pesin(args):
     cfg, opt, out_dir = _prologue(args)
-    torus_map = make_map(_required(opt, "map", MAP_NAMES))
-    part, mc, depth = _refinement_setup(cfg, opt, 12, 10, low=4)
+    torus_map, est, laddered = _entropy_side(cfg, opt)
     lyap_steps = opt["lyap_steps"]
-
-    if cfg["ladder"] is not None:
-        ladder = _parse_ladder(cfg["ladder"])
-        cfg["ladder"] = [[p.m_q, p.m_p] for p in ladder]
-        est = hks_estimate(torus_map, ladder, depth, opt["mode"], mc,
-                           _depth_progress(depth, ladder=True))
-        h_side = est.value
-        h_doc = {"method": "ladder_max", "value": h_side,
-                 "profile": [{"grid": [mq, mp], "h_mu": h}
-                             for mq, mp, h in est.profile]}
+    if laddered:
+        h_doc = {"method": "ladder_max", "value": est.value,
+                 "profile": _profile_doc(est)}
     else:
-        records = refine_series(torus_map, part, depth, opt["mode"], mc,
-                                _depth_progress(depth))
-        h_side = h_mu(records)
-        h_doc = {"method": "slope", "value": h_side,
-                 "h_mu_ratio": h_mu_ratio(records),
+        h_doc = {"method": "slope", "value": est.value,
+                 "h_mu_ratio": h_mu_ratio(est.records[0]),
                  "records": [serialize.refinement_record_doc(r)
-                             for r in records]}
+                             for r in est.records[0]]}
 
     positive = _spectrum(torus_map, opt["seed"], lyap_steps).positive_sum
-    report = pesin_residual(max(h_side, 0.0), positive)
+    report = pesin_residual(max(est.value, 0.0), positive)
 
     doc = {"command": "pesin", "config": _echo(cfg), "h_estimate": h_doc,
            "lyapunov": {"positive_sum": positive, "steps": lyap_steps},

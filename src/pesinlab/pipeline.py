@@ -34,7 +34,8 @@ VERDICTS = ("exponential", "not_exponential", "inconclusive")
 # bytes: gamow.chain_traces holds one (W, n, n) complex buffer
 CHAIN_BYTES_CAP = 2 * 2 ** 30
 
-# decay_detect's default slope cut, the one per-word verdicts use
+# the slope an exponential verdict must fall below, in decay_detect and in
+# the batched per-word verdicts alike
 RATE_FLOOR = -1e-3
 # batched per-word fits this close to a verdict boundary defer to
 # decay_detect; numpy's sums differ from fsum's far below it
@@ -56,13 +57,13 @@ def _bad_magnitude(n: int, v: float) -> ValueError:
                       "positive magnitudes")
 
 
-def decay_detect(values, onset: Optional[int] = None, onset_fraction: float = 0.5,
-                 r2_threshold: float = 0.99,
-                 rate_floor: float = RATE_FLOOR) -> DecayReport:
+def decay_detect(values, onset: Optional[int] = None,
+                 r2_threshold: float = 0.99) -> DecayReport:
     """Fit ln magnitude against n on the tail and classify the decay.
 
+    The tail starts at onset, by default half way to the last n.
     Exponential: the linear fit in n explains the tail at least as well as a
-    log-log fit, with slope below rate_floor and R^2 at or above the
+    log-log fit, with slope below RATE_FLOOR and R^2 at or above the
     threshold.  A better log-log fit reads as polynomial-like decay (or no
     decay at all; constant data lands here with rate ~ 0).  Anything else is
     inconclusive.
@@ -74,7 +75,7 @@ def decay_detect(values, onset: Optional[int] = None, onset_fraction: float = 0.
         if not (math.isfinite(v) and v > 0.0):
             raise _bad_magnitude(n, v)
     if onset is None:
-        onset = math.ceil(onset_fraction * pts[-1][0])
+        onset = math.ceil(0.5 * pts[-1][0])
     tail = [(n, v) for n, v in pts if n >= onset]
     if len(tail) < 4:
         raise ValueError(f"only {len(tail)} points at or beyond onset {onset}")
@@ -86,7 +87,7 @@ def decay_detect(values, onset: Optional[int] = None, onset_fraction: float = 0.
         _, r2_log = fit_line([x for x, _ in log_pts], [y for _, y in log_pts])
     else:
         r2_log = -math.inf
-    if r2_lin >= r2_log and slope < rate_floor and r2_lin >= r2_threshold:
+    if r2_lin >= r2_log and slope < RATE_FLOOR and r2_lin >= r2_threshold:
         verdict = "exponential"
     elif r2_log >= r2_lin:
         verdict = "not_exponential"

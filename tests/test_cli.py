@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import math
@@ -349,6 +350,9 @@ def test_gamow_evolve_cell_out_of_range(tmp_path, capsys):
     # checked up front even though exact mode never uses it
     (["ks-entropy", "--map", "baker", "--depth", "4", "--mc-samples", "0"],
      "mc_samples"),
+    # only one --grid embeds word measures
+    (["ks-entropy", "--map", "baker", "--ladder", "2x1,2x2", "--depth", "4",
+      "--include-words"], "include-words"),
 ])
 def test_bad_value_is_configuration_error(tmp_path, capsys, argv, key):
     code, _, err = run_cli(argv + ["--out", str(tmp_path)], capsys)
@@ -403,6 +407,12 @@ _PRESCRIBED = {"generation": "prescribed", "n_max": 2, "cells": 2}
     (["gamow-evolve"], {"hbar": True}, "hbar must be a number, got True"),
     (["ks-entropy", "--map", "baker", "--depth", "4"],
      {"include_words": "false"}, "include_words must be true or false"),
+    # random cells take no tables or labels
+    (["gamow-evolve", "--n-max", "2", "--cells", "2"],
+     {"tables": [_table(0.5), _table(0.25)], "labels": ["a", "b"]},
+     "tables needs generation=prescribed"),
+    (["gamow-evolve", "--n-max", "2", "--cells", "2"], {"labels": ["a", "b"]},
+     "labels needs generation=prescribed"),
 ])
 def test_bad_config_file_is_configuration_error(tmp_path, capsys, argv, cfg,
                                                 cause):
@@ -707,6 +717,36 @@ def test_prescription_rerun_is_byte_identical(tmp_path, capsys):
     for d in ("a", "b"):
         assert run_cli(args + ["--out", str(tmp_path / d)], capsys)[0] == 0
     assert _tree_bytes(tmp_path / "a") == _tree_bytes(tmp_path / "b")
+
+
+# sha256 of the JSON and CSV of exact-mode runs, recorded when one --grid
+# still had a refinement call of its own, apart from hks_estimate's ladder.
+# Exact entropies sum math.log terms, so the bytes do not depend on numpy's
+# vectorized log.
+@pytest.mark.parametrize("argv,stem,digests", [
+    (["ks-entropy", "--map", "baker", "--depth", "6", "--include-words"],
+     "ks_entropy",
+     ("15a2bf388b1ae27fc64ed01750a5af40b79f4b4a99b867c46bdc99deeb0a7bb1",
+      "b41d819dfca4a475b9af8b7559ce90be66f85b4824f953a4d68771ed55d2de81")),
+    (["ks-entropy", "--map", "cat", "--ladder", "2x2,4x4", "--depth", "5"],
+     "ks_entropy",
+     ("8d0fd2ee50dbebe0719fe756931fdee9cff889add3bf84ba6dd5f406cf62bcb1",
+      "e29081d498ff0fd8494ee7e27a188b7c350bfec5e0db64e808524ab8faa9f0d2")),
+    (["pesin", "--map", "cat", "--grid", "8x8", "--depth", "5",
+      "--lyap-steps", "200"], "pesin",
+     ("307517a1a39456a7b66694a128198ba1402d36333d27d59c7412632b9ea16ba3",
+      "d0c55ff7ee368b78be6da3f825a7a24385688727882c39a80935639dbcfe1e96")),
+    (["pesin", "--map", "baker", "--ladder", "2x1,2x2", "--depth", "6",
+      "--lyap-steps", "200"], "pesin",
+     ("6ffa099436b5299f6504bd96bdc47d69f47f2881408d369054426c59d672cd55",
+      "c3fc7a881ab8bfa5a02dd98284c863f03a4e557a041fff62de3f983e527a8c3b")),
+], ids=["ks-grid-words", "ks-ladder", "pesin-grid", "pesin-ladder"])
+def test_exact_entropy_outputs_are_pinned(tmp_path, capsys, argv, stem,
+                                          digests):
+    assert run_cli(argv + ["--out", str(tmp_path)], capsys)[0] == 0
+    got = tuple(hashlib.sha256((tmp_path / f"{stem}.{ext}").read_bytes())
+                .hexdigest() for ext in ("json", "csv"))
+    assert got == digests
 
 
 def test_console_script_installed(tmp_path):

@@ -553,6 +553,24 @@ def test_hks_cat_ladder_mc():
     assert abs(est.value - CAT_SIGMA) < 0.10 * CAT_SIGMA
 
 
+@pytest.mark.parametrize("name,grid,mode", [("baker", (2, 1), "exact"),
+                                            ("cat", (4, 4), "exact"),
+                                            ("cat", (4, 4), "mc")])
+def test_hks_ladder_of_one_is_the_grids_h_mu(name, grid, mode):
+    # ks-entropy and pesin run one --grid as a ladder of one
+    part, depth = GridPartition(*grid), 6
+    mc = McConfig(20_000, seed=0) if mode == "mc" else None
+    est = hks_estimate(make_map(name), [part], depth, mode, mc)
+    recs = refine_series(make_map(name), part, depth, mode, mc)
+    assert est.value.hex() == h_mu(recs).hex()
+    assert est.profile == ((part.m_q, part.m_p, est.value),)
+    assert len(est.records) == 1
+
+    def fields(r):
+        return _digest(r), r.n, r.grid, r.mode, r.meta
+    assert [fields(r) for r in est.records[0]] == [fields(r) for r in recs]
+
+
 def test_hks_rejects_bad_ladders():
     with pytest.raises(ValueError):
         hks_estimate(make_map("baker"), [], 8)
