@@ -33,7 +33,8 @@ from .maps import MAP_NAMES, PhasePoint, make_map
 from .partitions import (MC_ESTIMATORS, MEASURE_MODES, GridPartition,
                          McConfig, h_mu_ratio, hks_estimate, progress_line,
                          word_rows)
-from .pipeline import ClassicalSource, QuantumSource, prescription_run
+from .pipeline import (CHAIN_BYTES_CAP, ClassicalSource, QuantumSource,
+                       prescription_run)
 
 FORMATS = ("json", "csv", "both")
 SOURCES = ("classical", "gamow")
@@ -45,6 +46,16 @@ _ALL = (LYAP, KS, PESIN, PRESC, GAMOW)
 _REFINE = (KS, PESIN, PRESC)
 _OPERATOR = (PRESC, GAMOW)
 _ECHO_ALL = ("any", "classical", "gamow")
+
+# the Lyapunov loop runs about 0.7 M steps/s on a 2-core Xeon, so the
+# longest orbit a command accepts takes about 14 s
+MAX_LYAP_STEPS = 10 ** 7
+# bytes per coefficient that building or using the cell operators holds
+# beyond the operators themselves, by tracemalloc: a random draw's
+# temporaries, per entry of its support block (64.8), and gamow-evolve's
+# JSON document and CSV rows of the evolved operator (600-700)
+_DRAW_ENTRY_BYTES = 72
+_EVOLVE_ENTRY_BYTES = 640
 
 
 @dataclass(frozen=True)
@@ -80,7 +91,8 @@ PARAMS = (
     Param("source", "choice", (PRESC,), choices=SOURCES),
     Param("map", "choice", (LYAP,) + _REFINE, choices=MAP_NAMES,
           echo="classical"),
-    Param("steps", "int", (LYAP,), 10000, low=100, help="orbit length"),
+    Param("steps", "int", (LYAP,), 10000, low=100, high=MAX_LYAP_STEPS,
+          help="orbit length"),
     Param("grid", "text", _REFINE, echo="classical",
           help="partition grid, e.g. 2x1 or 8x8"),
     Param("depth", "int", _REFINE, help="refinement depth n_max"),
@@ -97,7 +109,7 @@ PARAMS = (
           help="comma list of grids, e.g. 2x1,2x2,4x4"),
     Param("include_words", "switch", (KS,), False,
           help="embed per-word measures in the JSON output"),
-    Param("lyap_steps", "int", (PESIN,), 10000, low=100,
+    Param("lyap_steps", "int", (PESIN,), 10000, low=100, high=MAX_LYAP_STEPS,
           help="orbit length for the exponent side"),
     Param("omega0", "float", _OPERATOR, 1.0, low=0.0, strict=True,
           echo="gamow", help="real part of the levels"),
@@ -356,11 +368,36 @@ def _prescribed_tables(cfg):
     return tables
 
 
-def _cell_operators(cfg, opt):
-    """The GamowSpec and cell operators of the operator-side commands."""
+def _check_operator_bytes(opt, generation, use_bytes):
+    """Refuse cell operators that could need more than CHAIN_BYTES_CAP.
+
+    The operators hold cells x n_max^2 complex entries, and each is built
+    from a copy.  A random draw adds _DRAW_ENTRY_BYTES per entry of its
+    support block, and the command's use of the operators use_bytes per
+    entry of one operator.
+    """
+    n_max, cells = opt["n_max"], opt["cells"]
+    need = ((cells + 1) * 16 + use_bytes) * n_max ** 2
+    if generation == "random":
+        need += _DRAW_ENTRY_BYTES * min(opt["support"] or n_max, n_max) ** 2
+    if need > CHAIN_BYTES_CAP:
+        raise ResourceLimitError(
+            f"{cells} cell operators of {n_max}x{n_max} coefficients and "
+            f"the work on them may need {need / 2 ** 30:.3g} GiB, above the "
+            f"{CHAIN_BYTES_CAP / 2 ** 30:.3g} GiB cap; lower --cells or "
+            "--n-max")
+
+
+def _cell_operators(cfg, opt, use_bytes):
+    """The GamowSpec and cell operators of the operator-side commands.
+
+    use_bytes is what the command's use of the operators holds per entry
+    of one operator (see _check_operator_bytes).
+    """
     spec = GamowSpec(**{k: opt[k] for k in ("omega0", "gamma0", "hbar",
                                             "alpha", "n_max")})
     generation = opt.get("generation", "random")
+    _check_operator_bytes(opt, generation, use_bytes)
     if generation == "prescribed":
         draw = {"tables": _prescribed_tables(cfg), "labels": cfg.get("labels")}
     else:
@@ -516,7 +553,10 @@ def cmd_prescription(args):
         source = ClassicalSource(torus_map, part, opt["mode"], mc)
     else:
         depth = _depth(cfg, 80, low=7)
-        source = QuantumSource(*_cell_operators(cfg, opt))
+        # chain_traces holds up to four more copies of the operators: the
+        # stacked one, two evolved ones and their magnitudes
+        source = QuantumSource(*_cell_operators(cfg, opt,
+                                                4 * 16 * opt["cells"]))
     cfg["depth"] = depth
     if opt["onset"] is not None:
         # the fits need at least 4 tail points among depths 0..depth
@@ -559,7 +599,7 @@ def cmd_gamow_evolve(args):
     cfg, opt, out_dir = _prologue(args)
     cell = _as_int("cell", opt["cell"], high=opt["cells"] - 1)
     j = opt["j"]
-    spec, ops = _cell_operators(cfg, opt)
+    spec, ops = _cell_operators(cfg, opt, _EVOLVE_ENTRY_BYTES)
 
     evolved = evolve_operator(spec, ops[cell], j)
     ratio = off_mass_ratio(evolved)

@@ -135,15 +135,34 @@ def word_rows(records: Sequence[RefinementRecord],
 
 
 def group_prefixes(keys: np.ndarray):
-    """Group equal integer keys with one stable argsort.
+    """Group equal integer keys in one sort.
 
     Returns order, the stable sorting permutation; starts, where each group
     begins in the sorted keys; codes, the distinct keys, ascending; and
     ids, the group of each sorted position.  Keys of prefix ids times the
     alphabet size plus a symbol make codes RefinementRecord codes.
+
+    The keys are widened to int64, shifted left by shift bits, enough to
+    hold any position, and each key's position fills those low bits.  The
+    packed values are unique, so an in-place sort of them, whatever its
+    algorithm, puts equal keys in position order: order is the low bits
+    and the keys are the high ones.  Negative keys, and keys at or above
+    2^(63 - shift), which would not fit, take a stable argsort instead.
+    The keys are spent: an int64 array that is packed is sorted in place
+    and returned as ids.
     """
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
+    keys = np.asarray(keys, dtype=np.int64)
+    shift = max(len(keys) - 1, 0).bit_length()
+    if len(keys) == 0 or (keys.min() >= 0
+                          and int(keys.max()) < 1 << (63 - shift)):
+        keys <<= shift
+        keys |= np.arange(len(keys))
+        keys.sort()
+        order = keys & ((1 << shift) - 1)
+        keys >>= shift
+    else:
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
     new = np.empty(len(keys), dtype=bool)
     new[:1] = True
     np.not_equal(keys[1:], keys[:-1], out=new[1:])
@@ -348,22 +367,22 @@ def _mc_series(torus_map: TorusMap, part: GridPartition, n_max: int,
     pts = rng.random((cfg.n_samples, 2))
     m = part.n_cells
 
-    # The cloud is kept in the previous depth's word order: perm lists the
-    # samples word by word and ids holds each one's word row, ascending.
-    # The keys of group_prefixes are then already sorted by prefix and only
-    # each prefix's run is out of order; its stable argsort (timsort) finds
-    # and merges such runs instead of sorting the cloud from scratch.  This
-    # is prefix_levels' loop, with each depth's column computed only once
-    # the previous one is gone.
-    perm = np.arange(cfg.n_samples)
+    # The cloud is kept in word order: after each depth's grouping the
+    # points themselves are gathered by order, so row i of pts is the
+    # sample whose word row is ids[i], and ids ascend.  Each point's
+    # arithmetic does not depend on its row, and codes and counts do not
+    # depend on the order of the samples inside a word.  The gather takes
+    # each row as one complex item, which numpy moves faster than a row
+    # of two floats.
     ids = np.zeros(cfg.n_samples, dtype=np.int64)
     records = []
     for n in range(n_max + 1):
         if n > 0:
             pts = torus_map.step_batch(pts)
         order, starts, codes, ids = group_prefixes(
-            ids * m + part.cell_index_batch(pts)[perm])
-        perm = perm[order]
+            ids * m + part.cell_index_batch(pts))
+        if n < n_max:
+            pts = pts.view(complex)[:, 0][order].view(float).reshape(-1, 2)
         counts = np.diff(starts, append=cfg.n_samples)
         records.append(_mc_record(codes, counts, n, cfg, torus_map, part))
         if on_record is not None:

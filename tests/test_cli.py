@@ -12,7 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pesinlab import GridPartition, PhasePoint, lyapunov_spectrum, make_map
+from pesinlab import GridPartition, PhasePoint, cli, lyapunov_spectrum, \
+    make_map
 from pesinlab.cli import main
 
 LN2 = math.log(2.0)
@@ -353,6 +354,10 @@ def test_gamow_evolve_cell_out_of_range(tmp_path, capsys):
     # only one --grid embeds word measures
     (["ks-entropy", "--map", "baker", "--ladder", "2x1,2x2", "--depth", "4",
       "--include-words"], "include-words"),
+    # orbits past MAX_LYAP_STEPS would run for minutes
+    (["lyapunov", "--map", "cat", "--steps", "1000000000"], "steps"),
+    (["pesin", "--map", "baker", "--depth", "4", "--lyap-steps", "10000001"],
+     "lyap_steps"),
 ])
 def test_bad_value_is_configuration_error(tmp_path, capsys, argv, key):
     code, _, err = run_cli(argv + ["--out", str(tmp_path)], capsys)
@@ -514,6 +519,40 @@ def test_quantum_word_budget_past_the_memory_cap_is_refused(tmp_path):
     assert "--word-budget" in proc.stderr and "--n-max" in proc.stderr
     assert "depth 0/9" not in proc.stderr
     assert not list(tmp_path.glob("*.json"))
+
+
+@pytest.mark.parametrize("argv", [
+    ["gamow-evolve", "--n-max", "20000"],
+    ["prescription", "--source", "gamow", "--cells", "100000", "--depth", "10"],
+])
+def test_oversized_cell_operators_are_refused_up_front(tmp_path, capsys,
+                                                      monkeypatch, argv):
+    # both used to die with MemoryError; the refusal must come before any
+    # operator is drawn, so without it this test fails without allocating
+    def no_draw(*args, **kwargs):
+        raise AssertionError("cell operators were drawn")
+
+    monkeypatch.setattr(cli, "make_cell_operators", no_draw)
+    code, _, err = run_cli(argv + ["--out", str(tmp_path)], capsys)
+    assert code == 2, err
+    assert "GiB" in err and "--cells" in err and "--n-max" in err
+    assert not list(tmp_path.glob("*.json"))
+
+
+def test_longest_lyapunov_orbit_is_accepted(tmp_path, capsys, monkeypatch):
+    # MAX_LYAP_STEPS itself runs; the spectrum is stubbed to a short orbit
+    asked = []
+
+    def short_spectrum(torus_map, x0, steps):
+        asked.append(steps)
+        return lyapunov_spectrum(torus_map, x0, 200)
+
+    monkeypatch.setattr(cli, "lyapunov_spectrum", short_spectrum)
+    code, _, err = run_cli(["lyapunov", "--map", "cat", "--steps",
+                            str(cli.MAX_LYAP_STEPS), "--out", str(tmp_path)],
+                           capsys)
+    assert code == 0, err
+    assert asked == [cli.MAX_LYAP_STEPS]
 
 
 def test_non_finite_quantum_magnitudes_fail_without_json(tmp_path):

@@ -1,9 +1,10 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pesinlab import (MAP_NAMES, MC_ESTIMATORS, ConfigurationError,
@@ -199,6 +200,68 @@ def test_exact_records_do_not_depend_on_chunk_size(case, monkeypatch):
 
 
 # --- prefix grouping --------------------------------------------------------
+
+def _stable_grouping(keys):
+    """group_prefixes' outputs from a stable argsort of the keys."""
+    order = np.argsort(keys, kind="stable")
+    ordered = keys[order]
+    new = np.ones(len(keys), dtype=bool)
+    new[1:] = ordered[1:] != ordered[:-1]
+    return order, np.flatnonzero(new), ordered[new], np.cumsum(new) - 1
+
+
+def _packing_limit(size):
+    """The smallest key group_prefixes does not pack for size keys."""
+    return 1 << (63 - max(size - 1, 0).bit_length())
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(0, 300), st.integers(1, 40),
+       st.sampled_from(["int64", "int32", "edge", "negative"]), st.booleans(),
+       st.integers(0, 2 ** 32 - 1))
+@example(0, 1, "int64", False, 0)        # empty
+@example(1, 1, "int64", False, 0)        # single
+@example(1, 1, "edge", False, 0)         # single key 2^63 - 1
+@example(200, 1, "int64", False, 0)      # all equal
+@example(200, 5, "edge", False, 0)       # largest packed key
+@example(200, 5, "edge", True, 0)        # smallest stable-argsort key
+def test_group_prefixes_match_stable_argsort(size, distinct, kind, over, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "edge":
+        # keys up to the packing limit, minus one unless over is set; one
+        # key alone packs with no shift, so its limit is 2^63 - 1
+        top = min(_packing_limit(size) - 1 + over, 2 ** 63 - 1)
+        pool = np.append(rng.integers(0, top, distinct - 1, endpoint=True), top)
+    elif kind == "negative":
+        pool = rng.integers(-distinct, distinct, distinct)
+    else:
+        pool = rng.integers(0, 2 ** 31, distinct).astype(kind)
+    keys = pool[rng.integers(0, distinct, size)]
+    # group_prefixes spends its keys, so it gets a copy
+    got = partitions.group_prefixes(keys.copy())
+    for out, ref in zip(got, _stable_grouping(keys)):
+        assert out.tolist() == ref.tolist()
+    order, starts, codes, ids = got
+    assert codes.dtype == ids.dtype == order.dtype == np.int64
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 1000, 1025])
+@pytest.mark.parametrize("over", [False, True])
+def test_group_prefixes_pack_below_the_limit(monkeypatch, size, over):
+    # keys below 2^(63 - shift) are packed and sorted with no argsort; from
+    # the limit up, and for negative keys, the stable argsort takes over
+    top = min(_packing_limit(size) - 1 + over, 2 ** 63 - 1)
+    keys = np.arange(size, dtype=np.int64)[::-1].copy()
+    keys[0] = top
+    argsorts = []
+    real = np.argsort
+    monkeypatch.setattr(np, "argsort",
+                        lambda *a, **k: argsorts.append(1) or real(*a, **k))
+    partitions.group_prefixes(keys.copy())
+    assert len(argsorts) == (over and size > 1)
+    partitions.group_prefixes(-1 - keys)
+    assert len(argsorts) == (over and size > 1) + 1
+
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 5), st.integers(1, 12), st.integers(1, 40),
@@ -461,6 +524,22 @@ def test_mc_memory_cap_is_checked_before_the_cloud(monkeypatch):
     with pytest.raises(ResourceLimitError):
         hks_estimate(make_map("cat"), [GridPartition(2, 2), GridPartition(4, 4)],
                      3, "mc", McConfig(1000))
+
+
+@pytest.mark.parametrize("name,grid", [("baker", (2, 1)), ("cat", (8, 8))])
+def test_mc_peak_memory_is_within_the_cap_budget(name, grid):
+    # MC_BYTES_CAP admits N samples to depth n when
+    # N (MC_SAMPLE_BYTES + 16 (n + 1)) bytes fit, so a run must stay in that
+    n_samples, depth = 100_000, 10
+    args = (make_map(name), GridPartition(*grid), depth, "mc",
+            McConfig(n_samples))
+    tracemalloc.start()
+    try:
+        refine_series(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= n_samples * (partitions.MC_SAMPLE_BYTES + 16 * (depth + 1))
 
 
 def test_mc_stderr_is_binomial():
