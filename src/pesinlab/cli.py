@@ -368,13 +368,13 @@ def _prescribed_tables(cfg):
     return tables
 
 
-def _check_operator_bytes(opt, generation, use_bytes):
+def _check_operator_bytes(opt, generation, use_bytes, flags):
     """Refuse cell operators that could need more than CHAIN_BYTES_CAP.
 
     The operators hold cells x n_max^2 complex entries, and each is built
     from a copy.  A random draw adds _DRAW_ENTRY_BYTES per entry of its
     support block, and the command's use of the operators use_bytes per
-    entry of one operator.
+    entry of one operator; flags name the options that size it all.
     """
     n_max, cells = opt["n_max"], opt["cells"]
     need = ((cells + 1) * 16 + use_bytes) * n_max ** 2
@@ -384,20 +384,35 @@ def _check_operator_bytes(opt, generation, use_bytes):
         raise ResourceLimitError(
             f"{cells} cell operators of {n_max}x{n_max} coefficients and "
             f"the work on them may need {need / 2 ** 30:.3g} GiB, above the "
-            f"{CHAIN_BYTES_CAP / 2 ** 30:.3g} GiB cap; lower --cells or "
-            "--n-max")
+            f"{CHAIN_BYTES_CAP / 2 ** 30:.3g} GiB cap; lower {flags}")
 
 
-def _cell_operators(cfg, opt, use_bytes):
+def _check_phases(opt, steps, step_flag):
+    """Refuse evolution phases t |z_r - z_s*| that overflow a double.
+
+    Up to the last step t = alpha steps / hbar, and |z| is at most
+    (n_max - 1) |omega0 - i gamma0|, so no phase tops the bound below.
+    """
+    t = opt["alpha"] * steps / opt["hbar"]
+    bound = t * 2 * (opt["n_max"] - 1) * math.hypot(opt["omega0"], opt["gamma0"])
+    if steps and not math.isfinite(bound):
+        raise ConfigurationError(
+            f"evolution phases up to step {steps} overflow a double; lower "
+            f"--omega0, --gamma0, --alpha, --n-max or {step_flag}, or raise "
+            "--hbar")
+
+
+def _cell_operators(cfg, opt, use_bytes, flags="--cells or --n-max"):
     """The GamowSpec and cell operators of the operator-side commands.
 
     use_bytes is what the command's use of the operators holds per entry
-    of one operator (see _check_operator_bytes).
+    of one operator, and flags the options that size it (see
+    _check_operator_bytes).
     """
     spec = GamowSpec(**{k: opt[k] for k in ("omega0", "gamma0", "hbar",
                                             "alpha", "n_max")})
     generation = opt.get("generation", "random")
-    _check_operator_bytes(opt, generation, use_bytes)
+    _check_operator_bytes(opt, generation, use_bytes, flags)
     if generation == "prescribed":
         draw = {"tables": _prescribed_tables(cfg), "labels": cfg.get("labels")}
     else:
@@ -553,10 +568,16 @@ def cmd_prescription(args):
         source = ClassicalSource(torus_map, part, opt["mode"], mc)
     else:
         depth = _depth(cfg, 80, low=7)
-        # chain_traces holds up to four more copies of the operators: the
-        # stacked one, two evolved ones and their magnitudes
-        source = QuantumSource(*_cell_operators(cfg, opt,
-                                                4 * 16 * opt["cells"]))
+        _check_phases(opt, depth, "--depth")
+        # chain_traces holds up to four more copies of the operators (the
+        # stacked one, two evolved ones and their magnitudes) and one
+        # product per tracked word, all under one cap; with cells >= 2 the
+        # budget binds from bit_length symbols on
+        budget = opt["word_budget"]
+        words = min(budget, opt["cells"] ** min(depth + 1, budget.bit_length()))
+        source = QuantumSource(*_cell_operators(
+            cfg, opt, 16 * (4 * opt["cells"] + words),
+            "--word-budget, --cells or --n-max"))
     cfg["depth"] = depth
     if opt["onset"] is not None:
         # the fits need at least 4 tail points among depths 0..depth
@@ -599,6 +620,7 @@ def cmd_gamow_evolve(args):
     cfg, opt, out_dir = _prologue(args)
     cell = _as_int("cell", opt["cell"], high=opt["cells"] - 1)
     j = opt["j"]
+    _check_phases(opt, j, "--j")
     spec, ops = _cell_operators(cfg, opt, _EVOLVE_ENTRY_BYTES)
 
     evolved = evolve_operator(spec, ops[cell], j)

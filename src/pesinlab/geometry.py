@@ -15,16 +15,25 @@ Functions that drop or split rows also return ``rows``, the input row each
 output row came from, and keep the per-polygon output order.  Each batched
 function repeats its per-polygon counterpart bit for bit:
 
-* ``clip_halfplane_batch`` evaluates the same comparisons and the same
-  crossing expression, ``a1 + (c - a0) * (b1 - a1) / (b0 - a0)`` with the
-  clip coordinate set to c literally, and emits, for each vertex in order,
-  the vertex if it is kept and then the crossing if its edge crosses; a
-  row left with fewer than 3 vertices is dropped, where ``clip_halfplane``
-  returns None.
+* ``clip_to_rect_batch`` takes the four sides in clip_to_rect's order.  On
+  each side it clips only the rows whose bounding box crosses the line
+  (``hi > c`` for coord <= c, ``lo < c`` for coord >= c); any other row has
+  no vertex outside, and clip_halfplane returns it unchanged.  A clipped
+  row gets the same comparisons and the same crossing expression,
+  ``a1 + (c - a0) * (b1 - a1) / (b0 - a0)`` with the clip coordinate set to
+  c literally, and emits, for each vertex in order, the vertex if it is
+  kept and then the crossing if its edge crosses.  The kept vertices lie
+  in the old box, but a crossing can round an ulp outside it on the other
+  axis, so the box takes in each crossing before the next side.  Rows left
+  with fewer than 3 vertices, where clip_to_rect returns None, are dropped
+  once, at the end.
 * ``affine_image_batch`` evaluates ``a x + b y + e`` in the same order.
-* ``polygon_area_batch`` takes ``0.5 * abs(math.fsum(terms))`` of the same
-  shoelace terms per row.  fsum is correctly rounded, so neither the term
-  order nor the zero terms of the padding change a bit.
+* ``polygon_area_batch`` adds each row's shoelace terms in order in numpy
+  and keeps every addition's TwoSum error.  A row whose errors are all 0
+  was summed exactly, so its sum is the correctly rounded ``math.fsum`` of
+  the same terms; every other row, including rows with a non-finite term
+  (whose error is NaN), is summed by fsum.  The area is
+  ``0.5 * abs(sum)``, and the zero terms of the padding change no bit.
 
 So a batched run gives the same vertices, and the same areas, as the
 per-polygon functions; the tests check this on random convex polygons.
@@ -37,7 +46,9 @@ a grid; the torus squares are the integer grid's cells) only when its
 bounding box overlaps the box strictly.  Otherwise the clip is None, or it
 keeps only vertices on one line of the box and its crossings, which lie on
 that line too, so every shoelace term cancels against another and the
-area is exactly 0.
+area is exactly 0.  The boxes come from ``_bounds``, once per batch, and
+``grid_cuts_batch`` and ``branch_images_batch`` hand each pair's box on to
+``clip_to_rect_batch``, which picks its sides by it.
 
 Memory.  Every stage runs on at most ``CHUNK_ROWS`` rows at a time: the
 (piece, cell) pairs of a grid cut, the rows of an area sum, and, in exact
@@ -206,69 +217,83 @@ def _next_index(counts: np.ndarray, width: int) -> np.ndarray:
 
 
 def _bounds(verts: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row (min, max) vertex coordinates, each (N, 2)."""
-    pad = (np.arange(verts.shape[1]) >= counts[:, None])[:, :, None]
-    return (np.where(pad, np.inf, verts).min(axis=1),
-            np.where(pad, -np.inf, verts).max(axis=1))
+    """Per-row (min, max) vertex coordinates, each (N, 2).
+
+    A row with no vertices gets (inf, -inf), a box that no line crosses.
+    """
+    lo = np.full((len(counts), 2), np.inf)
+    hi = np.full((len(counts), 2), -np.inf)
+    full = int(counts.min(initial=0))
+    for j in range(verts.shape[1]):
+        # columns below the smallest count hold no padding
+        live = True if j < full else (counts > j)[:, None]
+        np.minimum(lo, verts[:, j], out=lo, where=live)
+        np.maximum(hi, verts[:, j], out=hi, where=live)
+    return lo, hi
 
 
-def clip_halfplane_batch(verts: np.ndarray, counts: np.ndarray, axis: int,
-                         c, keep_low: bool) -> tuple[np.ndarray, np.ndarray]:
+def _clip_rows(verts: np.ndarray, counts: np.ndarray, axis: int, c: np.ndarray,
+               keep_low: bool) -> tuple[np.ndarray, ...]:
     """clip_halfplane of every row against coord <= c[row] (or >= c[row]).
 
-    Returns new (verts, counts); a row that clip_halfplane would turn into
-    None gets count 0.  Rows with no vertex outside are passed through.
+    Returns (verts, counts) at a width of at least the input's, with zero
+    padding, and the crossings as (row, point) arrays; a row that
+    clip_halfplane would turn into None gets count 0.
     """
     n_rows, width = verts.shape[:2]
-    c = np.broadcast_to(np.asarray(c, dtype=float), (n_rows,))
     valid = np.arange(width) < counts[:, None]
     coord = verts[:, :, axis]
-    inside = coord <= c[:, None] if keep_low else coord >= c[:, None]
-    todo = np.flatnonzero((valid & ~inside).any(axis=1))
-    if todo.size == 0:
-        return verts, counts
-    v, n, c_todo = verts[todo], counts[todo], c[todo]
-    nxt = _next_index(n, width)
-    cur_in = inside[todo] & valid[todo]
-    cross = valid[todo] & (cur_in != np.take_along_axis(cur_in, nxt, axis=1))
-    emit = np.empty((todo.size, 2 * width), dtype=bool)
+    cur_in = valid & (coord <= c[:, None] if keep_low else coord >= c[:, None])
+    nxt = _next_index(counts, width)
+    cross = valid & (cur_in != np.take_along_axis(cur_in, nxt, axis=1))
+    emit = np.empty((n_rows, 2 * width), dtype=bool)
     emit[:, 0::2] = cur_in
     emit[:, 1::2] = cross
     slot = np.cumsum(emit, axis=1) - 1
     out_n = slot[:, -1] + 1
-    out = np.zeros((todo.size, max(width, int(out_n.max())), 2))
+    out = np.zeros((n_rows, max(width, int(out_n.max())), 2))
     r, k = np.nonzero(cur_in)
-    out[r, slot[r, 2 * k]] = v[r, k]
+    out[r, slot[r, 2 * k]] = verts[r, k]
     r, k = np.nonzero(cross)
-    a, b, cr = v[r, k], v[r, nxt[r, k]], c_todo[r]
+    a, b, cr = verts[r, k], verts[r, nxt[r, k]], c[r]
     other = 1 - axis
     pts = np.empty_like(a)
     pts[:, axis] = cr
     pts[:, other] = (a[:, other] + (cr - a[:, axis]) * (b[:, other] - a[:, other])
                      / (b[:, axis] - a[:, axis]))
     out[r, slot[r, 2 * k + 1]] = pts
-    new_verts = np.zeros((n_rows, out.shape[1], 2))
-    new_verts[:, :width] = verts
-    new_verts[todo] = out
-    new_counts = counts.copy()
-    new_counts[todo] = np.where(out_n >= 3, out_n, 0)
-    return new_verts, new_counts
+    return out, np.where(out_n >= 3, out_n, 0), r, pts
 
 
-def clip_to_rect_batch(verts: np.ndarray, counts: np.ndarray,
-                       rects: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def clip_to_rect_batch(verts: np.ndarray, counts: np.ndarray, rects: np.ndarray,
+                       bounds=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """clip_to_rect of row i against rects[i] = (q0, q1, p0, p1).
 
-    Returns (verts, counts, rows) of the rows whose clip is not None.
+    bounds is the rows' (lo, hi) of _bounds, or boxes containing them; it
+    is computed when not given.  Returns (verts, counts, rows) of the rows
+    whose clip is not None.
     """
-    rows = np.arange(len(counts))
+    lo, hi = _bounds(verts, counts) if bounds is None else map(np.array, bounds)
+    verts, counts = verts.copy(), counts.copy()
     for axis, col, keep_low in _RECT_SIDES:
-        verts, counts = clip_halfplane_batch(verts, counts, axis, rects[:, col],
-                                             keep_low)
-        alive = counts >= 3
-        if not alive.all():
-            verts, counts, rects, rows = verts[alive], counts[alive], rects[alive], rows[alive]
-    return verts[:, :int(counts.max(initial=0))], counts, rows
+        c = rects[:, col]
+        todo = np.flatnonzero(hi[:, axis] > c if keep_low else lo[:, axis] < c)
+        if todo.size == 0:
+            continue
+        out, n, r, pts = _clip_rows(verts[todo], counts[todo], axis, c[todo],
+                                    keep_low)
+        if out.shape[1] > verts.shape[1]:
+            wider = np.zeros((len(counts), out.shape[1], 2))
+            wider[:, :verts.shape[1]] = verts
+            verts = wider
+        verts[todo], counts[todo] = out, n
+        # the kept vertices are old ones, but a crossing may round just
+        # outside the old box on the other axis, so the boxes take it in
+        other = 1 - axis
+        np.minimum.at(lo[:, other], todo[r], pts[:, other])
+        np.maximum.at(hi[:, other], todo[r], pts[:, other])
+    rows = np.flatnonzero(counts >= 3)
+    return verts[rows, :int(counts.max(initial=0))], counts[rows], rows
 
 
 def affine_image_batch(verts: np.ndarray, a: float, b: float, c: float,
@@ -288,9 +313,21 @@ def polygon_area_batch(verts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     terms[:, :, 1] = -np.take_along_axis(x, nxt, axis=1) * y
     terms[np.arange(width) >= counts[:, None]] = 0.0
     terms = terms.reshape(n_rows, 2 * width)
-    sums = np.empty(n_rows)
-    for lo in range(0, n_rows, CHUNK_ROWS):
-        sums[lo:lo + CHUNK_ROWS] = list(map(math.fsum, terms[lo:lo + CHUNK_ROWS].tolist()))
+    # add the terms in order and keep each addition's TwoSum error: a row
+    # whose errors are all 0 summed exactly, so its sum is fsum's; any
+    # other (a non-finite term gives a NaN error) goes through fsum
+    sums = np.zeros(n_rows)
+    inexact = np.zeros(n_rows, dtype=bool)
+    with np.errstate(invalid="ignore", over="ignore"):
+        for term in terms.T:
+            total = sums + term
+            back = total - sums
+            inexact |= (sums - (total - back)) + (term - back) != 0.0
+            sums = total
+    redo = np.flatnonzero(inexact)
+    for lo in range(0, len(redo), CHUNK_ROWS):
+        rows = redo[lo:lo + CHUNK_ROWS]
+        sums[rows] = list(map(math.fsum, terms[rows].tolist()))
     return 0.5 * np.abs(sums)
 
 
@@ -347,7 +384,8 @@ def grid_cuts_batch(verts: np.ndarray, counts: np.ndarray,
         ip = ip0[rows] + local % npc[rows]
         cells = np.column_stack((q_edges[iq], q_edges[iq + 1],
                                  p_edges[ip], p_edges[ip + 1]))
-        v, n, kept = clip_to_rect_batch(verts[rows], counts[rows], cells)
+        v, n, kept = clip_to_rect_batch(verts[rows], counts[rows], cells,
+                                        (lo[rows], hi[rows]))
         parts.append((v, n, rows[kept], iq[kept], ip[kept]))
     if not parts:
         empty = np.zeros(0, dtype=np.int64)
@@ -367,7 +405,8 @@ def branch_images_batch(verts: np.ndarray, counts: np.ndarray,
             rows = np.flatnonzero((q0 < hi[:, 0]) & (q1 > lo[:, 0])
                                   & (p0 < hi[:, 1]) & (p1 > lo[:, 1]))
             rects = np.broadcast_to(np.array(br.rect, dtype=float), (len(rows), 4))
-            v, n, kept = clip_to_rect_batch(verts[rows], counts[rows], rects)
+            v, n, kept = clip_to_rect_batch(verts[rows], counts[rows], rects,
+                                            (lo[rows], hi[rows]))
             rows = rows[kept]
         if br.affine is not None:
             v = affine_image_batch(v, *br.affine)

@@ -521,6 +521,13 @@ def test_quantum_word_budget_past_the_memory_cap_is_refused(tmp_path):
     assert not list(tmp_path.glob("*.json"))
 
 
+def _forbid_draw(monkeypatch):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("cell operators were drawn")
+
+    monkeypatch.setattr(cli, "make_cell_operators", no_draw)
+
+
 @pytest.mark.parametrize("argv", [
     ["gamow-evolve", "--n-max", "20000"],
     ["prescription", "--source", "gamow", "--cells", "100000", "--depth", "10"],
@@ -529,10 +536,7 @@ def test_oversized_cell_operators_are_refused_up_front(tmp_path, capsys,
                                                       monkeypatch, argv):
     # both used to die with MemoryError; the refusal must come before any
     # operator is drawn, so without it this test fails without allocating
-    def no_draw(*args, **kwargs):
-        raise AssertionError("cell operators were drawn")
-
-    monkeypatch.setattr(cli, "make_cell_operators", no_draw)
+    _forbid_draw(monkeypatch)
     code, _, err = run_cli(argv + ["--out", str(tmp_path)], capsys)
     assert code == 2, err
     assert "GiB" in err and "--cells" in err and "--n-max" in err
@@ -555,17 +559,64 @@ def test_longest_lyapunov_orbit_is_accepted(tmp_path, capsys, monkeypatch):
     assert asked == [cli.MAX_LYAP_STEPS]
 
 
-def test_non_finite_quantum_magnitudes_fail_without_json(tmp_path):
+def test_non_finite_quantum_magnitudes_fail_without_json(tmp_path, capsys,
+                                                        monkeypatch):
     # omega0 = 1e308 overflows the eigenvalues, so every trace from depth 1
-    # on is NaN; the run must fail naming it, not write NaN into the JSON
-    proc = _run_module(["prescription", "--source", "gamow", "--omega0",
-                        "1e308", "--depth", "10", "--word-budget", "16",
-                        "--out", str(tmp_path)], 60)
-    assert proc.returncode == 1, proc.stderr
-    assert re.search(r"magnitude at n=\d+ is nan; decay fits need finite", proc.stderr)
+    # on is NaN; with the up-front phase check off, the run must still fail
+    # naming it, not write NaN into the JSON
+    monkeypatch.setattr(cli, "_check_phases", lambda *args: None)
+    code, _, err = run_cli(["prescription", "--source", "gamow", "--omega0",
+                            "1e308", "--depth", "10", "--word-budget", "16",
+                            "--out", str(tmp_path)], capsys)
+    assert code == 1, err
+    assert re.search(r"magnitude at n=\d+ is nan; decay fits need finite", err)
     assert not (tmp_path / "prescription.json").exists()
     # the run stops at the first depth whose measures are not finite
-    assert "depth 2/10" not in proc.stderr
+    assert "depth 2/10" not in err
+
+
+@pytest.mark.parametrize("argv,step_flag", [
+    (["prescription", "--source", "gamow", "--omega0", "1e308", "--depth",
+      "10", "--word-budget", "16"], "--depth"),
+    (["gamow-evolve", "--omega0", "1e308"], "--j"),
+])
+def test_overflowing_gamow_phases_are_refused_up_front(tmp_path, capsys,
+                                                       monkeypatch, argv,
+                                                       step_flag):
+    # prescription used to exit 1 on a NaN magnitude at depth 1, and
+    # gamow-evolve on NaN in its JSON; both must stop before any draw
+    _forbid_draw(monkeypatch)
+    code, _, err = run_cli(argv + ["--out", str(tmp_path)], capsys)
+    assert code == 2, err
+    assert "overflow" in err and "--omega0" in err and step_flag in err
+    assert not list(tmp_path.glob("*.json"))
+
+
+def test_gamow_evolve_without_steps_takes_no_phases(tmp_path, capsys):
+    # j = 0 evolves nothing, so a huge omega0 computes no phase at all
+    code, _, err = run_cli(["gamow-evolve", "--omega0", "1e308", "--j", "0",
+                            "--n-max", "4", "--out", str(tmp_path)], capsys)
+    assert code == 0, err
+
+
+def test_quantum_operators_and_chains_share_one_memory_cap(tmp_path, capsys,
+                                                          monkeypatch):
+    # 13000 operators of 32x32 with chain_traces' copies and the random
+    # draw need 0.99 GiB, and 100000 words of chain products 1.53 GiB; each
+    # fits the 2 GiB cap alone, and the run used to hold both
+    ops = (13001 * 16 + 4 * 16 * 13000 + cli._DRAW_ENTRY_BYTES) * 32 ** 2
+    chains = 100000 * 32 ** 2 * 16
+    assert max(ops, chains) < cli.CHAIN_BYTES_CAP < ops + chains
+
+    _forbid_draw(monkeypatch)
+    code, _, err = run_cli(["prescription", "--source", "gamow", "--cells",
+                            "13000", "--depth", "10", "--word-budget",
+                            "100000", "--out", str(tmp_path)], capsys)
+    assert code == 2, err
+    for flag in ("--word-budget", "--cells", "--n-max"):
+        assert flag in err
+    assert "GiB" in err and "depth 0/" not in err
+    assert not list(tmp_path.glob("*.json"))
 
 
 @pytest.mark.parametrize("command", [

@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pesinlab import MAP_NAMES, geometry, make_map
-from pesinlab.geometry import (Branch, affine_image, as_batch,
-                               branch_images_batch, clip_to_rect,
+from pesinlab.geometry import (Branch, _bounds, _crossing, affine_image,
+                               as_batch, branch_images_batch, clip_to_rect,
                                clip_to_rect_batch, grid_cuts_batch,
                                polygon_area, polygon_area_batch, rect_polygon,
                                wrap_to_torus)
@@ -199,3 +199,128 @@ def test_grid_cuts_skip_only_empty_cells(polys, m_q, m_p, chunk):
                 else:
                     # a skipped cell only touches the piece
                     assert cut is None or polygon_area(cut) == 0.0
+
+
+@oracle_settings
+@given(st.lists(st.tuples(convex_polygons(), boxes()), min_size=1, max_size=12),
+       st.lists(st.floats(0.0, 2.0), min_size=4, max_size=4))
+def test_batched_clip_takes_any_wider_bounds(pairs, widen):
+    # bounds wider than the rows' own only pick more rows to clip, and a
+    # row with no vertex outside a side comes through that side unchanged
+    polys = [p for p, _ in pairs]
+    rects = np.array([r for _, r in pairs])
+    verts, counts = as_batch(polys)
+    lo, hi = _bounds(verts, counts)
+    wide = (lo - np.array(widen[:2]), hi + np.array(widen[2:]))
+    got_verts, got_counts, rows = clip_to_rect_batch(verts, counts, rects, wide)
+    expected = [clip_to_rect(p, *r) for p, r in pairs]
+    assert rows.tolist() == [i for i, cut in enumerate(expected) if cut is not None]
+    assert rows_of(got_verts, got_counts) == as_bytes([c for c in expected if c is not None])
+
+
+def test_batched_clip_follows_a_crossing_rounded_past_the_box():
+    # the crossing of edge a -> b with x = b[0] rounds one ulp above b, the
+    # top vertex, so y <= b[1] cuts the clipped piece again; a box left from
+    # before the x clip would skip that side
+    a = (0.7035592532691919, 0.4832589924501461)
+    b = (0.4730523163219148, 0.834254054501082)
+    assert _crossing(a, b, 0, b[0])[1] > b[1]
+    poly = (a, b, (0.05, a[1]))
+    rect = (0.0, b[0], 0.0, b[1])
+    verts, counts, rows = clip_to_rect_batch(*as_batch([poly]), np.array([rect]))
+    assert rows.tolist() == [0]
+    assert rows_of(verts, counts) == as_bytes([clip_to_rect(poly, *rect)])
+
+
+def test_batched_clip_drops_rows_under_three_vertices():
+    # a segment inside the box is cut by no side, yet clip_to_rect gives None
+    segment = ((0.25, 0.25), (0.5, 0.5))
+    triangle = ((0.25, 0.25), (0.75, 0.25), (0.5, 0.75))
+    rects = np.array([(0.0, 1.0, 0.0, 1.0)] * 2)
+    assert clip_to_rect(segment, *rects[0]) is None
+    verts, counts, rows = clip_to_rect_batch(*as_batch([segment, triangle]), rects)
+    assert rows.tolist() == [1]
+    assert rows_of(verts, counts) == as_bytes([triangle])
+
+
+def _masked_bounds(verts, counts):
+    pad = (np.arange(verts.shape[1]) >= counts[:, None])[:, :, None]
+    return (np.where(pad, np.inf, verts).min(axis=1),
+            np.where(pad, -np.inf, verts).max(axis=1))
+
+
+@oracle_settings
+@given(st.lists(st.lists(st.tuples(st.floats(-4.0, 4.0), st.floats(-4.0, 4.0)),
+                         min_size=1, max_size=9), min_size=1, max_size=8))
+def test_bounds_match_masked_reference(polys):
+    verts, counts = as_batch(polys)
+    verts[np.arange(verts.shape[1]) >= counts[:, None]] = 9.0  # junk padding
+    for got, want in zip(_bounds(verts, counts), _masked_bounds(verts, counts)):
+        assert np.array_equal(got, want)
+    # a row without vertices gets a box that no line crosses
+    lo, hi = _bounds(verts, np.zeros_like(counts))
+    assert (lo == np.inf).all() and (hi == -np.inf).all()
+
+
+@contextmanager
+def counted_fsum(monkeypatch):
+    calls = []
+
+    def fsum(values):
+        calls.append(1)
+        return real_fsum(values)
+
+    real_fsum = math.fsum
+    monkeypatch.setattr(math, "fsum", fsum)
+    yield calls
+
+
+def _area_bytes(polys):
+    return np.array([polygon_area(p) for p in polys]).tobytes()
+
+
+@oracle_settings
+@given(st.lists(st.lists(st.tuples(dyadic(-4.0, 4.0, 6), dyadic(-4.0, 4.0, 6)),
+                         min_size=3, max_size=9), min_size=1, max_size=8))
+def test_batched_area_of_dyadic_rows_needs_no_fsum(polys):
+    want = _area_bytes(polys)
+    with pytest.MonkeyPatch.context() as mp, counted_fsum(mp) as calls:
+        got = polygon_area_batch(*as_batch(polys))
+    assert got.tobytes() == want
+    assert calls == []
+
+
+@oracle_settings
+@given(st.lists(st.lists(st.tuples(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0)),
+                         min_size=3, max_size=9), min_size=1, max_size=8))
+def test_batched_area_matches_fsum_on_any_rows(polys):
+    assert polygon_area_batch(*as_batch(polys)).tobytes() == _area_bytes(polys)
+
+
+def test_batched_area_falls_back_on_cancelling_terms(monkeypatch):
+    # shoelace terms 1e16, 1 and -1e16: added in order they give 0 or 2,
+    # fsum gives 1
+    poly = ((0.0, 0.0), (1e16, 1.0), (-1.0, 1.0), (0.0, 1e16))
+    exact = ((0.0, 0.0), (0.5, 0.0), (0.5, 0.25), (0.0, 0.25))
+    assert polygon_area(poly) == 0.5
+    with counted_fsum(monkeypatch) as calls:
+        got = polygon_area_batch(*as_batch([exact, poly, exact]))
+    assert got.tolist() == [0.125, 0.5, 0.125]
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("poly", [
+    ((1.0, 1.0), (math.inf, 1.0), (math.inf, 2.0), (1.0, 2.0)),  # inf - inf
+    ((0.0, -1.0), (math.inf, 1.0), (0.0, 2.0)),                  # inf
+    ((0.0, 0.0), (math.inf, 0.0), (0.0, 1.0)),                   # inf * 0
+    ((0.0, 1.0), (1.5e308, 1.0), (0.0, 2.0)),                    # term inf
+    ((0.0, 0.0), (1.5e308, 0.0), (1.5e308, 1.0), (0.0, 1.0)),    # sum inf
+])
+def test_batched_area_of_non_finite_rows_matches_fsum(poly):
+    def outcome(area):
+        try:
+            return repr(float(area(poly)))
+        except (ValueError, OverflowError) as exc:
+            return type(exc)
+
+    assert outcome(lambda p: polygon_area_batch(*as_batch([p]))[0]) == outcome(polygon_area)
