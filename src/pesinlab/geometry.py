@@ -54,7 +54,8 @@ Memory.  Every stage runs on at most ``CHUNK_ROWS`` rows at a time: the
 (piece, cell) pairs of a grid cut, the rows of an area sum, and, in exact
 refinement, the pieces mapped forward in one pass.  Scratch arrays stay
 bounded whatever the number of pieces; only the pieces kept at a depth
-are held in full.
+are held in full, unpadded, in the store of ``partitions._refine_pieces``,
+whose every pass is a batch of one vertex count and so has no padding.
 """
 
 from __future__ import annotations

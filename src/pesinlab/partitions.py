@@ -234,29 +234,71 @@ def _check_word_cap(records: list, n: int, n_max: int, torus_map: TorusMap,
             f"{EXACT_WORD_CAP}; use --mode mc or a smaller --depth")
 
 
+def _keep_cuts(parts: dict, verts: np.ndarray, counts: np.ndarray,
+               keys: np.ndarray, areas: np.ndarray) -> None:
+    """Append one chunk's cuts thicker than _ZERO_AREA to parts, unpadded.
+
+    parts maps a vertex count to a list of (verts, keys, areas) of cuts
+    with that count, (r, count, 2) vertices each, in the order they came.
+    """
+    thick = areas > _ZERO_AREA
+    if len(counts) and thick.all() and counts.min() == counts.max():
+        # one count, so the batch is as wide as every row: no padding
+        parts.setdefault(int(counts[0]), []).append((verts, keys, areas))
+        return
+    rows = np.flatnonzero(thick)
+    rows = rows[np.argsort(counts[rows], kind="stable")]
+    runs = np.flatnonzero(np.diff(counts[rows], prepend=-1, append=-1))
+    for start, stop in zip(runs[:-1], runs[1:]):
+        c, sel = int(counts[rows[start]]), rows[start:stop]
+        parts.setdefault(c, []).append((verts[sel, :c], keys[sel], areas[sel]))
+
+
 def _refine_pieces(verts: np.ndarray, counts: np.ndarray, owner: np.ndarray,
                    torus_map: TorusMap, part: GridPartition):
-    """One depth of exact refinement over a padded batch of pieces.
+    """One depth of exact refinement over a store of pieces.
 
-    Maps every piece forward, cuts the images with the grid cells and keeps
-    the cuts thicker than _ZERO_AREA.  Returns the child words' codes (lex
-    order) and measures, and their pieces as (verts, counts, owner row).
+    A store keeps a depth's pieces unpadded: verts holds every piece's
+    vertices in turn, (sum of counts, 2), with each piece's vertex count
+    and owner row beside it.  The pieces are mapped forward a run of one
+    count at a time, at most CHUNK_ROWS of them per pass, each pass a
+    (rows, count, 2) view of the store; the images are cut with the grid
+    cells and the cuts thicker than _ZERO_AREA are kept.  Returns the
+    child words' codes (lex order) and measures, and their store as
+    (verts, counts, owner row), grouped by ascending count, in the order
+    the cuts came within a count.
     """
     q_edges = np.array([k / part.m_q for k in range(part.m_q + 1)])
     p_edges = np.array([k / part.m_p for k in range(part.m_p + 1)])
-    kept = []
-    for lo in range(0, len(counts), geometry.CHUNK_ROWS):
-        hi = lo + geometry.CHUNK_ROWS
-        mv, mn, src = geometry.branch_images_batch(verts[lo:hi], counts[lo:hi],
-                                                   torus_map.branches)
-        cv, cn, img, iq, ip = geometry.grid_cuts_batch(mv, mn, q_edges, p_edges)
-        areas = geometry.polygon_area_batch(cv, cn)
-        thick = areas > _ZERO_AREA
-        keys = owner[lo:hi][src[img]] * part.n_cells + iq * part.m_p + ip
-        kept.append((cv[thick], cn[thick], keys[thick], areas[thick]))
-    verts, counts, keys, areas = geometry.concat_batches(kept)
-    # the pieces stay where they are; a word's measure is an fsum, which
-    # does not depend on the order of its pieces
+    parts: dict = {}
+    runs = np.flatnonzero(np.diff(counts, prepend=-1, append=-1))
+    at = 0
+    for start, stop in zip(runs[:-1].tolist(), runs[1:].tolist()):
+        c = int(counts[start])
+        for lo in range(start, stop, geometry.CHUNK_ROWS):
+            hi = min(lo + geometry.CHUNK_ROWS, stop)
+            batch = verts[at:at + (hi - lo) * c].reshape(hi - lo, c, 2)
+            at += (hi - lo) * c
+            mv, mn, src = geometry.branch_images_batch(batch, counts[lo:hi],
+                                                       torus_map.branches)
+            cv, cn, img, iq, ip = geometry.grid_cuts_batch(mv, mn, q_edges, p_edges)
+            keys = owner[lo:hi][src[img]] * part.n_cells + iq * part.m_p + ip
+            _keep_cuts(parts, cv, cn, keys, geometry.polygon_area_batch(cv, cn))
+    # the next store, count by count; each part is let go once copied, so
+    # only one copy of the kept cuts is held
+    cuts = [cut for c in sorted(parts) for cut in parts.pop(c)]
+    keys = np.concatenate([k for _, k, _ in cuts])
+    areas = np.concatenate([a for _, _, a in cuts])
+    counts = np.repeat([v.shape[1] for v, _, _ in cuts], [len(v) for v, _, _ in cuts])
+    verts = np.empty((int(counts.sum()), 2))
+    at = 0
+    cuts.reverse()
+    while cuts:
+        v = cuts.pop()[0].reshape(-1, 2)
+        verts[at:at + len(v)] = v
+        at += len(v)
+    # a word's measure is an fsum, which does not depend on the order of
+    # its pieces
     order, starts, codes, ids = group_prefixes(keys)
     owner = np.empty_like(ids)
     owner[order] = ids
@@ -264,7 +306,7 @@ def _refine_pieces(verts: np.ndarray, counts: np.ndarray, owner: np.ndarray,
     measures = areas[order[starts]]
     for w in np.flatnonzero(sizes > 1):
         measures[w] = math.fsum(areas[order[starts[w]:starts[w] + sizes[w]]].tolist())
-    return codes, measures, verts[:, :int(counts.max(initial=0))], counts, owner
+    return codes, measures, verts, counts, owner
 
 
 def _exact_series(torus_map: TorusMap, part: GridPartition, n_max: int,
@@ -274,17 +316,18 @@ def _exact_series(torus_map: TorusMap, part: GridPartition, n_max: int,
         raise UnsupportedOperationError(
             f"exact refinement needs piecewise-linear data, "
             f"which map {torus_map.name!r} does not provide")
-    # one piece per word at depth 0: the cell itself
+    # one piece per word at depth 0: the cell itself, a 4-gon, so the
+    # padded batch of the cells is already their store
     verts, counts = geometry.as_batch(
         [geometry.rect_polygon(*part.cell_rect(k)) for k in range(part.n_cells)])
+    measures = geometry.polygon_area_batch(verts, counts)
+    verts = verts.reshape(-1, 2)
     codes = owner = np.arange(part.n_cells)
     records = []
     for n in range(n_max + 1):
         if n >= 2:
             _check_word_cap(records, n, n_max, torus_map, part)
-        if n == 0:
-            measures = geometry.polygon_area_batch(verts, counts)
-        else:
+        if n > 0:
             codes, measures, verts, counts, owner = _refine_pieces(
                 verts, counts, owner, torus_map, part)
         records.append(_exact_record(n, codes, measures, torus_map, part))

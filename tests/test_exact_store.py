@@ -1,0 +1,204 @@
+"""The exact-refinement store: each depth's pieces unpadded, by vertex count.
+
+The oracle is the padded, row-order loop the store replaced: each chunk a
+slice of rows, every batch padded to its widest piece, and the kept cuts
+concatenated at the widest chunk's width.  Records must not move by a bit.
+"""
+
+import functools
+import math
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from pesinlab import GridPartition, geometry, make_map, partitions, refine_series
+
+# tracemalloc peak of the exact refinement of cat 8x8 to depth 6, stated
+# in the README.  The store measured 19.5 MiB there; keeping every kept
+# cut until the next store is whole read 24.4, and the padded loop 54.4
+EXACT_CAT_DEPTH6_PEAK_BYTES = 23 * 2 ** 20
+
+
+def _padded_refine_pieces(verts, counts, owner, torus_map, part):
+    """One depth of the padded, row-order refinement: the oracle."""
+    q_edges = np.array([k / part.m_q for k in range(part.m_q + 1)])
+    p_edges = np.array([k / part.m_p for k in range(part.m_p + 1)])
+    kept = []
+    for lo in range(0, len(counts), geometry.CHUNK_ROWS):
+        hi = lo + geometry.CHUNK_ROWS
+        mv, mn, src = geometry.branch_images_batch(verts[lo:hi], counts[lo:hi],
+                                                   torus_map.branches)
+        cv, cn, img, iq, ip = geometry.grid_cuts_batch(mv, mn, q_edges, p_edges)
+        areas = geometry.polygon_area_batch(cv, cn)
+        thick = areas > partitions._ZERO_AREA
+        keys = owner[lo:hi][src[img]] * part.n_cells + iq * part.m_p + ip
+        kept.append((cv[thick], cn[thick], keys[thick], areas[thick]))
+    verts, counts, keys, areas = geometry.concat_batches(kept)
+    order, starts, codes, ids = partitions.group_prefixes(keys)
+    owner = np.empty_like(ids)
+    owner[order] = ids
+    sizes = np.diff(starts, append=len(keys))
+    measures = areas[order[starts]]
+    for w in np.flatnonzero(sizes > 1):
+        measures[w] = math.fsum(areas[order[starts[w]:starts[w] + sizes[w]]].tolist())
+    return codes, measures, verts[:, :int(counts.max(initial=0))], counts, owner
+
+
+def _padded_stores(name, m_q, m_p, n_max):
+    """Yield (codes, measures, verts, counts, owner) of the oracle per depth."""
+    torus_map, part = make_map(name), GridPartition(m_q, m_p)
+    verts, counts = geometry.as_batch(
+        [geometry.rect_polygon(*part.cell_rect(k)) for k in range(part.n_cells)])
+    codes = owner = np.arange(part.n_cells)
+    measures = geometry.polygon_area_batch(verts, counts)
+    yield codes, measures, verts, counts, owner
+    for _ in range(n_max):
+        codes, measures, verts, counts, owner = _padded_refine_pieces(
+            verts, counts, owner, torus_map, part)
+        yield codes, measures, verts, counts, owner
+
+
+def _record_bytes(codes, measures, entropy):
+    return codes.dtype.str, codes.tobytes(), measures.tobytes(), repr(entropy)
+
+
+@functools.lru_cache(maxsize=None)
+def _oracle_records(name, m_q, m_p, n_max):
+    return [_record_bytes(codes, measures, partitions.entropy_nats(measures.tolist()))
+            for codes, measures, *_ in _padded_stores(name, m_q, m_p, n_max)]
+
+
+def _store_series(name, m_q, m_p, n_max):
+    """refine_series with every _refine_pieces call's (args, result)."""
+    calls = []
+    refine = partitions._refine_pieces
+
+    def spy(*args):
+        out = refine(*args)
+        calls.append((args, out))
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(partitions, "_refine_pieces", spy)
+        recs = refine_series(make_map(name), GridPartition(m_q, m_p), n_max)
+    return recs, calls
+
+
+ORACLE_CASES = [("identity", 2, 2, 4), ("baker", 2, 1, 10), ("baker", 4, 2, 10),
+                ("cat", 3, 3, 5), ("cat", 3, 5, 5), ("cat", 8, 8, 5)]
+
+
+def _case_id(case):
+    return "%s-%dx%d-d%d" % case
+
+
+# chunks of 1, 3 and 64 pieces split the runs of one count at many places,
+# and the oracle splits its rows elsewhere; cat 8x8 would take 27 s at 1
+# and 3 (2-core Xeon), so it runs at 64 only, and at the default in the
+# golden records
+@pytest.mark.parametrize("case,chunk", [
+    (case, chunk) for case in ORACLE_CASES for chunk in (1, 3, 64)
+    if chunk == 64 or case[1:3] != (8, 8)],
+    ids=lambda v: _case_id(v) if isinstance(v, tuple) else str(v))
+def test_store_records_match_padded_oracle(case, chunk, monkeypatch):
+    name, m_q, m_p, depth = case
+    want = _oracle_records(*case)
+    monkeypatch.setattr(geometry, "CHUNK_ROWS", chunk)
+    recs = refine_series(make_map(name), GridPartition(m_q, m_p), depth)
+    assert [_record_bytes(r.codes, r.measures, r.entropy) for r in recs] == want
+
+
+def _piece_set(codes, verts, counts, owner):
+    """The pieces as a sorted list of (owner's code, vertex bytes)."""
+    firsts = np.cumsum(counts) - counts
+    return sorted((int(codes[w]), verts[at:at + c].tobytes())
+                  for w, at, c in zip(owner.tolist(), firsts.tolist(),
+                                      counts.tolist()))
+
+
+@pytest.mark.parametrize("case", [("baker", 4, 2, 6), ("cat", 3, 5, 4),
+                                  ("cat", 8, 8, 3)], ids=_case_id)
+def test_store_is_unpadded_and_holds_the_oracles_pieces(case):
+    recs, calls = _store_series(*case)
+    oracle = list(_padded_stores(*case))
+    assert len(calls) == len(oracle) - 1 == case[3]
+    for (_, (codes, _, verts, counts, owner)), want in zip(calls, oracle[1:]):
+        # exactly sum(counts) vertices of two floats, grouped by count
+        assert verts.dtype == np.float64 and verts.shape == (counts.sum(), 2)
+        assert verts.flags.c_contiguous
+        assert (np.diff(counts) >= 0).all() and len(owner) == len(counts)
+        w_codes, _, w_verts, w_counts, w_owner = want
+        unpadded = np.concatenate([row[:c] for row, c in zip(w_verts, w_counts)])
+        assert (_piece_set(codes, verts, counts, owner)
+                == _piece_set(w_codes, unpadded, w_counts, w_owner))
+        # the oracle pads: cat's duplicated vertices make some pieces wide
+        if case[0] == "cat":
+            assert w_verts.size > verts.size
+
+
+@pytest.mark.parametrize("case", [("baker", 2, 1, 8), ("cat", 3, 5, 5),
+                                  ("cat", 8, 8, 5)], ids=_case_id)
+def test_each_batch_is_a_view_of_one_count(case, monkeypatch):
+    stores, widths = [], []
+    refine, images = partitions._refine_pieces, geometry.branch_images_batch
+
+    def spy_refine(verts, *args):
+        stores.append(verts)
+        return refine(verts, *args)
+
+    def spy_images(verts, counts, branches):
+        assert (counts == verts.shape[1]).all()
+        assert np.shares_memory(verts, stores[-1])
+        widths.append(verts.shape[1])
+        return images(verts, counts, branches)
+
+    monkeypatch.setattr(partitions, "_refine_pieces", spy_refine)
+    monkeypatch.setattr(geometry, "branch_images_batch", spy_images)
+    refine_series(make_map(case[0]), GridPartition(*case[1:3]), case[3])
+    assert len(stores) == case[3] and widths
+    if case[0] == "cat":
+        assert len(set(widths)) > 1
+
+
+def _permuted(verts, counts, owner, perm):
+    """The store with its pieces in the order perm."""
+    firsts = np.cumsum(counts) - counts
+    sizes = counts[perm]
+    local = np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    return verts[np.repeat(firsts[perm], sizes) + local], sizes, owner[perm]
+
+
+@functools.lru_cache(maxsize=None)
+def _depth_call(name, m_q, m_p, n):
+    """Arguments and result of the _refine_pieces call that makes depth n."""
+    return _store_series(name, m_q, m_p, n)[1][-1]
+
+
+@settings(max_examples=25, deadline=None)
+@given(case=st.sampled_from([("baker", 2, 1, 5), ("baker", 4, 2, 3),
+                             ("cat", 3, 3, 3), ("cat", 3, 5, 2),
+                             ("cat", 8, 8, 2)]),
+       chunk=st.sampled_from([3, 64, 2048]), seed=st.integers(0, 2 ** 32 - 1))
+def test_a_permuted_store_gives_the_same_record(case, chunk, seed):
+    # the input store need not be grouped: a run is any stretch of one count
+    (verts, counts, owner, torus_map, part), (codes, measures, *_) = _depth_call(*case)
+    perm = np.random.default_rng(seed).permutation(len(counts))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(geometry, "CHUNK_ROWS", chunk)
+        got = partitions._refine_pieces(*_permuted(verts, counts, owner, perm),
+                                        torus_map, part)
+    assert got[0].tobytes() == codes.tobytes()
+    assert got[1].tobytes() == measures.tobytes()
+
+
+def test_exact_refinement_peak_memory_is_bounded():
+    tracemalloc.start()
+    try:
+        refine_series(make_map("cat"), GridPartition(8, 8), 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < EXACT_CAT_DEPTH6_PEAK_BYTES

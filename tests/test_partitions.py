@@ -295,28 +295,41 @@ def _unique_refine_pieces(verts, counts, owner, torus_map, part):
     """_refine_pieces grouping its keys with np.unique and a second argsort.
 
     The reference grouping: the group_prefixes path must return the same
-    codes, measures and pieces bit for bit.
+    codes, measures and store bit for bit.  The store layout is rebuilt
+    here with gathers and masks: the pieces of each count, CHUNK_ROWS at a
+    time, and the kept cuts collected per count in the order they came.
     """
     q_edges = np.array([k / part.m_q for k in range(part.m_q + 1)])
     p_edges = np.array([k / part.m_p for k in range(part.m_p + 1)])
-    kept = []
-    for lo in range(0, len(counts), geometry.CHUNK_ROWS):
-        hi = lo + geometry.CHUNK_ROWS
-        mv, mn, src = geometry.branch_images_batch(verts[lo:hi], counts[lo:hi],
-                                                   torus_map.branches)
-        cv, cn, img, iq, ip = geometry.grid_cuts_batch(mv, mn, q_edges, p_edges)
-        areas = geometry.polygon_area_batch(cv, cn)
-        thick = areas > partitions._ZERO_AREA
-        keys = owner[lo:hi][src[img]] * part.n_cells + iq * part.m_p + ip
-        kept.append((cv[thick], cn[thick], keys[thick], areas[thick]))
-    verts, counts, keys, areas = geometry.concat_batches(kept)
+    firsts = np.cumsum(counts) - counts
+    kept = {}
+    for c in np.unique(counts).tolist():
+        # the store is grouped by count, so its rows of count c are a run
+        rows = np.flatnonzero(counts == c)
+        for lo in range(0, len(rows), geometry.CHUNK_ROWS):
+            chunk = rows[lo:lo + geometry.CHUNK_ROWS]
+            batch = verts[firsts[chunk][:, None] + np.arange(c)]
+            mv, mn, src = geometry.branch_images_batch(batch, counts[chunk],
+                                                       torus_map.branches)
+            cv, cn, img, iq, ip = geometry.grid_cuts_batch(mv, mn, q_edges, p_edges)
+            areas = geometry.polygon_area_batch(cv, cn)
+            thick = areas > partitions._ZERO_AREA
+            keys = owner[chunk][src[img]] * part.n_cells + iq * part.m_p + ip
+            for k in np.unique(cn[thick]).tolist():
+                sel = thick & (cn == k)
+                kept.setdefault(k, []).append((cv[sel][:, :k], keys[sel], areas[sel]))
+    cuts = [cut for k in sorted(kept) for cut in kept[k]]
+    verts = np.concatenate([v.reshape(-1, 2) for v, _, _ in cuts])
+    counts = np.concatenate([np.full(len(k), v.shape[1]) for v, k, _ in cuts])
+    keys = np.concatenate([k for _, k, _ in cuts])
+    areas = np.concatenate([a for _, _, a in cuts])
     codes, owner, sizes = np.unique(keys, return_inverse=True, return_counts=True)
     order = np.argsort(owner, kind="stable")
     starts = np.cumsum(sizes) - sizes
     measures = areas[order[starts]]
     for w in np.flatnonzero(sizes > 1):
         measures[w] = math.fsum(areas[order[starts[w]:starts[w] + sizes[w]]].tolist())
-    return codes, measures, verts[:, :int(counts.max(initial=0))], counts, owner
+    return codes, measures, verts, counts, owner
 
 
 @pytest.mark.parametrize("case", [("identity", 2, 2, 4), ("baker", 2, 1, 10),
