@@ -34,7 +34,7 @@ from .partitions import (MC_ESTIMATORS, MEASURE_MODES, GridPartition,
                          McConfig, h_mu_ratio, hks_estimate, progress_line,
                          word_rows)
 from .pipeline import (CHAIN_BYTES_CAP, ClassicalSource, QuantumSource,
-                       prescription_run)
+                       prescription_run, quantum_run_bytes)
 
 FORMATS = ("json", "csv", "both")
 SOURCES = ("classical", "gamow")
@@ -373,11 +373,11 @@ def _check_operator_bytes(opt, generation, use_bytes, flags):
 
     The operators hold cells x n_max^2 complex entries, and each is built
     from a copy.  A random draw adds _DRAW_ENTRY_BYTES per entry of its
-    support block, and the command's use of the operators use_bytes per
-    entry of one operator; flags name the options that size it all.
+    support block, and the command's use of the operators use_bytes in
+    all; flags name the options that size it all.
     """
     n_max, cells = opt["n_max"], opt["cells"]
-    need = ((cells + 1) * 16 + use_bytes) * n_max ** 2
+    need = (cells + 1) * 16 * n_max ** 2 + use_bytes
     if generation == "random":
         need += _DRAW_ENTRY_BYTES * min(opt["support"] or n_max, n_max) ** 2
     if need > CHAIN_BYTES_CAP:
@@ -405,9 +405,8 @@ def _check_phases(opt, steps, step_flag):
 def _cell_operators(cfg, opt, use_bytes, flags="--cells or --n-max"):
     """The GamowSpec and cell operators of the operator-side commands.
 
-    use_bytes is what the command's use of the operators holds per entry
-    of one operator, and flags the options that size it (see
-    _check_operator_bytes).
+    use_bytes is what the command's use of the operators holds, and flags
+    the options that size it (see _check_operator_bytes).
     """
     spec = GamowSpec(**{k: opt[k] for k in ("omega0", "gamma0", "hbar",
                                             "alpha", "n_max")})
@@ -569,15 +568,15 @@ def cmd_prescription(args):
     else:
         depth = _depth(cfg, 80, low=7)
         _check_phases(opt, depth, "--depth")
-        # chain_traces holds up to four more copies of the operators (the
-        # stacked one, two evolved ones and their magnitudes) and one
-        # product per tracked word, all under one cap; with cells >= 2 the
+        # the operators and the run's use of them (quantum_run_bytes: their
+        # copies and links, one block of chain products, and the words'
+        # symbols, magnitudes and fits) share one cap; with cells >= 2 the
         # budget binds from bit_length symbols on
         budget = opt["word_budget"]
         words = min(budget, opt["cells"] ** min(depth + 1, budget.bit_length()))
+        use = quantum_run_bytes(words, depth, opt["cells"], opt["n_max"])
         source = QuantumSource(*_cell_operators(
-            cfg, opt, 16 * (4 * opt["cells"] + words),
-            "--word-budget, --cells or --n-max"))
+            cfg, opt, use, "--word-budget, --depth, --cells or --n-max"))
     cfg["depth"] = depth
     if opt["onset"] is not None:
         # the fits need at least 4 tail points among depths 0..depth
@@ -621,7 +620,8 @@ def cmd_gamow_evolve(args):
     cell = _as_int("cell", opt["cell"], high=opt["cells"] - 1)
     j = opt["j"]
     _check_phases(opt, j, "--j")
-    spec, ops = _cell_operators(cfg, opt, _EVOLVE_ENTRY_BYTES)
+    spec, ops = _cell_operators(cfg, opt,
+                                _EVOLVE_ENTRY_BYTES * opt["n_max"] ** 2)
 
     evolved = evolve_operator(spec, ops[cell], j)
     ratio = off_mass_ratio(evolved)

@@ -28,6 +28,9 @@ _ORACLE_DIM_CAP = 200
 # chain_traces drops the entries of evolved cell operators that are at most
 # this many times the smallest (0, 0) lead; its docstring bounds the error
 TRUNCATION_EPS = 1e-18
+# bytes of chain products per block of chain_traces: about 512 words at
+# n_max 32; smaller blocks were slower for their per-block overhead
+BLOCK_BYTES = 2 ** 23
 # complex entries of gathered parent products per chunk of chain_traces
 CHUNK_ENTRIES = 2 ** 15
 # OpenBLAS runs a GEMM with m n k below this on the calling thread
@@ -167,6 +170,80 @@ def _gemm_rows(k: int, k_prev: int) -> int:
     return max(1, GEMM_ONE_THREAD // (k * k * k_prev))
 
 
+def _chain_links(spec: GamowSpec, cell_ops, depths: int, start_step: int
+                 ) -> tuple[list, list]:
+    """Each depth's truncated links and truncation dimension k_n.
+
+    Link 0 is the (m, k_0, k_0) stack of cell operators at step start_step;
+    link n >= 1 is the (m, k_{n-1}, k_n) corner of the operators at step
+    start_step + n, copied so that no depth keeps a whole evolved stack.
+    """
+    base = np.stack([op.coeffs for op in cell_ops])
+    links, dims = [], []
+    k = spec.n_max
+    for n in range(depths):
+        # evolve_operator's arithmetic, once per cell and depth
+        evolved = base
+        if start_step + n:
+            evolved = base * evolution_factors(spec, start_step + n)
+        k_prev, k = k, min(_truncation_dim(evolved), k)
+        links.append(evolved[:, :k_prev if n else k, :k].copy())
+        dims.append(k)
+    return links, dims
+
+
+def _block_traces(links, dims, words: np.ndarray, first_diff: np.ndarray,
+                  flat: np.ndarray, product: np.ndarray,
+                  mags: np.ndarray) -> np.ndarray:
+    """Every depth of one block of distinct, lexicographically sorted words.
+
+    first_diff[r] is the first column where row r differs from row r - 1,
+    and 0 for the block's first row, so the depth-n prefixes begin at the
+    rows with first_diff <= n.  Writes the block's magnitudes into mags
+    and returns its full traces.
+    """
+    rows = np.arange(len(words))
+    for n, (link, k) in enumerate(zip(links, dims)):
+        new = first_diff <= n
+        # heads[g] is prefix g's slot: its first row in the block
+        heads = rows[new]
+        syms = words[heads, n]
+        trace = np.empty(len(heads), dtype=complex)
+        if n == 0:
+            out = link[syms]
+            flat[heads, :k * k] = out.reshape(len(heads), k * k)
+            trace[:] = np.einsum("wii->w", out)
+        else:
+            parents = slots[heads]
+            per_gemm = _gemm_rows(k, k_prev)
+            step = max(1, CHUNK_ENTRIES // (k * k_prev))
+            for hi in range(len(heads), 0, -step):
+                lo = max(hi - step, 0)
+                sel = np.argsort(syms[lo:hi], kind="stable")
+                # rows < k of each parent, gathered before any slot is written
+                old = flat[parents[lo:hi][sel], :k * k_prev].reshape(
+                    hi - lo, k, k_prev)
+                out = product[:(hi - lo) * k * k].reshape(hi - lo, k, k)
+                g_hi = 0
+                for sym, size in enumerate(np.bincount(syms[lo:hi]).tolist()):
+                    g_lo, g_hi = g_hi, g_hi + size
+                    cut = g_hi - size % per_gemm
+                    # whole GEMMs of per_gemm prefixes, then one of the rest
+                    for a, b in ((g_lo, cut), (cut, g_hi)):
+                        if b > a:
+                            r = k * min(per_gemm, b - a)
+                            np.matmul(old[a:b].reshape(-1, r, k_prev),
+                                      link[sym], out=out[a:b].reshape(-1, r, k))
+                flat[heads[lo:hi][sel], :k * k] = out.reshape(hi - lo, k * k)
+                trace[lo + sel] = np.einsum("wii->w", out)
+        # each row's depth-n prefix, as an index into heads and as a slot
+        owner = np.cumsum(new) - 1
+        slots = heads[owner]
+        mags[:, n] = np.abs(trace)[owner]
+        k_prev = k
+    return trace
+
+
 def chain_traces(spec: GamowSpec, cell_ops, words, start_step: int = 0,
                  on_depth: Optional[Callable[[int, np.ndarray, int, np.ndarray],
                                              None]] = None
@@ -191,86 +268,70 @@ def chain_traces(spec: GamowSpec, cell_ops, words, start_step: int = 0,
     give the first part, and BLAS rounds the shorter sums in another order.
     With the default random cells the magnitudes are bit-identical.
 
-    Prefix sharing.  Rows with the same length-(n+1) prefix have the same
-    depth-n product, so each distinct prefix's product is computed once,
-    from its parent's.  partitions.prefix_levels groups the rows, which
-    need not be sorted or distinct: a prefix's code names its parent.
-    Within a chunk the prefixes are grouped by their depth-n symbol, and
-    each group is multiplied by its one link in GEMMs of _gemm_rows rows,
-    none large enough to start a BLAS thread.  BLAS forms each entry of a
-    GEMM the same way whatever its row count, so every magnitude has the
-    bits of a product taken row by row; tests/test_gamow.py keeps that
-    kernel as the reference.
+    Blocks.  The rows, which need not be sorted or distinct, are sorted
+    once by partitions.prefix_levels, and the distinct words are cut into
+    blocks of lexicographically adjacent words, BLOCK_BYTES of products
+    each.  Every depth of one block runs before the next block starts.
+    Rows with the same length-(n+1) prefix have the same depth-n product,
+    so within a block each distinct prefix's product is computed once,
+    from its parent's; a prefix that straddles two blocks is computed in
+    both.  The prefixes are grouped by their depth-n symbol, and each group
+    is multiplied by its one link in GEMMs of _gemm_rows rows, none large
+    enough to start a BLAS thread.  BLAS forms each entry of a GEMM the same
+    way whatever its row count, so every magnitude has the bits of a
+    product taken row by row, whatever the blocks; tests/test_gamow.py
+    keeps that kernel as the reference.
 
-    Memory.  The products share one flat buffer of W n_max^2 entries, one
-    slot per row of the sorted words; a prefix lives in the slot of its
-    first row.  A prefix's parent sits in the same slot or an earlier one,
-    so chunks of CHUNK_ENTRIES gathered entries run from the last slot
-    down, and each chunk gathers its parents before writing its products.
+    Memory.  One block's products share one flat buffer of BLOCK_BYTES,
+    one k_0^2 slot per word (at least one word); a prefix lives in the slot
+    of its first row in the block.  A prefix's parent sits in the same slot
+    or an earlier one, so chunks of CHUNK_ENTRIES gathered entries run from
+    the last slot down, and each chunk gathers its parents before writing
+    its products.  Besides the words, the run holds the (W, N) magnitudes,
+    W traces and each depth's links, at most (N + 1) m n_max^2 entries and
+    in practice far fewer, since k_n shrinks; the products no longer grow
+    with W.
 
-    on_depth(n, mags[:, n], k_n, prefix_mags) runs as each depth finishes,
-    with the magnitudes of the depth's distinct prefixes in lexicographic
-    order; returns mags (W, N) and traces (W,).
+    on_depth(n, mags[:, n], k_n, prefix_mags) runs for every depth in
+    order once all blocks are done, with the magnitudes of the depth's
+    distinct prefixes in lexicographic order, each once; returns mags
+    (W, N) and traces (W,).
     """
     words = np.asarray(words)
     if not 0 <= words.min() <= words.max() < len(cell_ops):
         raise ValueError(f"word symbols must lie in [0, {len(cell_ops)})")
     for op in cell_ops:
         _check_dim(spec, op)
-    base = np.stack([op.coeffs for op in cell_ops])
+    links, dims = _chain_links(spec, cell_ops, words.shape[1], start_step)
     n_rows = words.shape[0]
-    dim = spec.n_max
-    mags = np.empty(words.shape)
-    flat = np.empty((n_rows, dim * dim), dtype=complex)
-    product = np.empty(min(n_rows * dim * dim, max(CHUNK_ENTRIES, dim * dim)),
-                       dtype=complex)
-    k_prev = dim
-    # heads[g] is prefix g's slot: its first row in lexicographic order
-    for n, (perm, heads, codes, ids) in enumerate(
-            prefix_levels(words, len(cell_ops))):
-        # evolve_operator's arithmetic, once per cell and depth
-        evolved = base
-        if start_step + n:
-            evolved = base * evolution_factors(spec, start_step + n)
-        k = min(_truncation_dim(evolved), k_prev)
-        trace = np.empty(len(heads), dtype=complex)
-        if n == 0:
-            out = evolved[codes, :k, :k]
-            flat[heads, :k * k] = out.reshape(len(heads), k * k)
-            trace[:] = np.einsum("wii->w", out)
-        else:
-            links = evolved[:, :k_prev, :k]
-            per_gemm = _gemm_rows(k, k_prev)
-            step = max(1, CHUNK_ENTRIES // (k * k_prev))
-            for hi in range(len(heads), 0, -step):
-                lo = max(hi - step, 0)
-                parent_ids, syms = np.divmod(codes[lo:hi], len(cell_ops))
-                sel = np.argsort(syms, kind="stable")
-                slots = heads[lo:hi][sel]
-                parents = prev_heads[parent_ids[sel]]
-                # rows < k of each parent, gathered before any slot is written
-                old = flat[parents, :k * k_prev].reshape(hi - lo, k, k_prev)
-                out = product[:(hi - lo) * k * k].reshape(hi - lo, k, k)
-                g_hi = 0
-                for sym, size in enumerate(np.bincount(syms).tolist()):
-                    g_lo, g_hi = g_hi, g_hi + size
-                    cut = g_hi - size % per_gemm
-                    # whole GEMMs of per_gemm prefixes, then one of the rest
-                    for a, b in ((g_lo, cut), (cut, g_hi)):
-                        if b > a:
-                            m = k * min(per_gemm, b - a)
-                            np.matmul(old[a:b].reshape(-1, m, k_prev), links[sym],
-                                      out=out[a:b].reshape(-1, m, k))
-                flat[slots, :k * k] = out.reshape(hi - lo, k * k)
-                trace[lo + sel] = np.einsum("wii->w", out)
-        prefix_mags = np.abs(trace)
-        mags[perm, n] = prefix_mags[ids]
-        prev_heads, k_prev = heads, k
-        if on_depth is not None:
-            on_depth(n, mags[:, n], k, prefix_mags)
-    traces = np.empty(n_rows, dtype=complex)
-    traces[perm] = trace[ids]
-    return mags, traces
+    for perm, starts, _, ids in prefix_levels(words, len(cell_ops)):
+        pass
+    # where[w] is row w's place among the distinct rows in lexicographic order
+    where = np.empty(n_rows, dtype=np.int64)
+    where[perm] = ids
+    in_order = len(starts) == n_rows and (perm == np.arange(n_rows)).all()
+    distinct = words if in_order else words[perm[starts]]
+    first_diff = np.zeros(len(distinct), dtype=np.int64)
+    first_diff[1:] = np.argmax(distinct[1:] != distinct[:-1], axis=1)
+
+    slot = dims[0] ** 2
+    per_block = max(1, BLOCK_BYTES // (16 * slot))
+    flat = np.empty((min(per_block, len(distinct)), slot), dtype=complex)
+    product = np.empty(min(flat.size, max(CHUNK_ENTRIES, slot)), dtype=complex)
+    mags = np.empty(distinct.shape)
+    traces = np.empty(len(distinct), dtype=complex)
+    for lo in range(0, len(distinct), per_block):
+        hi = min(lo + per_block, len(distinct))
+        block_diff = first_diff[lo:hi].copy()
+        block_diff[0] = 0
+        traces[lo:hi] = _block_traces(links, dims, distinct[lo:hi], block_diff,
+                                      flat, product, mags[lo:hi])
+    del flat, product                   # freed before the row-order copies
+    row_mags = mags if in_order else mags[where]
+    if on_depth is not None:
+        for n, k in enumerate(dims):
+            on_depth(n, row_mags[:, n], k, mags[first_diff <= n, n])
+    return row_mags, (traces if in_order else traces[where])
 
 
 def chain_trace(spec: GamowSpec, ops, n: int, start_step: int = 0) -> ChainResult:

@@ -14,7 +14,6 @@ equality tests lean on.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
@@ -22,17 +21,24 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .errors import ConfigurationError, ResourceLimitError
-from .gamow import BiorthOperator, GamowSpec, _check_dim, chain_traces, \
-    decay_bounds
+from .gamow import BLOCK_BYTES, CHUNK_ENTRIES, BiorthOperator, GamowSpec, \
+    _check_dim, chain_traces, decay_bounds
 from .maps import TorusMap
 from .partitions import GridPartition, McConfig, entropy_nats, fit_line, \
     prefix_levels, progress_line, refine_series, tail_slope, word_rows
 
 VERDICTS = ("exponential", "not_exponential", "inconclusive")
 
-# quantum runs refuse word sets whose chain products would pass this many
-# bytes: gamow.chain_traces holds one (W, n, n) complex buffer
+# quantum runs refuse configs whose quantum_run_bytes, plus the cell
+# operators on the command line, would pass this many bytes
 CHAIN_BYTES_CAP = 2 * 2 ** 30
+# quantum_run_bytes per word, and per word and symbol: the words (4 bytes a
+# symbol), their magnitudes (8), and each depth's prefix magnitudes or,
+# later, the per-word fits' temporaries (8); per word the traces, the
+# sort's index arrays and the fits' row sums.  tracemalloc put 4 cells of
+# 32 x 32 at 70 + 16.3 bytes a symbol per word, depths 9 to 80
+QUANTUM_WORD_BYTES = 96
+QUANTUM_SYMBOL_BYTES = 20
 
 # the slope an exponential verdict must fall below, in decay_detect and in
 # the batched per-word verdicts alike
@@ -293,6 +299,30 @@ def _classical_measures(src: ClassicalSource, n_max: int, word_budget: int,
         sampling, n_max // 2, False, None)
 
 
+def quantum_run_bytes(n_words: int, depth: int, cells: int, dim: int) -> int:
+    """Bytes a quantum run of n_words words may hold beside its operators.
+
+    gamow.chain_traces holds four copies of the cells x dim^2 operators
+    (the stacked one, two evolved ones and their magnitudes) and up to
+    depth + 1 of truncated links, one block of products with its chunk
+    scratch, and per word QUANTUM_WORD_BYTES plus QUANTUM_SYMBOL_BYTES for
+    each of its depth + 1 symbols.
+    """
+    ops = 16 * cells * dim ** 2 * (depth + 5)
+    block = max(BLOCK_BYTES, 16 * dim ** 2) + 32 * max(CHUNK_ENTRIES, dim ** 2)
+    return ops + block + n_words * (QUANTUM_WORD_BYTES
+                                    + QUANTUM_SYMBOL_BYTES * (depth + 1))
+
+
+def _all_words(m: int, length: int) -> np.ndarray:
+    """Every word of length symbols on m, in lexicographic order, as int32."""
+    words = np.empty((m ** length, length), dtype=np.int32)
+    for j in range(length):
+        # column j counts through the symbols in runs of m^(length - 1 - j)
+        words.reshape(m ** j, m, -1, length)[..., j] = np.arange(m)[:, None]
+    return words
+
+
 def _quantum_measures(src: QuantumSource, n_max: int, word_budget: int,
                       seed: int,
                       progress: Optional[Callable[[str], None]]) -> _Measured:
@@ -301,16 +331,15 @@ def _quantum_measures(src: QuantumSource, n_max: int, word_budget: int,
     m = len(ops)
     all_words = m ** (n_max + 1)
     n_words = min(all_words, word_budget)
-    chain_bytes = n_words * spec.n_max ** 2 * 16
-    if chain_bytes > CHAIN_BYTES_CAP:
+    need = quantum_run_bytes(n_words, n_max, m, spec.n_max)
+    if need > CHAIN_BYTES_CAP:
         raise ResourceLimitError(
-            f"{n_words} words of {spec.n_max}x{spec.n_max} chain products "
-            f"need {chain_bytes / 2 ** 30:.3g} GiB, above the "
-            f"{CHAIN_BYTES_CAP / 2 ** 30:.3g} GiB cap; lower --word-budget "
-            "or --n-max")
+            f"{n_words} words of depth {n_max} on {m} cells of "
+            f"{spec.n_max}x{spec.n_max} coefficients need {need / 2 ** 30:.3g} "
+            f"GiB, above the {CHAIN_BYTES_CAP / 2 ** 30:.3g} GiB cap; lower "
+            "--word-budget, --depth or --n-max")
     if all_words <= word_budget:
-        words = np.array(list(itertools.product(range(m), repeat=n_max + 1)),
-                         dtype=np.int32)
+        words = _all_words(m, n_max + 1)
         sampling = "exhaustive"
     else:
         rng = np.random.default_rng(seed)

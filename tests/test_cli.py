@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from pesinlab import GridPartition, PhasePoint, cli, lyapunov_spectrum, \
-    make_map
+    make_map, pipeline
 from pesinlab.cli import main
 
 LN2 = math.log(2.0)
@@ -498,8 +498,9 @@ def test_quantum_underflow_is_refused_before_the_chains(tmp_path):
 @pytest.mark.parametrize("mass", ["1.0", "0.9999"])
 def test_quantum_cells_summing_above_one_fail_at_the_first_depth(tmp_path, mass):
     # |trace| adds the small diagonal entries to the (0,0) lead, so these
-    # cell measures sum above 1 already at depth 0; the run stops there
-    # instead of taking every chain product and failing in the entropy step
+    # cell measures sum above 1 already at depth 0; the run stops at that
+    # depth's check, which follows the chain products, instead of failing
+    # in the entropy step
     proc = _run_module(["prescription", "--source", "gamow", "--cells", "4",
                         "--depth", "7", "--n-max", "8", "--total-mass", mass,
                         "--out", str(tmp_path)], 60)
@@ -510,14 +511,37 @@ def test_quantum_cells_summing_above_one_fail_at_the_first_depth(tmp_path, mass)
 
 
 def test_quantum_word_budget_past_the_memory_cap_is_refused(tmp_path):
-    # 4^10 exhaustive words of 32x32 chain products would need a 16 GiB
-    # buffer; the run must stop before building the words
+    # 8 million sampled words of 12 symbols need 2.5 GiB for their symbols,
+    # magnitudes and fits (pipeline.quantum_run_bytes); the run must stop
+    # before building the words
+    need = pipeline.quantum_run_bytes(8_000_000, 11, 4, 32)
+    assert need > cli.CHAIN_BYTES_CAP
     proc = _run_module(["prescription", "--source", "gamow", "--cells", "4",
-                        "--depth", "9", "--word-budget", "2000000",
+                        "--depth", "11", "--word-budget", "8000000",
                         "--out", str(tmp_path)], 60)
     assert proc.returncode == 2, proc.stderr
     assert "--word-budget" in proc.stderr and "--n-max" in proc.stderr
-    assert "depth 0/9" not in proc.stderr
+    assert "depth 0/11" not in proc.stderr
+    assert not list(tmp_path.glob("*.json"))
+
+
+def test_quantum_words_past_the_old_product_buffer_pass_the_memory_cap(
+        tmp_path, capsys, monkeypatch):
+    # 4^10 exhaustive words of depth 9 once needed a 16 GiB buffer, one
+    # 32x32 product per word, and exited 2; the blocked kernel's products
+    # do not grow with the words, so the run now reaches the chain kernel
+    class KernelReached(Exception):
+        pass
+
+    def kernel(spec, ops, words, **kwargs):
+        assert words.shape == (4 ** 10, 10)
+        raise KernelReached
+
+    monkeypatch.setattr(pipeline, "chain_traces", kernel)
+    code, _, err = run_cli(["prescription", "--source", "gamow", "--cells",
+                            "4", "--depth", "9", "--word-budget", "2000000",
+                            "--out", str(tmp_path)], capsys)
+    assert code == 1 and "KernelReached" in err, err
     assert not list(tmp_path.glob("*.json"))
 
 
@@ -571,7 +595,7 @@ def test_non_finite_quantum_magnitudes_fail_without_json(tmp_path, capsys,
     assert code == 1, err
     assert re.search(r"magnitude at n=\d+ is nan; decay fits need finite", err)
     assert not (tmp_path / "prescription.json").exists()
-    # the run stops at the first depth whose measures are not finite
+    # the report stops at the first depth whose measures are not finite
     assert "depth 2/10" not in err
 
 
@@ -601,17 +625,18 @@ def test_gamow_evolve_without_steps_takes_no_phases(tmp_path, capsys):
 
 def test_quantum_operators_and_chains_share_one_memory_cap(tmp_path, capsys,
                                                           monkeypatch):
-    # 13000 operators of 32x32 with chain_traces' copies and the random
-    # draw need 0.99 GiB, and 100000 words of chain products 1.53 GiB; each
-    # fits the 2 GiB cap alone, and the run used to hold both
-    ops = (13001 * 16 + 4 * 16 * 13000 + cli._DRAW_ENTRY_BYTES) * 32 ** 2
-    chains = 100000 * 32 ** 2 * 16
+    # 4000 operators of 32x32 with chain_traces' copies and links, its block
+    # and the random draw need 0.99 GiB, and 4 million words of depth 10
+    # 1.18 GiB; each fits the 2 GiB cap alone, and the run would hold both
+    no_words = pipeline.quantum_run_bytes(0, 10, 4000, 32)
+    ops = (4001 * 16 + cli._DRAW_ENTRY_BYTES) * 32 ** 2 + no_words
+    chains = pipeline.quantum_run_bytes(4_000_000, 10, 4000, 32) - no_words
     assert max(ops, chains) < cli.CHAIN_BYTES_CAP < ops + chains
 
     _forbid_draw(monkeypatch)
     code, _, err = run_cli(["prescription", "--source", "gamow", "--cells",
-                            "13000", "--depth", "10", "--word-budget",
-                            "100000", "--out", str(tmp_path)], capsys)
+                            "4000", "--depth", "10", "--word-budget",
+                            "4000000", "--out", str(tmp_path)], capsys)
     assert code == 2, err
     for flag in ("--word-budget", "--cells", "--n-max"):
         assert flag in err

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,8 +11,14 @@ from pesinlab import (BiorthOperator, GamowSpec, QuantumSource,
                       decay_bounds, eigenvalues, evolution_factors,
                       evolve_matrix_oracle, evolve_operator,
                       make_cell_operators, off_mass_ratio, prescription_run)
+from pesinlab import gamow
 from pesinlab.gamow import (GEMM_ONE_THREAD, TRUNCATION_EPS, _gemm_rows,
                             _truncation_dim)
+
+# tracemalloc peak of chain_traces on the default 4096 sampled words to
+# depth 80, stated in the README.  Blocks of 8 MiB measured 13.3 MiB; the
+# depth-major kernel, one 32x32 product per word, peaked at 68.5 MiB
+CHAIN_DEFAULT_PEAK_BYTES = 16 * 2 ** 20
 
 
 def _chain_ops(rng, count, n_max=32, lead_lo=0.3, lead_hi=0.7, off=3e-4):
@@ -399,6 +406,108 @@ def test_on_depth_prefixes_of_unsorted_repeated_rows():
     assert [len(p) for p in seen] == [2, 2, 3]
     assert seen[2].tobytes() == mags[order, 2].tobytes()
     assert seen[1].tobytes() == mags[[1, 0], 1].tobytes()
+
+
+def _block_words(monkeypatch, rows, spec, ops, start_step=0):
+    """Set BLOCK_BYTES to rows words of k_0^2 products; return block sizes."""
+    k0 = gamow._chain_links(spec, ops, 1, start_step)[1][0]
+    monkeypatch.setattr(gamow, "BLOCK_BYTES", rows * 16 * k0 ** 2)
+    sizes = []
+    block_traces = gamow._block_traces
+
+    def spy(links, dims, words, *args):
+        sizes.append(len(words))
+        return block_traces(links, dims, words, *args)
+
+    monkeypatch.setattr(gamow, "_block_traces", spy)
+    return sizes
+
+
+def _long_shared_prefixes(m, depth, count, seed):
+    """Unsorted rows, many repeated, whose distinct rows share long prefixes."""
+    rng = np.random.default_rng(seed)
+    words = rng.integers(0, m, size=(count, depth + 1))
+    words[:, :depth // 2] = rng.integers(0, 2, size=depth // 2)
+    words[count // 3:, :depth - 3] = words[0, :depth - 3]
+    words = np.concatenate([words, words[::3], words[count // 2:]])
+    rng.shuffle(words)
+    return words
+
+
+@pytest.mark.parametrize("rows", [1, 3, 7])
+@pytest.mark.parametrize("kind", ["sampled", "unsorted"])
+def test_blocks_keep_every_bit(monkeypatch, rows, kind):
+    spec = GamowSpec(n_max=12)
+    ops = make_cell_operators(spec, 3, seed=rows)
+    if kind == "sampled":
+        words = _sampled_words(3, 30, 60, rows)
+    else:
+        words = _long_shared_prefixes(3, 30, 40, rows)
+    ref_mags, ref_trace = _per_row_chain_traces(spec, ops, words)
+    full_mags, _ = _untruncated_chain_traces(spec, ops, words)
+    sizes = _block_words(monkeypatch, rows, spec, ops)
+    mags, trace = chain_traces(spec, ops, words)
+    distinct = np.unique(words, axis=0)
+    assert sizes[:-1] == [rows] * (len(sizes) - 1) and sum(sizes) == len(distinct)
+    # some block starts inside a prefix shared with the block before it
+    starts = distinct[rows::rows]
+    assert (starts[:, :5] == distinct[rows - 1:-1:rows][:, :5]).all(axis=1).any()
+    assert mags.tobytes() == ref_mags.tobytes() == full_mags.tobytes()
+    assert trace.tobytes() == ref_trace.tobytes()
+
+
+@pytest.mark.parametrize("rows", [1, 3, 7])
+def test_blocks_keep_every_bit_on_the_default_family(monkeypatch, rows):
+    spec = GamowSpec()
+    ops = make_cell_operators(spec, 4, seed=rows)
+    words = _long_shared_prefixes(4, 40, 24, rows)
+    ref_mags, ref_trace = _per_row_chain_traces(spec, ops, words, 3)
+    sizes = _block_words(monkeypatch, rows, spec, ops, 3)
+    mags, trace = chain_traces(spec, ops, words, 3)
+    assert len(sizes) > 1
+    assert mags.tobytes() == ref_mags.tobytes()
+    assert trace.tobytes() == ref_trace.tobytes()
+
+
+@pytest.mark.parametrize("rows", [1, 3, 7])
+def test_blocks_keep_on_depth_prefixes_dims_and_evolutions(monkeypatch, rows):
+    spec = GamowSpec(n_max=10)
+    ops = make_cell_operators(spec, 3, seed=2)
+    words = _sampled_words(3, 40, 200, rows)
+    first_diff = np.concatenate(
+        ([0], np.argmax(words[1:] != words[:-1], axis=1)))
+    ref_dims = []
+    chain_traces(spec, ops, words, 5, on_depth=lambda n, col, k, p:
+                 ref_dims.append(k))
+    ref, _ = _per_row_chain_traces(spec, ops, words, 5)
+    sizes = _block_words(monkeypatch, rows, spec, ops, 5)
+    steps = []
+    evolve = gamow.evolution_factors
+    monkeypatch.setattr(gamow, "evolution_factors",
+                        lambda spec, j: steps.append(j) or evolve(spec, j))
+    seen = []
+    mags, _ = chain_traces(spec, ops, words, 5, on_depth=lambda n, col, k, p:
+                           seen.append((n, k, col.copy(), p)))
+    assert len(sizes) > 1
+    assert steps == list(range(5, 46))           # once per depth
+    assert [n for n, *_ in seen] == list(range(41))
+    assert [k for _, k, *_ in seen] == ref_dims
+    for n, _, col, prefix_mags in seen:
+        assert col.tobytes() == mags[:, n].tobytes() == ref[:, n].tobytes()
+        assert prefix_mags.tobytes() == col[first_diff <= n].tobytes()
+
+
+def test_default_kernel_peak_memory_is_bounded():
+    spec = GamowSpec()
+    ops = make_cell_operators(spec, 4, seed=0)
+    words = _sampled_words(4, 80, 4096, 0)
+    tracemalloc.start()
+    try:
+        chain_traces(spec, ops, words, on_depth=lambda *args: None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < CHAIN_DEFAULT_PEAK_BYTES
 
 
 @settings(max_examples=40, deadline=None)

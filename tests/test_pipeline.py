@@ -1,16 +1,19 @@
 import hashlib
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from pesinlab import (BiorthOperator, ClassicalSource, GamowSpec,
-                      GridPartition, McConfig, QuantumSource, decay_detect,
+                      GridPartition, McConfig, QuantumSource,
+                      ResourceLimitError, decay_detect,
                       entropy_nats, h_mu, make_cell_operators, make_map, mu_via_quantum,
                       prescription_run, quantum_fit_onset, refine_series,
                       semiclassical_h_mu, word_rows)
 from pesinlab.partitions import prefix_levels
-from pesinlab.pipeline import RATE_FLOOR, VERDICT_MARGIN, _word_verdicts
+from pesinlab.pipeline import RATE_FLOOR, VERDICT_MARGIN, _all_words, \
+    _word_verdicts
 
 LN2 = math.log(2.0)
 
@@ -333,6 +336,27 @@ def test_exhaustive_vs_sampled_regimes():
     assert part.sampling == "sampled"
     assert part.words.shape[0] <= 100
     assert len(np.unique(part.words, axis=0)) == part.words.shape[0]
+
+
+def test_quantum_run_past_the_memory_cap_is_refused(monkeypatch):
+    # 8 million words of depth 11 need 2.5 GiB beside the operators; the
+    # library refuses them before drawing a word
+    spec = GamowSpec()
+    src = QuantumSource(spec, tuple(make_cell_operators(spec, 4, seed=0)))
+    monkeypatch.setattr(np.random, "default_rng", None)
+    with pytest.raises(ResourceLimitError, match="--word-budget, --depth"):
+        prescription_run(src, 11, word_budget=8_000_000)
+
+
+@pytest.mark.parametrize("m, length", [(2, 1), (2, 9), (3, 5), (4, 6),
+                                       (7, 3), (5, 1)])
+def test_all_words_match_itertools_product(m, length):
+    # the exhaustive word set used to be built from one tuple per word
+    words = _all_words(m, length)
+    ref = np.array(list(itertools.product(range(m), repeat=length)),
+                   dtype=np.int32)
+    assert words.dtype == np.int32 and words.shape == ref.shape
+    assert words.tobytes() == ref.tobytes()
 
 
 @pytest.mark.parametrize("shape, m", [((1, 5), 4), ((4096, 81), 4),
