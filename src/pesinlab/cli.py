@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import serialize
+from . import limits, serialize
 from .errors import (ConfigurationError, ResourceLimitError,
                      UnsupportedOperationError)
 from .gamow import GamowSpec, evolve_operator, make_cell_operators, \
@@ -33,8 +33,7 @@ from .maps import MAP_NAMES, PhasePoint, make_map
 from .partitions import (MC_ESTIMATORS, MEASURE_MODES, GridPartition,
                          McConfig, h_mu_ratio, hks_estimate, progress_line,
                          word_rows)
-from .pipeline import (CHAIN_BYTES_CAP, ClassicalSource, QuantumSource,
-                       prescription_run, quantum_run_bytes)
+from .pipeline import ClassicalSource, QuantumSource, prescription_run
 
 FORMATS = ("json", "csv", "both")
 SOURCES = ("classical", "gamow")
@@ -46,16 +45,6 @@ _ALL = (LYAP, KS, PESIN, PRESC, GAMOW)
 _REFINE = (KS, PESIN, PRESC)
 _OPERATOR = (PRESC, GAMOW)
 _ECHO_ALL = ("any", "classical", "gamow")
-
-# the Lyapunov loop runs about 0.7 M steps/s on a 2-core Xeon, so the
-# longest orbit a command accepts takes about 14 s
-MAX_LYAP_STEPS = 10 ** 7
-# bytes per coefficient that building or using the cell operators holds
-# beyond the operators themselves, by tracemalloc: a random draw's
-# temporaries, per entry of its support block (64.8), and gamow-evolve's
-# JSON document and CSV rows of the evolved operator (600-700)
-_DRAW_ENTRY_BYTES = 72
-_EVOLVE_ENTRY_BYTES = 640
 
 
 @dataclass(frozen=True)
@@ -91,8 +80,8 @@ PARAMS = (
     Param("source", "choice", (PRESC,), choices=SOURCES),
     Param("map", "choice", (LYAP,) + _REFINE, choices=MAP_NAMES,
           echo="classical"),
-    Param("steps", "int", (LYAP,), 10000, low=100, high=MAX_LYAP_STEPS,
-          help="orbit length"),
+    Param("steps", "int", (LYAP,), 10000, low=100,
+          high=limits.MAX_LYAP_STEPS, help="orbit length"),
     Param("grid", "text", _REFINE, echo="classical",
           help="partition grid, e.g. 2x1 or 8x8"),
     Param("depth", "int", _REFINE, help="refinement depth n_max"),
@@ -109,7 +98,8 @@ PARAMS = (
           help="comma list of grids, e.g. 2x1,2x2,4x4"),
     Param("include_words", "switch", (KS,), False,
           help="embed per-word measures in the JSON output"),
-    Param("lyap_steps", "int", (PESIN,), 10000, low=100, high=MAX_LYAP_STEPS,
+    Param("lyap_steps", "int", (PESIN,), 10000, low=100,
+          high=limits.MAX_LYAP_STEPS,
           help="orbit length for the exponent side"),
     Param("omega0", "float", _OPERATOR, 1.0, low=0.0, strict=True,
           echo="gamow", help="real part of the levels"),
@@ -333,7 +323,7 @@ def _refinement_setup(cfg, opt, exact_depth, mc_depth, low):
                       estimator=opt["estimator"])
         return GridPartition(*grid), mc, _depth(cfg, mc_depth, low)
     # exact cat cells multiply by 3-4 per depth on the default 8x8 grid, and
-    # depth 7 is the deepest that partitions.EXACT_WORD_CAP admits there
+    # depth 7 is the deepest that limits.EXACT_WORD_CAP admits there
     depth = _depth(cfg, 7 if opt["map"] == "cat" else exact_depth, low)
     return GridPartition(*grid), None, depth
 
@@ -368,50 +358,21 @@ def _prescribed_tables(cfg):
     return tables
 
 
-def _check_operator_bytes(opt, generation, use_bytes, flags):
-    """Refuse cell operators that could need more than CHAIN_BYTES_CAP.
-
-    The operators hold cells x n_max^2 complex entries, and each is built
-    from a copy.  A random draw adds _DRAW_ENTRY_BYTES per entry of its
-    support block, and the command's use of the operators use_bytes in
-    all; flags name the options that size it all.
-    """
-    n_max, cells = opt["n_max"], opt["cells"]
-    need = (cells + 1) * 16 * n_max ** 2 + use_bytes
-    if generation == "random":
-        need += _DRAW_ENTRY_BYTES * min(opt["support"] or n_max, n_max) ** 2
-    if need > CHAIN_BYTES_CAP:
-        raise ResourceLimitError(
-            f"{cells} cell operators of {n_max}x{n_max} coefficients and "
-            f"the work on them may need {need / 2 ** 30:.3g} GiB, above the "
-            f"{CHAIN_BYTES_CAP / 2 ** 30:.3g} GiB cap; lower {flags}")
-
-
-def _check_phases(opt, steps, step_flag):
-    """Refuse evolution phases t |z_r - z_s*| that overflow a double.
-
-    Up to the last step t = alpha steps / hbar, and |z| is at most
-    (n_max - 1) |omega0 - i gamma0|, so no phase tops the bound below.
-    """
-    t = opt["alpha"] * steps / opt["hbar"]
-    bound = t * 2 * (opt["n_max"] - 1) * math.hypot(opt["omega0"], opt["gamma0"])
-    if steps and not math.isfinite(bound):
-        raise ConfigurationError(
-            f"evolution phases up to step {steps} overflow a double; lower "
-            f"--omega0, --gamma0, --alpha, --n-max or {step_flag}, or raise "
-            "--hbar")
-
-
-def _cell_operators(cfg, opt, use_bytes, flags="--cells or --n-max"):
-    """The GamowSpec and cell operators of the operator-side commands.
-
-    use_bytes is what the command's use of the operators holds, and flags
-    the options that size it (see _check_operator_bytes).
-    """
+def _cell_operators(cfg, opt, steps, step_flag, use_bytes,
+                    flags="--cells or --n-max"):
+    """The GamowSpec and cell operators of the operator-side commands,
+    once their phases up to steps (step_flag) and their bytes with the
+    use_bytes of the command's use of them (flags) pass the limits."""
     spec = GamowSpec(**{k: opt[k] for k in ("omega0", "gamma0", "hbar",
                                             "alpha", "n_max")})
+    limits.check_phases(spec, steps, step_flag)
+    n_max, cells = opt["n_max"], opt["cells"]
     generation = opt.get("generation", "random")
-    _check_operator_bytes(opt, generation, use_bytes, flags)
+    support = (opt["support"] or n_max) if generation == "random" else 0
+    limits.check_bytes(
+        limits.operator_bytes(cells, n_max, support, use_bytes),
+        f"{cells} cell operators of {n_max}x{n_max} coefficients and the "
+        "work on them", flags)
     if generation == "prescribed":
         draw = {"tables": _prescribed_tables(cfg), "labels": cfg.get("labels")}
     else:
@@ -567,16 +528,14 @@ def cmd_prescription(args):
         source = ClassicalSource(torus_map, part, opt["mode"], mc)
     else:
         depth = _depth(cfg, 80, low=7)
-        _check_phases(opt, depth, "--depth")
-        # the operators and the run's use of them (quantum_run_bytes: their
-        # copies and links, one block of chain products, and the words'
-        # symbols, magnitudes and fits) share one cap; with cells >= 2 the
-        # budget binds from bit_length symbols on
-        budget = opt["word_budget"]
-        words = min(budget, opt["cells"] ** min(depth + 1, budget.bit_length()))
-        use = quantum_run_bytes(words, depth, opt["cells"], opt["n_max"])
+        # the operators and the run's use of them share one cap
+        words, _ = limits.quantum_words(opt["cells"], depth,
+                                        opt["word_budget"])
+        use = limits.quantum_run_bytes(words, depth, opt["cells"],
+                                       opt["n_max"])
         source = QuantumSource(*_cell_operators(
-            cfg, opt, use, "--word-budget, --depth, --cells or --n-max"))
+            cfg, opt, depth, "--depth", use,
+            "--word-budget, --depth, --cells or --n-max"))
     cfg["depth"] = depth
     if opt["onset"] is not None:
         # the fits need at least 4 tail points among depths 0..depth
@@ -619,9 +578,8 @@ def cmd_gamow_evolve(args):
     cfg, opt, out_dir = _prologue(args)
     cell = _as_int("cell", opt["cell"], high=opt["cells"] - 1)
     j = opt["j"]
-    _check_phases(opt, j, "--j")
-    spec, ops = _cell_operators(cfg, opt,
-                                _EVOLVE_ENTRY_BYTES * opt["n_max"] ** 2)
+    spec, ops = _cell_operators(cfg, opt, j, "--j",
+                                limits.EVOLVE_ENTRY_BYTES * opt["n_max"] ** 2)
 
     evolved = evolve_operator(spec, ops[cell], j)
     ratio = off_mass_ratio(evolved)

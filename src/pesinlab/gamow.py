@@ -20,6 +20,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from . import limits
 from .errors import ConfigurationError, ResourceLimitError
 from .partitions import prefix_levels
 
@@ -28,11 +29,6 @@ _ORACLE_DIM_CAP = 200
 # chain_traces drops the entries of evolved cell operators that are at most
 # this many times the smallest (0, 0) lead; its docstring bounds the error
 TRUNCATION_EPS = 1e-18
-# bytes of chain products per block of chain_traces: about 512 words at
-# n_max 32; smaller blocks were slower for their per-block overhead
-BLOCK_BYTES = 2 ** 23
-# complex entries of gathered parent products per chunk of chain_traces
-CHUNK_ENTRIES = 2 ** 15
 # OpenBLAS runs a GEMM with m n k below this on the calling thread
 GEMM_ONE_THREAD = 2 ** 16 - 1
 
@@ -216,7 +212,7 @@ def _block_traces(links, dims, words: np.ndarray, first_diff: np.ndarray,
         else:
             parents = slots[heads]
             per_gemm = _gemm_rows(k, k_prev)
-            step = max(1, CHUNK_ENTRIES // (k * k_prev))
+            step = max(1, limits.CHUNK_ENTRIES // (k * k_prev))
             for hi in range(len(heads), 0, -step):
                 lo = max(hi - step, 0)
                 sel = np.argsort(syms[lo:hi], kind="stable")
@@ -244,6 +240,15 @@ def _block_traces(links, dims, words: np.ndarray, first_diff: np.ndarray,
     return trace
 
 
+def _lex_first_diff(rows: np.ndarray) -> tuple[np.ndarray, bool]:
+    """Where each row first differs from the row before (0 for row 0), and
+    whether every row is above the one before."""
+    first_diff = np.zeros(len(rows), dtype=np.int64)
+    first_diff[1:] = np.argmax(rows[1:] != rows[:-1], axis=1)
+    r, col = np.arange(1, len(rows)), first_diff[1:]
+    return first_diff, bool((rows[r, col] > rows[r - 1, col]).all())
+
+
 def chain_traces(spec: GamowSpec, cell_ops, words, start_step: int = 0,
                  on_depth: Optional[Callable[[int, np.ndarray, int, np.ndarray],
                                              None]] = None
@@ -268,29 +273,26 @@ def chain_traces(spec: GamowSpec, cell_ops, words, start_step: int = 0,
     give the first part, and BLAS rounds the shorter sums in another order.
     With the default random cells the magnitudes are bit-identical.
 
-    Blocks.  The rows, which need not be sorted or distinct, are sorted
-    once by partitions.prefix_levels, and the distinct words are cut into
-    blocks of lexicographically adjacent words, BLOCK_BYTES of products
-    each.  Every depth of one block runs before the next block starts.
-    Rows with the same length-(n+1) prefix have the same depth-n product,
-    so within a block each distinct prefix's product is computed once,
-    from its parent's; a prefix that straddles two blocks is computed in
-    both.  The prefixes are grouped by their depth-n symbol, and each group
-    is multiplied by its one link in GEMMs of _gemm_rows rows, none large
-    enough to start a BLAS thread.  BLAS forms each entry of a GEMM the same
-    way whatever its row count, so every magnitude has the bits of a
-    product taken row by row, whatever the blocks; tests/test_gamow.py
-    keeps that kernel as the reference.
+    Blocks.  The rows need not be sorted or distinct; unless they already
+    are, they are sorted once by partitions.prefix_levels.  The distinct
+    words are cut into blocks of lexicographically adjacent words,
+    limits.BLOCK_BYTES of products each.  Every depth of one block runs
+    before the next block starts.  Rows with the same length-(n+1) prefix
+    have the same depth-n product, so within a block each distinct prefix's
+    product is computed once, from its parent's; a prefix that straddles two
+    blocks is computed in both.  The prefixes are grouped by their depth-n
+    symbol, and each group is multiplied by its one link in GEMMs of
+    _gemm_rows rows, none large enough to start a BLAS thread.  BLAS forms
+    each entry of a GEMM the same way whatever its row count, so every
+    magnitude has the bits of a product taken row by row, whatever the
+    blocks; tests/test_gamow.py keeps that kernel as the reference.
 
     Memory.  One block's products share one flat buffer of BLOCK_BYTES,
     one k_0^2 slot per word (at least one word); a prefix lives in the slot
     of its first row in the block.  A prefix's parent sits in the same slot
     or an earlier one, so chunks of CHUNK_ENTRIES gathered entries run from
     the last slot down, and each chunk gathers its parents before writing
-    its products.  Besides the words, the run holds the (W, N) magnitudes,
-    W traces and each depth's links, at most (N + 1) m n_max^2 entries and
-    in practice far fewer, since k_n shrinks; the products no longer grow
-    with W.
+    its products.  limits.quantum_run_bytes counts the rest.
 
     on_depth(n, mags[:, n], k_n, prefix_mags) runs for every depth in
     order once all blocks are done, with the magnitudes of the depth's
@@ -303,21 +305,22 @@ def chain_traces(spec: GamowSpec, cell_ops, words, start_step: int = 0,
     for op in cell_ops:
         _check_dim(spec, op)
     links, dims = _chain_links(spec, cell_ops, words.shape[1], start_step)
-    n_rows = words.shape[0]
-    for perm, starts, _, ids in prefix_levels(words, len(cell_ops)):
-        pass
-    # where[w] is row w's place among the distinct rows in lexicographic order
-    where = np.empty(n_rows, dtype=np.int64)
-    where[perm] = ids
-    in_order = len(starts) == n_rows and (perm == np.arange(n_rows)).all()
-    distinct = words if in_order else words[perm[starts]]
-    first_diff = np.zeros(len(distinct), dtype=np.int64)
-    first_diff[1:] = np.argmax(distinct[1:] != distinct[:-1], axis=1)
+    distinct = words
+    first_diff, in_order = _lex_first_diff(words)
+    if not in_order:
+        for perm, starts, _, ids in prefix_levels(words, len(cell_ops)):
+            pass
+        # where[w] is row w's place among the distinct rows in lex order
+        where = np.empty(len(words), dtype=np.int64)
+        where[perm] = ids
+        distinct = words[perm[starts]]
+        first_diff, _ = _lex_first_diff(distinct)
 
     slot = dims[0] ** 2
-    per_block = max(1, BLOCK_BYTES // (16 * slot))
+    per_block = max(1, limits.BLOCK_BYTES // (16 * slot))
     flat = np.empty((min(per_block, len(distinct)), slot), dtype=complex)
-    product = np.empty(min(flat.size, max(CHUNK_ENTRIES, slot)), dtype=complex)
+    product = np.empty(min(flat.size, max(limits.CHUNK_ENTRIES, slot)),
+                       dtype=complex)
     mags = np.empty(distinct.shape)
     traces = np.empty(len(distinct), dtype=complex)
     for lo in range(0, len(distinct), per_block):

@@ -19,24 +19,12 @@ from typing import Optional
 
 import numpy as np
 
-from . import geometry
-from .errors import (ConfigurationError, ResourceLimitError,
-                     UnsupportedOperationError)
+from . import geometry, limits
+from .errors import ConfigurationError, UnsupportedOperationError
 from .maps import TorusMap
 
 # pieces thinner than this are clipping slivers, not cells
 _ZERO_AREA = 1e-15
-
-# exact refinement refuses depths projected past this many words
-EXACT_WORD_CAP = 2 ** 20
-
-# Monte Carlo refinement refuses runs that could need more bytes than this
-# (the budget of pipeline.CHAIN_BYTES_CAP): MC_SAMPLE_BYTES per sample for
-# the cloud and the loop's per-sample arrays, whose peak measured 97 bytes
-# on baker 2x1 and 93 on cat 8x8, plus 16 bytes (code and measure) for each
-# of up to n_samples words at every depth
-MC_BYTES_CAP = 2 * 2 ** 30
-MC_SAMPLE_BYTES = 128
 
 MEASURE_MODES = ("exact", "mc")
 MC_ESTIMATORS = ("plugin", "miller_madow", "grassberger", "chao_shen")
@@ -221,19 +209,6 @@ def _exact_record(n: int, codes: np.ndarray, measures: np.ndarray,
                             torus_map.name, (part.m_q, part.m_p), "exact")
 
 
-def _check_word_cap(records: list, n: int, n_max: int, torus_map: TorusMap,
-                    part: GridPartition) -> None:
-    """Refuse depth n when R_{n-1} (R_{n-1}/R_{n-2})^(n_max-n+1) tops the cap."""
-    last, before = records[-1].nonempty_words, records[-2].nonempty_words
-    log_words = math.log(last) + (n_max - n + 1) * math.log(last / before)
-    if log_words > math.log(EXACT_WORD_CAP):
-        raise ResourceLimitError(
-            f"exact refinement of {torus_map.name} on the {part.m_q}x{part.m_p} "
-            f"grid to depth {n_max} is projected to reach about "
-            f"10^{log_words / math.log(10.0):.1f} words, above the cap of "
-            f"{EXACT_WORD_CAP}; use --mode mc or a smaller --depth")
-
-
 def _keep_cuts(parts: dict, verts: np.ndarray, counts: np.ndarray,
                keys: np.ndarray, areas: np.ndarray) -> None:
     """Append one chunk's cuts thicker than _ZERO_AREA to parts, unpadded.
@@ -316,6 +291,9 @@ def _exact_series(torus_map: TorusMap, part: GridPartition, n_max: int,
         raise UnsupportedOperationError(
             f"exact refinement needs piecewise-linear data, "
             f"which map {torus_map.name!r} does not provide")
+    what = (f"exact refinement of {torus_map.name} on the "
+            f"{part.m_q}x{part.m_p} grid to depth {n_max}")
+    limits.check_bytes(limits.refinement_bytes(0, n_max), what, "--depth")
     # one piece per word at depth 0: the cell itself, a 4-gon, so the
     # padded batch of the cells is already their store
     verts, counts = geometry.as_batch(
@@ -326,7 +304,9 @@ def _exact_series(torus_map: TorusMap, part: GridPartition, n_max: int,
     records = []
     for n in range(n_max + 1):
         if n >= 2:
-            _check_word_cap(records, n, n_max, torus_map, part)
+            limits.check_word_projection(records[-1].nonempty_words,
+                                         records[-2].nonempty_words, n,
+                                         n_max, what)
         if n > 0:
             codes, measures, verts, counts, owner = _refine_pieces(
                 verts, counts, owner, torus_map, part)
@@ -386,26 +366,15 @@ def _mc_record(codes: np.ndarray, counts: np.ndarray, n: int, cfg: McConfig,
                             torus_map.name, (part.m_q, part.m_p), "mc", meta)
 
 
-def _check_mc_bytes(n_max: int, cfg: McConfig) -> None:
-    """Refuse a run whose cloud, loop arrays and records could top the cap.
-
-    The bound does not depend on the grid, so on a ladder the first grid
-    is refused before anything is allocated.
-    """
-    need = cfg.n_samples * (MC_SAMPLE_BYTES + 16 * (n_max + 1))
-    if need > MC_BYTES_CAP:
-        raise ResourceLimitError(
-            f"Monte Carlo refinement of {cfg.n_samples} samples to depth "
-            f"{n_max} may need {need / 2 ** 30:.3g} GiB, above the "
-            f"{MC_BYTES_CAP / 2 ** 30:.3g} GiB cap; lower --mc-samples "
-            "or --depth")
-
-
 def _mc_series(torus_map: TorusMap, part: GridPartition, n_max: int,
                cfg: McConfig,
                on_record: Optional[Callable[[RefinementRecord], None]]
                ) -> list[RefinementRecord]:
-    _check_mc_bytes(n_max, cfg)
+    # the bound does not depend on the grid, so on a ladder the first grid
+    # is refused before anything is allocated
+    limits.check_bytes(limits.refinement_bytes(cfg.n_samples, n_max),
+                       f"Monte Carlo refinement of {cfg.n_samples} samples "
+                       f"to depth {n_max}", "--mc-samples or --depth")
     rng = np.random.default_rng(cfg.seed)
     pts = rng.random((cfg.n_samples, 2))
     m = part.n_cells

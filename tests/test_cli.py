@@ -12,8 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pesinlab import GridPartition, PhasePoint, cli, lyapunov_spectrum, \
-    make_map, pipeline
+from pesinlab import GridPartition, PhasePoint, cli, limits, \
+    lyapunov_spectrum, make_map, pipeline
 from pesinlab.cli import main
 
 LN2 = math.log(2.0)
@@ -354,7 +354,7 @@ def test_gamow_evolve_cell_out_of_range(tmp_path, capsys):
     # only one --grid embeds word measures
     (["ks-entropy", "--map", "baker", "--ladder", "2x1,2x2", "--depth", "4",
       "--include-words"], "include-words"),
-    # orbits past MAX_LYAP_STEPS would run for minutes
+    # orbits past limits.MAX_LYAP_STEPS would run for minutes
     (["lyapunov", "--map", "cat", "--steps", "1000000000"], "steps"),
     (["pesin", "--map", "baker", "--depth", "4", "--lyap-steps", "10000001"],
      "lyap_steps"),
@@ -512,10 +512,10 @@ def test_quantum_cells_summing_above_one_fail_at_the_first_depth(tmp_path, mass)
 
 def test_quantum_word_budget_past_the_memory_cap_is_refused(tmp_path):
     # 8 million sampled words of 12 symbols need 2.5 GiB for their symbols,
-    # magnitudes and fits (pipeline.quantum_run_bytes); the run must stop
+    # magnitudes and fits (limits.quantum_run_bytes); the run must stop
     # before building the words
-    need = pipeline.quantum_run_bytes(8_000_000, 11, 4, 32)
-    assert need > cli.CHAIN_BYTES_CAP
+    need = limits.quantum_run_bytes(8_000_000, 11, 4, 32)
+    assert need > limits.BYTES_CAP
     proc = _run_module(["prescription", "--source", "gamow", "--cells", "4",
                         "--depth", "11", "--word-budget", "8000000",
                         "--out", str(tmp_path)], 60)
@@ -568,7 +568,8 @@ def test_oversized_cell_operators_are_refused_up_front(tmp_path, capsys,
 
 
 def test_longest_lyapunov_orbit_is_accepted(tmp_path, capsys, monkeypatch):
-    # MAX_LYAP_STEPS itself runs; the spectrum is stubbed to a short orbit
+    # limits.MAX_LYAP_STEPS itself runs; the spectrum is stubbed to a short
+    # orbit
     asked = []
 
     def short_spectrum(torus_map, x0, steps):
@@ -577,10 +578,11 @@ def test_longest_lyapunov_orbit_is_accepted(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "lyapunov_spectrum", short_spectrum)
     code, _, err = run_cli(["lyapunov", "--map", "cat", "--steps",
-                            str(cli.MAX_LYAP_STEPS), "--out", str(tmp_path)],
+                            str(limits.MAX_LYAP_STEPS), "--out",
+                            str(tmp_path)],
                            capsys)
     assert code == 0, err
-    assert asked == [cli.MAX_LYAP_STEPS]
+    assert asked == [limits.MAX_LYAP_STEPS]
 
 
 def test_non_finite_quantum_magnitudes_fail_without_json(tmp_path, capsys,
@@ -588,7 +590,7 @@ def test_non_finite_quantum_magnitudes_fail_without_json(tmp_path, capsys,
     # omega0 = 1e308 overflows the eigenvalues, so every trace from depth 1
     # on is NaN; with the up-front phase check off, the run must still fail
     # naming it, not write NaN into the JSON
-    monkeypatch.setattr(cli, "_check_phases", lambda *args: None)
+    monkeypatch.setattr(limits, "check_phases", lambda *args: None)
     code, _, err = run_cli(["prescription", "--source", "gamow", "--omega0",
                             "1e308", "--depth", "10", "--word-budget", "16",
                             "--out", str(tmp_path)], capsys)
@@ -628,10 +630,10 @@ def test_quantum_operators_and_chains_share_one_memory_cap(tmp_path, capsys,
     # 4000 operators of 32x32 with chain_traces' copies and links, its block
     # and the random draw need 0.99 GiB, and 4 million words of depth 10
     # 1.18 GiB; each fits the 2 GiB cap alone, and the run would hold both
-    no_words = pipeline.quantum_run_bytes(0, 10, 4000, 32)
-    ops = (4001 * 16 + cli._DRAW_ENTRY_BYTES) * 32 ** 2 + no_words
-    chains = pipeline.quantum_run_bytes(4_000_000, 10, 4000, 32) - no_words
-    assert max(ops, chains) < cli.CHAIN_BYTES_CAP < ops + chains
+    no_words = limits.quantum_run_bytes(0, 10, 4000, 32)
+    ops = (4001 * 16 + limits.DRAW_ENTRY_BYTES) * 32 ** 2 + no_words
+    chains = limits.quantum_run_bytes(4_000_000, 10, 4000, 32) - no_words
+    assert max(ops, chains) < limits.BYTES_CAP < ops + chains
 
     _forbid_draw(monkeypatch)
     code, _, err = run_cli(["prescription", "--source", "gamow", "--cells",
@@ -642,6 +644,30 @@ def test_quantum_operators_and_chains_share_one_memory_cap(tmp_path, capsys,
         assert flag in err
     assert "GiB" in err and "depth 0/" not in err
     assert not list(tmp_path.glob("*.json"))
+
+
+def _assert_deep_run_refused(tmp_path, argv):
+    proc = _run_module(argv + ["--out", str(tmp_path)], 60)
+    assert proc.returncode == 2, proc.stderr
+    assert "GiB" in proc.stderr and "--depth" in proc.stderr
+    assert "depth 0/" not in proc.stderr
+    assert not list(tmp_path.iterdir())
+
+
+def test_deep_identity_exact_refinement_is_refused_up_front(tmp_path):
+    # identity's word count never grows, so the word-cap projection never
+    # fires; each depth's record still costs limits.RECORD_BYTES, and ten
+    # million of them would take about 25 GB and two hours
+    _assert_deep_run_refused(tmp_path, [
+        "ks-entropy", "--map", "identity", "--mode", "exact", "--depth",
+        "10000000"])
+
+
+def test_deep_single_sample_mc_refinement_is_refused_up_front(tmp_path):
+    # one sample's cloud is nothing, but ten million depth records are not
+    _assert_deep_run_refused(tmp_path, [
+        "ks-entropy", "--map", "baker", "--mode", "mc", "--mc-samples", "1",
+        "--depth", "10000000"])
 
 
 @pytest.mark.parametrize("command", [

@@ -11,7 +11,7 @@ from pesinlab import (BiorthOperator, GamowSpec, QuantumSource,
                       decay_bounds, eigenvalues, evolution_factors,
                       evolve_matrix_oracle, evolve_operator,
                       make_cell_operators, off_mass_ratio, prescription_run)
-from pesinlab import gamow
+from pesinlab import gamow, limits
 from pesinlab.gamow import (GEMM_ONE_THREAD, TRUNCATION_EPS, _gemm_rows,
                             _truncation_dim)
 
@@ -381,6 +381,49 @@ def test_kernel_matches_per_row_kernel_on_unsorted_repeated_rows():
     _assert_matches_per_row(spec, ops, words)
 
 
+def _count_sorts(monkeypatch):
+    calls = []
+    levels = gamow.prefix_levels
+
+    def spy(words, m):
+        calls.append(len(words))
+        return levels(words, m)
+
+    monkeypatch.setattr(gamow, "prefix_levels", spy)
+    return calls
+
+
+def test_sorted_distinct_words_skip_the_sort(monkeypatch):
+    # quantum prescription hands the kernel distinct, lex-sorted words; the
+    # kernel checks that up front and does not group them again
+    spec = GamowSpec(n_max=8)
+    ops = make_cell_operators(spec, 3, seed=2)
+    words = _sampled_words(3, 20, 500, 2)
+    ref_mags, ref_trace = _per_row_chain_traces(spec, ops, words)
+    calls = _count_sorts(monkeypatch)
+    for rows in (words, words[:1]):
+        mags, trace = chain_traces(spec, ops, rows)
+        assert mags.tobytes() == ref_mags[:len(rows)].tobytes()
+        assert trace.tobytes() == ref_trace[:len(rows)].tobytes()
+    assert calls == []
+
+
+@pytest.mark.parametrize("order", ["swapped", "repeated", "reversed"])
+def test_unsorted_or_repeated_words_are_still_sorted(monkeypatch, order):
+    spec = GamowSpec(n_max=8)
+    ops = make_cell_operators(spec, 3, seed=2)
+    words = _sampled_words(3, 20, 500, 2)
+    rows = {"swapped": np.r_[0, 2, 1, 3:len(words)],
+            "repeated": np.r_[0:len(words), len(words) - 1],
+            "reversed": np.arange(len(words))[::-1]}[order]
+    ref_mags, ref_trace = _per_row_chain_traces(spec, ops, words)
+    calls = _count_sorts(monkeypatch)
+    mags, trace = chain_traces(spec, ops, words[rows])
+    assert calls == [len(rows)]
+    assert mags.tobytes() == ref_mags[rows].tobytes()
+    assert trace.tobytes() == ref_trace[rows].tobytes()
+
+
 def test_on_depth_gets_each_distinct_prefix_in_lex_order():
     spec = GamowSpec(n_max=8)
     ops = make_cell_operators(spec, 3, seed=2)
@@ -411,7 +454,7 @@ def test_on_depth_prefixes_of_unsorted_repeated_rows():
 def _block_words(monkeypatch, rows, spec, ops, start_step=0):
     """Set BLOCK_BYTES to rows words of k_0^2 products; return block sizes."""
     k0 = gamow._chain_links(spec, ops, 1, start_step)[1][0]
-    monkeypatch.setattr(gamow, "BLOCK_BYTES", rows * 16 * k0 ** 2)
+    monkeypatch.setattr(limits, "BLOCK_BYTES", rows * 16 * k0 ** 2)
     sizes = []
     block_traces = gamow._block_traces
 

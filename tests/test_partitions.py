@@ -11,7 +11,7 @@ from pesinlab import (MAP_NAMES, MC_ESTIMATORS, ConfigurationError,
                       GridPartition, McConfig, ResourceLimitError,
                       entropy_nats, h_mu, h_mu_ratio, hks_estimate, make_map,
                       refine_series, word_rows)
-from pesinlab import geometry, partitions
+from pesinlab import geometry, limits, partitions
 from pesinlab.partitions import _mc_entropy, fit_line
 
 LN2 = math.log(2.0)
@@ -526,11 +526,12 @@ def test_mc_records_match_golden(case):
 
 def test_mc_memory_cap_is_checked_before_the_cloud(monkeypatch):
     # 1000 samples to depth 3 need 1000 * (MC_SAMPLE_BYTES + 16 * 4) bytes
-    need = 1000 * (partitions.MC_SAMPLE_BYTES + 64)
+    # for the cloud and words, and RECORD_BYTES for each of the 4 depths
+    need = 1000 * (limits.MC_SAMPLE_BYTES + 64) + 4 * limits.RECORD_BYTES
     args = (make_map("cat"), GridPartition(4, 4), 3, "mc", McConfig(1000))
-    monkeypatch.setattr(partitions, "MC_BYTES_CAP", need)
+    monkeypatch.setattr(limits, "BYTES_CAP", need)
     assert len(refine_series(*args)) == 4
-    monkeypatch.setattr(partitions, "MC_BYTES_CAP", need - 1)
+    monkeypatch.setattr(limits, "BYTES_CAP", need - 1)
     monkeypatch.setattr(np.random, "default_rng", None)  # nothing is drawn
     with pytest.raises(ResourceLimitError, match="--mc-samples or --depth"):
         refine_series(*args)
@@ -539,10 +540,21 @@ def test_mc_memory_cap_is_checked_before_the_cloud(monkeypatch):
                      3, "mc", McConfig(1000))
 
 
+def test_exact_depth_records_are_checked_before_the_cells(monkeypatch):
+    # exact refinement holds RECORD_BYTES for each depth's record, however
+    # few its words, so identity to depth n needs (n + 1) RECORD_BYTES
+    args = (make_map("identity"), GridPartition(2, 1))
+    monkeypatch.setattr(limits, "BYTES_CAP", 11 * limits.RECORD_BYTES)
+    assert len(refine_series(*args, 10)) == 11
+    monkeypatch.setattr(geometry, "as_batch", None)   # no cell is built
+    with pytest.raises(ResourceLimitError, match="lower --depth"):
+        refine_series(*args, 11)
+
+
 @pytest.mark.parametrize("name,grid", [("baker", (2, 1)), ("cat", (8, 8))])
 def test_mc_peak_memory_is_within_the_cap_budget(name, grid):
-    # MC_BYTES_CAP admits N samples to depth n when
-    # N (MC_SAMPLE_BYTES + 16 (n + 1)) bytes fit, so a run must stay in that
+    # limits.refinement_bytes counts N (MC_SAMPLE_BYTES + 16 (n + 1)) bytes for N
+    # samples to depth n beside the records, so a run must stay in that
     n_samples, depth = 100_000, 10
     args = (make_map(name), GridPartition(*grid), depth, "mc",
             McConfig(n_samples))
@@ -552,7 +564,7 @@ def test_mc_peak_memory_is_within_the_cap_budget(name, grid):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= n_samples * (partitions.MC_SAMPLE_BYTES + 16 * (depth + 1))
+    assert peak <= n_samples * (limits.MC_SAMPLE_BYTES + 16 * (depth + 1))
 
 
 def test_mc_stderr_is_binomial():
