@@ -582,7 +582,7 @@ def cmd_gamow_evolve(args):
                                 limits.EVOLVE_ENTRY_BYTES * opt["n_max"] ** 2)
 
     evolved = evolve_operator(spec, ops[cell], j)
-    ratio = off_mass_ratio(evolved)
+    ratio = limits.check_off_mass(off_mass_ratio(evolved))
 
     doc = {"command": "gamow-evolve", "config": _echo(cfg),
            "t_r": spec.t_r, "j": j, "off_mass_ratio": ratio,

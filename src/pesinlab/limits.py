@@ -7,8 +7,9 @@ phases), exit 2 on the command line, naming the flags to lower.
   or quantum_run_bytes above it.
 - EXACT_WORD_CAP, 2^20 words, as projected from the last two depths.
 - MAX_LYAP_STEPS, 10^7 steps: 14 s at 0.7 M steps/s on a 2-core Xeon.
-- check_phases: evolution phases past a double; check_underflow: quantum
-  (0, 0) lead products below the normal doubles.
+- check_phases: evolution phases past a double; check_off_mass: an
+  off-(0, 0) mass ratio past a double; check_underflow: quantum (0, 0)
+  lead products below the normal doubles.
 
 Bytes per unit, measured with tracemalloc:
 - RECORD_BYTES a refinement depth, for its record, progress and output:
@@ -102,6 +103,16 @@ def check_phases(spec, steps: int, step_flag: str) -> None:
             f"evolution phases up to step {steps} overflow a double; lower "
             f"--omega0, --gamma0, --alpha, --n-max or {step_flag}, or raise "
             "--hbar")
+
+
+def check_off_mass(ratio: float) -> float:
+    """An evolved operator's off-(0, 0) mass ratio, refused when it has
+    overflowed a double (a huge off_scale against small leads)."""
+    if not math.isfinite(ratio):
+        raise ConfigurationError(
+            "the off-(0,0) mass ratio overflows a double; lower --off-scale "
+            "or raise --total-mass")
+    return ratio
 
 
 def check_word_projection(last: int, before: int, n: int, n_max: int,

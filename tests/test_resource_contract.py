@@ -84,11 +84,13 @@ def _assert_finite(path):
 @settings(max_examples=30, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(configs())
-# a need past the doubles once failed to print, and a step count or a
-# dimension past them failed to convert, with exit 1
+# a need past the doubles once failed to print, a step count or a
+# dimension past them failed to convert, and an off-(0,0) mass ratio past
+# them failed to serialize, all with exit 1
 @example(("prescription", {"source": "gamow", "n_max": 1e300, "cells": 1e300}))
 @example(("gamow-evolve", {"j": 10 ** 400}))
 @example(("gamow-evolve", {"n_max": 10 ** 400}))
+@example(("gamow-evolve", {"off_scale": 1e300}))
 def test_accepted_configs_finish_or_exit_2(tmp_path_factory, drawn):
     command, cfg = drawn
     work = tmp_path_factory.mktemp("contract")
