@@ -553,8 +553,9 @@ def test_exact_depth_records_are_checked_before_the_cells(monkeypatch):
 
 @pytest.mark.parametrize("name,grid", [("baker", (2, 1)), ("cat", (8, 8))])
 def test_mc_peak_memory_is_within_the_cap_budget(name, grid):
-    # limits.refinement_bytes counts N (MC_SAMPLE_BYTES + 16 (n + 1)) bytes for N
-    # samples to depth n beside the records, so a run must stay in that
+    # limits.refinement_bytes counts N (MC_SAMPLE_BYTES + 16 (n + 1))
+    # bytes for N samples to depth n beside the records, so a run must stay
+    # in that
     n_samples, depth = 100_000, 10
     args = (make_map(name), GridPartition(*grid), depth, "mc",
             McConfig(n_samples))
