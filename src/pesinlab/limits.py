@@ -15,8 +15,12 @@ Bytes per unit, measured with tracemalloc:
 - RECORD_BYTES a refinement depth, for its record, progress and output:
   ks-entropy took 2,375 a depth on exact identity 2x1 and 3,381 on Monte
   Carlo baker 2x1 with one sample (depths 1,000-3,000).
-- MC_SAMPLE_BYTES a Monte Carlo sample, for the cloud and loop arrays
-  (peaks of 97 on baker 2x1, 93 on cat 8x8), plus 16 a sample and depth.
+- MC_SAMPLE_BYTES a Monte Carlo sample, for the cloud and loop arrays,
+  plus 16 a sample and depth for the words.  Peaks past the records, 2 x
+  10^5 samples over the four estimators: 57-76 on baker 2x1 (depth 24),
+  29-51 on cat 8x8 (depth 12), 33 on cat 64x64 (depth 3); 81-85, 81 and
+  64 when each depth ran over the whole cloud.  It stays 128, so no
+  refusal moves.
 - DRAW_ENTRY_BYTES an entry of a random draw's support block (64.8);
   EVOLVE_ENTRY_BYTES an entry of gamow-evolve's JSON and CSV (600-700).
 - QUANTUM_WORD_BYTES a quantum word, QUANTUM_SYMBOL_BYTES a word and
@@ -27,6 +31,13 @@ Bytes per unit, measured with tracemalloc:
 - BLOCK_BYTES of chain products per block of gamow.chain_traces, 512
   words at n_max 32 (smaller blocks were slower); CHUNK_ENTRIES gathered
   complex entries per chunk.
+- MC_TILE_SAMPLES samples a Monte Carlo tile of whole depth-0 cells
+  reaches before it is cut; a larger cell is one tile.  10^6 samples to
+  depth 10, medians of nine interleaved runs on a 2-core Xeon: cat 32x32
+  (cells of about 1,000 samples) took 0.69 s at 2^11, 0.49-0.54 s from
+  2^13 to 2^15 and 0.60 s at 2^17; cat 8x8 took 0.49-0.57 s from 2^12
+  to 2^16, alike within the noise.  Its tracemalloc peak, 59-61 MiB
+  over that range, barely depends on it.
 """
 
 import math
@@ -47,6 +58,7 @@ QUANTUM_WORD_BYTES = 96
 QUANTUM_SYMBOL_BYTES = 20
 BLOCK_BYTES = 2 ** 23
 CHUNK_ENTRIES = 2 ** 15
+MC_TILE_SAMPLES = 2 ** 14
 
 
 def check_bytes(need: int, what: str, flags: str) -> None:
@@ -59,11 +71,12 @@ def check_bytes(need: int, what: str, flags: str) -> None:
             f"{BYTES_CAP / 2 ** 30:.3g} GiB cap; lower {flags}")
 
 
-def refinement_bytes(n_samples: int, depth: int) -> int:
-    """A refinement's depth records, and the cloud, loop arrays and words
-    of its n_samples Monte Carlo samples (0 in exact mode)."""
-    return (depth + 1) * RECORD_BYTES \
-        + n_samples * (MC_SAMPLE_BYTES + 16 * (depth + 1))
+def refinement_bytes(n_samples: int, depth: int, grids: int = 1) -> int:
+    """The depth records of grids refinements, each with the words of its
+    n_samples Monte Carlo samples (0 in exact mode), and the cloud and
+    loop arrays of one, since the grids of a ladder run in turn."""
+    return grids * (depth + 1) * (RECORD_BYTES + 16 * n_samples) \
+        + n_samples * MC_SAMPLE_BYTES
 
 
 def operator_bytes(cells: int, dim: int, support: int, use_bytes: int) -> int:

@@ -83,9 +83,14 @@ class RefinementRecord:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        # a read-only array that owns its data is kept as it is; any other
+        # is copied, so no caller's array is frozen or shared
         for name in ("codes", "measures"):
-            arr = np.array(getattr(self, name))
-            arr.setflags(write=False)
+            arr = getattr(self, name)
+            if not (isinstance(arr, np.ndarray) and arr.base is None
+                    and not arr.flags.writeable):
+                arr = np.array(arr)
+                arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
     @property
@@ -350,53 +355,104 @@ def _mc_entropy(counts: np.ndarray, n_samples: int, estimator: str) -> float:
         return math.log(n_samples) - float(np.sum(counts * g[counts])) / n_samples
     # chao_shen: rescale frequencies by the estimated coverage, then weight
     # each word by its probability of having been seen at all.  Reduces to
-    # plugin when there are no singletons.
+    # plugin when there are no singletons.  Each step runs in place on a
+    # word-sized array, the same operations as out of place, so the bits
+    # are those of -sum(adj ln adj / seen)
     singles = int((counts == 1).sum())
     coverage = max(1.0 - singles / n_samples, 1.0 / n_samples)
-    adj = coverage * freqs
-    seen = 1.0 - np.power(1.0 - adj, n_samples)
-    return float(-np.sum(adj * np.log(adj) / seen))
+    adj = freqs
+    adj *= coverage
+    seen = np.subtract(1.0, adj)
+    np.power(seen, n_samples, out=seen)
+    np.subtract(1.0, seen, out=seen)
+    terms = np.log(adj)
+    terms *= adj
+    terms /= seen
+    return float(-np.sum(terms))
 
 
-def _mc_record(codes: np.ndarray, counts: np.ndarray, n: int, cfg: McConfig,
+def _mc_record(code_parts: list, count_parts: list, n: int, cfg: McConfig,
                torus_map: TorusMap, part: GridPartition) -> RefinementRecord:
+    """The record of depth n from its tiles' codes and counts, in lex order.
+
+    Both lists are emptied as they are joined, and the counts are let go
+    once the entropy and measures are taken, so no part outlives its copy.
+    """
+    codes = np.concatenate(code_parts)
+    code_parts.clear()
+    counts = np.concatenate(count_parts)
+    count_parts.clear()
+    entropy = _mc_entropy(counts, cfg.n_samples, cfg.estimator)
+    measures = counts / cfg.n_samples
+    del counts
+    codes.setflags(write=False)
+    measures.setflags(write=False)
     meta = {"n_samples": cfg.n_samples, "seed": cfg.seed, "estimator": cfg.estimator}
-    return RefinementRecord(n, _mc_entropy(counts, cfg.n_samples, cfg.estimator),
-                            codes, counts / cfg.n_samples,
-                            torus_map.name, (part.m_q, part.m_p), "mc", meta)
+    return RefinementRecord(n, entropy, codes, measures, torus_map.name,
+                            (part.m_q, part.m_p), "mc", meta)
+
+
+def _mc_tiles(starts: np.ndarray, n_samples: int) -> list[tuple[int, int]]:
+    """Row ranges of runs of whole depth-0 cells, each cut at the first
+    cell start at least limits.MC_TILE_SAMPLES rows past its own."""
+    cuts = [0]
+    while cuts[-1] < n_samples:
+        at = np.searchsorted(starts, cuts[-1] + limits.MC_TILE_SAMPLES)
+        cuts.append(int(starts[at]) if at < len(starts) else n_samples)
+    return list(zip(cuts[:-1], cuts[1:]))
 
 
 def _mc_series(torus_map: TorusMap, part: GridPartition, n_max: int,
                cfg: McConfig,
                on_record: Optional[Callable[[RefinementRecord], None]]
                ) -> list[RefinementRecord]:
-    # the bound does not depend on the grid, so on a ladder the first grid
-    # is refused before anything is allocated
     limits.check_bytes(limits.refinement_bytes(cfg.n_samples, n_max),
                        f"Monte Carlo refinement of {cfg.n_samples} samples "
                        f"to depth {n_max}", "--mc-samples or --depth")
     rng = np.random.default_rng(cfg.seed)
-    pts = rng.random((cfg.n_samples, 2))
+    cloud = rng.random((cfg.n_samples, 2))
     m = part.n_cells
 
-    # The cloud is kept in word order: after each depth's grouping the
-    # points themselves are gathered by order, so row i of pts is the
-    # sample whose word row is ids[i], and ids ascend.  Each point's
-    # arithmetic does not depend on its row, and codes and counts do not
-    # depend on the order of the samples inside a word.  The gather takes
-    # each row as one complex item, which numpy moves faster than a row
-    # of two floats.
-    ids = np.zeros(cfg.n_samples, dtype=np.int64)
-    records = []
-    for n in range(n_max + 1):
-        if n > 0:
-            pts = torus_map.step_batch(pts)
-        order, starts, codes, ids = group_prefixes(
-            ids * m + part.cell_index_batch(pts))
-        if n < n_max:
-            pts = pts.view(complex)[:, 0][order].view(float).reshape(-1, 2)
-        counts = np.diff(starts, append=cfg.n_samples)
-        records.append(_mc_record(codes, counts, n, cfg, torus_map, part))
+    # The cloud is kept in word order: after each grouping the points
+    # themselves are gathered by order, so row i of the cloud is the
+    # sample whose word row is ids[i], and ids ascend.  A depth-0 cell is
+    # then a run of rows that no later word leaves, so each depth runs one
+    # tile of whole cells at a time (_mc_tiles), and every temporary is
+    # tile-sized.  Keys are global prefix rows times m plus a cell, so a
+    # tile's codes are the record's; its local word rows are offset by the
+    # words of the tiles before it, and the tiles' codes, in lex order,
+    # concatenate to the depth's.  Each point's arithmetic does not
+    # depend on its row, and codes and counts do not depend on the order
+    # of the samples inside a word.  The gather takes each row as one
+    # complex item, which numpy moves faster than a row of two floats.
+    order, starts, codes, ids = group_prefixes(part.cell_index_batch(cloud))
+    cloud = cloud.view(complex)[:, 0][order]
+    tiles = _mc_tiles(starts, cfg.n_samples)
+    records = [_mc_record([codes], [np.diff(starts, append=cfg.n_samples)], 0,
+                          cfg, torus_map, part)]
+    if on_record is not None:
+        on_record(records[-1])
+    for n in range(1, n_max + 1):
+        code_parts, count_parts, words = [], [], 0
+        for lo, hi in tiles:
+            pts = torus_map.step_batch(cloud[lo:hi].view(float).reshape(-1, 2))
+            order, starts, codes, local = group_prefixes(
+                ids[lo:hi] * m + part.cell_index_batch(pts))
+            if n < n_max:
+                local += words
+                ids[lo:hi] = local
+                # order is a permutation, so nothing is clipped, and a
+                # clipped take writes out directly, with no buffer
+                np.take(pts.view(complex)[:, 0], order, out=cloud[lo:hi],
+                        mode="clip")
+            code_parts.append(codes)
+            count_parts.append(np.diff(starts, append=hi - lo))
+            words += len(codes)
+        if n == n_max:
+            # the last record is the largest, so the cloud makes room for it
+            del cloud, ids
+        records.append(_mc_record(code_parts, count_parts, n, cfg, torus_map,
+                                  part))
         if on_record is not None:
             on_record(records[-1])
     return records
@@ -507,7 +563,9 @@ def hks_estimate(torus_map: TorusMap, ladder, n_max: int,
                  ) -> HksEstimate:
     """Estimate the entropy rate as the max of h_mu over a grid ladder.
 
-    on_record is passed to each grid's refine_series.
+    on_record is passed to each grid's refine_series.  A ladder keeps
+    every grid's records, so all of them are checked against the byte cap
+    before the first grid runs; one grid is checked by refine_series.
     """
     ladder = list(ladder)
     if not ladder:
@@ -516,6 +574,13 @@ def hks_estimate(torus_map: TorusMap, ladder, n_max: int,
     if any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise ConfigurationError(
             "ladder must be strictly increasing in resolution")
+    if len(ladder) > 1:
+        mc = measure_mode == "mc"
+        n_samples = (mc_config or McConfig()).n_samples if mc else 0
+        limits.check_bytes(
+            limits.refinement_bytes(n_samples, n_max, len(ladder)),
+            f"a ladder of {len(ladder)} grids refined to depth {n_max}",
+            "--ladder, --mc-samples or --depth" if mc else "--ladder or --depth")
     all_records = [tuple(refine_series(torus_map, part, n_max, measure_mode,
                                        mc_config, on_record))
                    for part in ladder]

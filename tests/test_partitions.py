@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import tracemalloc
@@ -475,12 +476,20 @@ def test_mc_grouping_matches_unique_reference(name, grid, n_samples):
     _assert_mc_matches_reference(name, grid, 6, n_samples, seed=1)
 
 
+# tile bounds: the default, one cell per tile, tiles of several cells, and
+# cells larger than the bound
+TILE_BOUNDS = (limits.MC_TILE_SAMPLES, 1, 7, 100)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from(MAP_NAMES), st.sampled_from(MC_GRIDS),
        st.integers(0, 10), st.integers(1, 3000), st.integers(0, 2 ** 32 - 1))
 def test_mc_grouping_matches_unique_reference_property(name, grid, depth,
                                                        n_samples, seed):
-    _assert_mc_matches_reference(name, grid, depth, n_samples, seed)
+    for tile in TILE_BOUNDS:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(limits, "MC_TILE_SAMPLES", tile)
+            _assert_mc_matches_reference(name, grid, depth, n_samples, seed)
 
 
 # per depth, in the format of GOLDEN_RECORDS, for
@@ -524,6 +533,50 @@ def test_mc_records_match_golden(case):
     assert tuple(_digest(r) for r in recs) == GOLDEN_MC_RECORDS[case]
 
 
+@pytest.mark.parametrize("tile", TILE_BOUNDS[1:])
+@pytest.mark.parametrize("case", GOLDEN_MC_RECORDS,
+                         ids=lambda c: "%s-%dx%d-d%d-N%d-s%d" % c)
+def test_mc_records_match_golden_in_any_tiles(case, tile, monkeypatch):
+    monkeypatch.setattr(limits, "MC_TILE_SAMPLES", tile)
+    test_mc_records_match_golden(case)
+
+
+def test_mc_tiles_are_runs_of_whole_cells(monkeypatch):
+    starts = np.array([0, 3, 4, 20, 21, 22])
+    monkeypatch.setattr(limits, "MC_TILE_SAMPLES", 1)
+    assert partitions._mc_tiles(starts, 30) == [
+        (0, 3), (3, 4), (4, 20), (20, 21), (21, 22), (22, 30)]
+    monkeypatch.setattr(limits, "MC_TILE_SAMPLES", 4)
+    assert partitions._mc_tiles(starts, 30) == [(0, 4), (4, 20), (20, 30)]
+    monkeypatch.setattr(limits, "MC_TILE_SAMPLES", 100)
+    assert partitions._mc_tiles(starts, 30) == [(0, 30)]
+
+
+def test_mc_progress_is_reported_before_the_next_depth_steps(monkeypatch):
+    # each depth's record reaches on_record before the first tile of the
+    # next depth is stepped, so progress streams while the sweep runs
+    monkeypatch.setattr(limits, "MC_TILE_SAMPLES", 100)
+    cat = make_map("cat")
+    events = []
+
+    def step_batch(pts):
+        events.append(("step", len(pts)))
+        return cat.step_batch(pts)
+
+    spy = dataclasses.replace(cat, step_batch=step_batch)
+    recs = refine_series(spy, GridPartition(4, 4), 5, "mc", McConfig(2000),
+                         on_record=lambda r: events.append(("record", r.n)))
+    assert len(recs) == 6
+    marks = [i for i, e in enumerate(events) if e[0] == "record"]
+    assert [events[i][1] for i in marks] == list(range(6))
+    assert marks[0] == 0 and marks[-1] == len(events) - 1
+    for a, b in zip(marks, marks[1:]):
+        steps = events[a + 1:b]
+        assert len(steps) > 1                      # several tiles a depth
+        assert all(kind == "step" for kind, _ in steps)
+        assert sum(size for _, size in steps) == 2000
+
+
 def test_mc_memory_cap_is_checked_before_the_cloud(monkeypatch):
     # 1000 samples to depth 3 need 1000 * (MC_SAMPLE_BYTES + 16 * 4) bytes
     # for the cloud and words, and RECORD_BYTES for each of the 4 depths
@@ -540,6 +593,27 @@ def test_mc_memory_cap_is_checked_before_the_cloud(monkeypatch):
                      3, "mc", McConfig(1000))
 
 
+@pytest.mark.parametrize("name,mode,n_samples", [
+    ("cat", "mc", 1000), ("identity", "exact", 0)])
+def test_ladder_records_are_checked_together_before_the_first_grid(
+        monkeypatch, name, mode, n_samples):
+    # a ladder keeps every grid's records but draws one cloud at a time, so
+    # two grids that each fit the cap may not fit it together
+    ladder, depth = [GridPartition(2, 1), GridPartition(2, 2)], 6
+    cfg = McConfig(n_samples or 1)
+    pair = limits.refinement_bytes(n_samples, depth, 2)
+    assert pair > limits.refinement_bytes(n_samples, depth)
+    monkeypatch.setattr(limits, "BYTES_CAP", pair)
+    assert len(hks_estimate(make_map(name), ladder, depth, mode, cfg).profile) == 2
+    monkeypatch.setattr(limits, "BYTES_CAP", pair - 1)
+    for part in ladder:
+        assert len(hks_estimate(make_map(name), [part], depth, mode, cfg).profile) == 1
+    monkeypatch.setattr(np.random, "default_rng", None)  # nothing is drawn
+    monkeypatch.setattr(geometry, "as_batch", None)      # no cell is built
+    with pytest.raises(ResourceLimitError, match="ladder of 2 grids.*--ladder"):
+        hks_estimate(make_map(name), ladder, depth, mode, cfg)
+
+
 def test_exact_depth_records_are_checked_before_the_cells(monkeypatch):
     # exact refinement holds RECORD_BYTES for each depth's record, however
     # few its words, so identity to depth n needs (n + 1) RECORD_BYTES
@@ -551,21 +625,33 @@ def test_exact_depth_records_are_checked_before_the_cells(monkeypatch):
         refine_series(*args, 11)
 
 
+def _mc_peak(name, grid, depth, n_samples):
+    """tracemalloc peak of one Monte Carlo refinement."""
+    args = (make_map(name), GridPartition(*grid), depth, "mc",
+            McConfig(n_samples))
+    tracemalloc.start()
+    try:
+        refine_series(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 @pytest.mark.parametrize("name,grid", [("baker", (2, 1)), ("cat", (8, 8))])
 def test_mc_peak_memory_is_within_the_cap_budget(name, grid):
     # limits.refinement_bytes counts N (MC_SAMPLE_BYTES + 16 (n + 1))
     # bytes for N samples to depth n beside the records, so a run must stay
     # in that
     n_samples, depth = 100_000, 10
-    args = (make_map(name), GridPartition(*grid), depth, "mc",
-            McConfig(n_samples))
-    tracemalloc.start()
-    try:
-        refine_series(*args)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = _mc_peak(name, grid, depth, n_samples)
     assert peak <= n_samples * (limits.MC_SAMPLE_BYTES + 16 * (depth + 1))
+
+
+def test_mc_tiles_keep_the_peak_below_the_whole_cloud_loop():
+    # tracemalloc peak of cat 8x8, 10^5 samples to depth 10: 14.37 MiB when
+    # each depth ran over the whole cloud at once, 10.35 MiB in tiles, of
+    # which 6.75 MiB are the records; the bound leaves 0.65 MiB of margin
+    assert _mc_peak("cat", (8, 8), 10, 100_000) <= 11 * 2 ** 20
 
 
 def test_mc_stderr_is_binomial():
