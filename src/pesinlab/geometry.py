@@ -56,6 +56,7 @@ refinement, the pieces mapped forward in one pass.  Scratch arrays stay
 bounded whatever the number of pieces; only the pieces kept at a depth
 are held in full, unpadded, in the store of ``partitions._refine_pieces``,
 whose every pass is a batch of one vertex count and so has no padding.
+The last depth of a series keeps only its pieces' keys and areas.
 """
 
 from __future__ import annotations

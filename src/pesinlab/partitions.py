@@ -12,8 +12,9 @@ same measures produce bit-identical entropies.
 
 from __future__ import annotations
 
+import itertools
 import math
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -25,6 +26,9 @@ from .maps import TorusMap
 
 # pieces thinner than this are clipping slivers, not cells
 _ZERO_AREA = 1e-15
+
+# floats iter_floats turns into Python floats at a time
+_FLOAT_CHUNK = 2 ** 14
 
 MEASURE_MODES = ("exact", "mc")
 MC_ESTIMATORS = ("plugin", "miller_madow", "grassberger", "chao_shen")
@@ -206,11 +210,24 @@ def entropy_nats(values: Iterable[float]) -> float:
     return -math.fsum(v * math.log(v) for v in values if v != 0.0)
 
 
+def iter_floats(arr: np.ndarray) -> Iterator[float]:
+    """The values of a 1-d array as Python floats, which entropy_nats runs
+    over faster than numpy scalars, converted _FLOAT_CHUNK at a time, so
+    no list the size of arr is built."""
+    return itertools.chain.from_iterable(
+        arr[lo:lo + _FLOAT_CHUNK].tolist()
+        for lo in range(0, len(arr), _FLOAT_CHUNK))
+
+
 # --- exact refinement -------------------------------------------------------
 
 def _exact_record(n: int, codes: np.ndarray, measures: np.ndarray,
                   torus_map: TorusMap, part: GridPartition) -> RefinementRecord:
-    return RefinementRecord(n, entropy_nats(measures.tolist()), codes, measures,
+    # both arrays own their data and are not written again, so the record
+    # keeps them, read-only, instead of copying them
+    codes.setflags(write=False)
+    measures.setflags(write=False)
+    return RefinementRecord(n, entropy_nats(iter_floats(measures)), codes, measures,
                             torus_map.name, (part.m_q, part.m_p), "exact")
 
 
@@ -235,7 +252,7 @@ def _keep_cuts(parts: dict, verts: np.ndarray, counts: np.ndarray,
 
 
 def _refine_pieces(verts: np.ndarray, counts: np.ndarray, owner: np.ndarray,
-                   torus_map: TorusMap, part: GridPartition):
+                   torus_map: TorusMap, part: GridPartition, store: bool = True):
     """One depth of exact refinement over a store of pieces.
 
     A store keeps a depth's pieces unpadded: verts holds every piece's
@@ -246,7 +263,10 @@ def _refine_pieces(verts: np.ndarray, counts: np.ndarray, owner: np.ndarray,
     cells and the cuts thicker than _ZERO_AREA are kept.  Returns the
     child words' codes (lex order) and measures, and their store as
     (verts, counts, owner row), grouped by ascending count, in the order
-    the cuts came within a count.
+    the cuts came within a count.  With store false, as at a series' last
+    depth, only each kept cut's key and area are kept, a pass's cut
+    vertices go once their areas are known, and only codes and measures
+    are returned.
     """
     q_edges = np.array([k / part.m_q for k in range(part.m_q + 1)])
     p_edges = np.array([k / part.m_p for k in range(part.m_p + 1)])
@@ -263,35 +283,54 @@ def _refine_pieces(verts: np.ndarray, counts: np.ndarray, owner: np.ndarray,
                                                        torus_map.branches)
             cv, cn, img, iq, ip = geometry.grid_cuts_batch(mv, mn, q_edges, p_edges)
             keys = owner[lo:hi][src[img]] * part.n_cells + iq * part.m_p + ip
-            _keep_cuts(parts, cv, cn, keys, geometry.polygon_area_batch(cv, cn))
+            areas = geometry.polygon_area_batch(cv, cn)
+            if store:
+                _keep_cuts(parts, cv, cn, keys, areas)
+            else:
+                # no store: the pass's cut vertices are let go here
+                thick = areas > _ZERO_AREA
+                parts.setdefault(0, []).append((None, keys[thick], areas[thick]))
     # the next store, count by count; each part is let go once copied, so
     # only one copy of the kept cuts is held
     cuts = [cut for c in sorted(parts) for cut in parts.pop(c)]
     keys = np.concatenate([k for _, k, _ in cuts])
     areas = np.concatenate([a for _, _, a in cuts])
-    counts = np.repeat([v.shape[1] for v, _, _ in cuts], [len(v) for v, _, _ in cuts])
-    verts = np.empty((int(counts.sum()), 2))
-    at = 0
-    cuts.reverse()
-    while cuts:
-        v = cuts.pop()[0].reshape(-1, 2)
-        verts[at:at + len(v)] = v
-        at += len(v)
+    if store:
+        counts = np.repeat([v.shape[1] for v, _, _ in cuts],
+                           [len(v) for v, _, _ in cuts])
+        verts = np.empty((int(counts.sum()), 2))
+        at = 0
+        cuts.reverse()
+        while cuts:
+            v = cuts.pop()[0].reshape(-1, 2)
+            verts[at:at + len(v)] = v
+            at += len(v)
+    del cuts
     # a word's measure is an fsum, which does not depend on the order of
     # its pieces
     order, starts, codes, ids = group_prefixes(keys)
-    owner = np.empty_like(ids)
-    owner[order] = ids
     sizes = np.diff(starts, append=len(keys))
     measures = areas[order[starts]]
     for w in np.flatnonzero(sizes > 1):
         measures[w] = math.fsum(areas[order[starts[w]:starts[w] + sizes[w]]].tolist())
+    if not store:
+        return codes, measures
+    owner = np.empty_like(ids)
+    owner[order] = ids
     return codes, measures, verts, counts, owner
 
 
 def _exact_series(torus_map: TorusMap, part: GridPartition, n_max: int,
                   on_record: Optional[Callable[[RefinementRecord], None]]
                   ) -> list[RefinementRecord]:
+    """Exact records of depths 0..n_max, each passed to on_record when done.
+
+    Each depth refines the store of the one before (_refine_pieces), so a
+    depth holds its input store, one copy of its kept cuts and one pass's
+    scratch.  The last depth builds no store: it holds its kept cuts' keys
+    and areas only, and its input store is let go before its record is
+    made.
+    """
     if torus_map.branches is None:
         raise UnsupportedOperationError(
             f"exact refinement needs piecewise-linear data, "
@@ -304,8 +343,8 @@ def _exact_series(torus_map: TorusMap, part: GridPartition, n_max: int,
     verts, counts = geometry.as_batch(
         [geometry.rect_polygon(*part.cell_rect(k)) for k in range(part.n_cells)])
     measures = geometry.polygon_area_batch(verts, counts)
-    verts = verts.reshape(-1, 2)
-    codes = owner = np.arange(part.n_cells)
+    codes = np.arange(part.n_cells)
+    store = [verts.reshape(-1, 2), counts, codes]
     records = []
     for n in range(n_max + 1):
         if n >= 2:
@@ -313,8 +352,8 @@ def _exact_series(torus_map: TorusMap, part: GridPartition, n_max: int,
                                          records[-2].nonempty_words, n,
                                          n_max, what)
         if n > 0:
-            codes, measures, verts, counts, owner = _refine_pieces(
-                verts, counts, owner, torus_map, part)
+            codes, measures, *store = _refine_pieces(*store, torus_map, part,
+                                                     n < n_max)
         records.append(_exact_record(n, codes, measures, torus_map, part))
         if on_record is not None:
             on_record(records[-1])
@@ -345,11 +384,10 @@ def _grassberger_terms(max_count: int) -> np.ndarray:
 
 def _mc_entropy(counts: np.ndarray, n_samples: int, estimator: str) -> float:
     freqs = counts / n_samples
-    # entropy_nats runs faster over Python floats than numpy scalars
     if estimator == "plugin":
-        return entropy_nats(freqs.tolist())
+        return entropy_nats(iter_floats(freqs))
     if estimator == "miller_madow":
-        return entropy_nats(freqs.tolist()) + (len(counts) - 1) / (2.0 * n_samples)
+        return entropy_nats(iter_floats(freqs)) + (len(counts) - 1) / (2.0 * n_samples)
     if estimator == "grassberger":
         g = _grassberger_terms(int(counts.max()))
         return math.log(n_samples) - float(np.sum(counts * g[counts])) / n_samples

@@ -26,7 +26,8 @@ from .gamow import BiorthOperator, GamowSpec, _check_dim, chain_traces, \
     decay_bounds
 from .maps import TorusMap
 from .partitions import GridPartition, McConfig, entropy_nats, fit_line, \
-    prefix_levels, progress_line, refine_series, tail_slope, word_rows
+    iter_floats, prefix_levels, progress_line, refine_series, tail_slope, \
+    word_rows
 
 VERDICTS = ("exponential", "not_exponential", "inconclusive")
 
@@ -282,7 +283,7 @@ def _classical_measures(src: ClassicalSource, n_max: int, word_budget: int,
     # configured estimator, not the plug-in entropy of the measures
     profile = tuple(r.entropy for r in records)
     entropies = list(profile) if src.measure_mode == "exact" else \
-        [entropy_nats(r.measures.tolist()) for r in records]
+        [entropy_nats(iter_floats(r.measures)) for r in records]
     return _Measured(
         desc, words, mags, entropies, profile,
         tuple(r.nonempty_words for r in records),

@@ -16,10 +16,14 @@ from hypothesis import strategies as st
 
 from pesinlab import GridPartition, geometry, make_map, partitions, refine_series
 
-# tracemalloc peak of the exact refinement of cat 8x8 to depth 6, stated
-# in the README.  The store measured 19.5 MiB there; keeping every kept
-# cut until the next store is whole read 24.4, and the padded loop 54.4
-EXACT_CAT_DEPTH6_PEAK_BYTES = 23 * 2 ** 20
+# tracemalloc peaks of exact refinement, stated in the README.  Cat 8x8 to
+# depth 6 measured 9.35 MiB with the last depth keeping only keys and
+# areas; 19.5 when it built a store like the others, 24.4 when every kept
+# cut was held until the next store was whole, and 54.4 for the padded
+# loop.  Baker 2x1 to depth 14 measured 4.31 MiB, and 7.55 with a last
+# store
+EXACT_CAT_DEPTH6_PEAK_BYTES = 12 * 2 ** 20
+EXACT_BAKER_DEPTH14_PEAK_BYTES = 5.5 * 2 ** 20
 
 
 def _padded_refine_pieces(verts, counts, owner, torus_map, part):
@@ -125,7 +129,8 @@ def test_store_is_unpadded_and_holds_the_oracles_pieces(case):
     recs, calls = _store_series(*case)
     oracle = list(_padded_stores(*case))
     assert len(calls) == len(oracle) - 1 == case[3]
-    for (_, (codes, _, verts, counts, owner)), want in zip(calls, oracle[1:]):
+    *store_calls, (last_args, last) = calls
+    for (_, (codes, _, verts, counts, owner)), want in zip(store_calls, oracle[1:]):
         # exactly sum(counts) vertices of two floats, grouped by count
         assert verts.dtype == np.float64 and verts.shape == (counts.sum(), 2)
         assert verts.flags.c_contiguous
@@ -137,6 +142,10 @@ def test_store_is_unpadded_and_holds_the_oracles_pieces(case):
         # the oracle pads: cat's duplicated vertices make some pieces wide
         if case[0] == "cat":
             assert w_verts.size > verts.size
+    # the last depth builds no store: its codes and measures only
+    assert last_args[-1] is False and len(last) == 2
+    assert last[0].tobytes() == oracle[-1][0].tobytes()
+    assert last[1].tobytes() == oracle[-1][1].tobytes()
 
 
 @pytest.mark.parametrize("case", [("baker", 2, 1, 8), ("cat", 3, 5, 5),
@@ -181,24 +190,54 @@ def _depth_call(name, m_q, m_p, n):
 @given(case=st.sampled_from([("baker", 2, 1, 5), ("baker", 4, 2, 3),
                              ("cat", 3, 3, 3), ("cat", 3, 5, 2),
                              ("cat", 8, 8, 2)]),
-       chunk=st.sampled_from([3, 64, 2048]), seed=st.integers(0, 2 ** 32 - 1))
-def test_a_permuted_store_gives_the_same_record(case, chunk, seed):
-    # the input store need not be grouped: a run is any stretch of one count
-    (verts, counts, owner, torus_map, part), (codes, measures, *_) = _depth_call(*case)
+       chunk=st.sampled_from([3, 64, 2048]), seed=st.integers(0, 2 ** 32 - 1),
+       store=st.booleans())
+def test_a_permuted_store_gives_the_same_record(case, chunk, seed, store):
+    # the input store need not be grouped: a run is any stretch of one count;
+    # the call that made depth n was the last depth's, which builds no store,
+    # and the store path must give the same record
+    (verts, counts, owner, torus_map, part, _), (codes, measures) = _depth_call(*case)
     perm = np.random.default_rng(seed).permutation(len(counts))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(geometry, "CHUNK_ROWS", chunk)
         got = partitions._refine_pieces(*_permuted(verts, counts, owner, perm),
-                                        torus_map, part)
+                                        torus_map, part, store)
     assert got[0].tobytes() == codes.tobytes()
     assert got[1].tobytes() == measures.tobytes()
 
 
-def test_exact_refinement_peak_memory_is_bounded():
+# depth n is made without a store when it is the last depth, and with one
+# when a deeper depth follows; the two must give the same record.  On the
+# 1x1 and 2x1 grids a word has several pieces, so its measure is an fsum
+@pytest.mark.parametrize("case", [("identity", 2, 2, 4), ("baker", 2, 1, 8),
+                                  ("baker", 4, 2, 5), ("cat", 3, 5, 4),
+                                  ("cat", 8, 8, 4), ("baker", 1, 1, 4),
+                                  ("cat", 1, 1, 4), ("cat", 2, 1, 4)],
+                         ids=_case_id)
+def test_last_depth_record_matches_the_store_paths(case):
+    name, m_q, m_p, depth = case
+    torus_map, part = make_map(name), GridPartition(m_q, m_p)
+    stored = refine_series(torus_map, part, depth + 1)
+    for n in range(depth + 1):
+        last = refine_series(torus_map, part, n)[-1]
+        assert last.n == stored[n].n == n
+        assert (_record_bytes(last.codes, last.measures, last.entropy)
+                == _record_bytes(stored[n].codes, stored[n].measures,
+                                 stored[n].entropy))
+
+
+def _refinement_peak(name, m_q, m_p, depth):
     tracemalloc.start()
     try:
-        refine_series(make_map("cat"), GridPartition(8, 8), 6)
-        peak = tracemalloc.get_traced_memory()[1]
+        refine_series(make_map(name), GridPartition(m_q, m_p), depth)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < EXACT_CAT_DEPTH6_PEAK_BYTES
+
+
+def test_exact_refinement_peak_memory_is_bounded():
+    assert _refinement_peak("cat", 8, 8, 6) < EXACT_CAT_DEPTH6_PEAK_BYTES
+
+
+def test_exact_baker_peak_memory_is_bounded():
+    assert _refinement_peak("baker", 2, 1, 14) < EXACT_BAKER_DEPTH14_PEAK_BYTES

@@ -33,6 +33,28 @@ def test_entropy_zero_convention():
     assert abs(entropy_nats([0.5, 0.5, 0.0, 0.0]) - LN2) < 1e-15
 
 
+@pytest.mark.parametrize("length", [0, 1, 6, 7, 8, 20])
+def test_iter_floats_gives_every_value_in_order(length, monkeypatch):
+    monkeypatch.setattr(partitions, "_FLOAT_CHUNK", 7)
+    arr = np.random.default_rng(length).random(length)
+    got = list(partitions.iter_floats(arr))
+    assert all(type(v) is float for v in got)
+    assert got == arr.tolist()
+
+
+def test_entropy_of_an_array_holds_one_chunk_of_floats():
+    arr = np.full(2 ** 17, 2.0 ** -17)
+    tracemalloc.start()
+    try:
+        h = entropy_nats(partitions.iter_floats(arr))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert repr(h) == repr(entropy_nats(arr.tolist()))
+    # a list of every value takes 32 bytes a value, 4 MiB here
+    assert peak < 2 * 32 * partitions._FLOAT_CHUNK
+
+
 # --- grid bookkeeping -------------------------------------------------------
 
 def test_grid_cells_cover_square():
@@ -343,8 +365,14 @@ def test_exact_grouping_matches_unique_reference(case, monkeypatch):
     grouped = partitions._refine_pieces
 
     def both(*args):
-        # every output, the piece owners too, on the same pieces
-        got, ref = grouped(*args), _unique_refine_pieces(*args)
+        # every output, the piece owners too, on the same pieces; the last
+        # depth builds no store, so there it is codes and measures only
+        *pieces, store = args
+        got, ref = grouped(*args), _unique_refine_pieces(*pieces)
+        if not store:
+            assert len(got) == 2
+            ref = ref[:2]
+        assert len(got) == len(ref)
         for a, b in zip(got, ref):
             assert a.dtype == b.dtype and a.shape == b.shape
             assert a.tobytes() == b.tobytes()
