@@ -15,6 +15,9 @@ turns long operator-product traces into products of (0, 0) values.
 from __future__ import annotations
 
 import math
+import os
+import threading
+import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -249,6 +252,89 @@ def _lex_first_diff(rows: np.ndarray) -> tuple[np.ndarray, bool]:
     return first_diff, bool((rows[r, col] > rows[r - 1, col]).all())
 
 
+def _workers(n_words: int, slot_bytes: int) -> int:
+    """Processes for n_words distinct words of slot_bytes products each.
+
+    Two when the words fill more than one full block of BLOCK_BYTES, half
+    a block still holds a word, this process may run on more than one CPU,
+    and no other Python thread runs (a fork copies only the calling
+    thread); otherwise one.
+    """
+    full = limits.BLOCK_BYTES // slot_bytes
+    cpus = getattr(os, "sched_getaffinity", lambda pid: ())(0)
+    forks = (n_words > full >= 2 and len(cpus) > 1
+             and threading.active_count() == 1)
+    return 2 if forks else 1
+
+
+def _block_spans(n_words: int, per_block: int) -> list[tuple[int, int]]:
+    """The (lo, hi) rows of each block of per_block words, in row order."""
+    return [(lo, min(lo + per_block, n_words))
+            for lo in range(0, n_words, per_block)]
+
+
+def _run_blocks(links, dims, words: np.ndarray, first_diff: np.ndarray,
+                spans, mags: np.ndarray, traces: np.ndarray) -> None:
+    """Every block of spans in turn, in one buffer as large as the largest,
+    writing each block's rows of mags and traces."""
+    slot = dims[0] ** 2
+    flat = np.empty((max(hi - lo for lo, hi in spans), slot), dtype=complex)
+    product = np.empty(min(flat.size, max(limits.CHUNK_ENTRIES, slot)),
+                       dtype=complex)
+    for lo, hi in spans:
+        block_diff = first_diff[lo:hi].copy()
+        block_diff[0] = 0
+        traces[lo:hi] = _block_traces(links, dims, words[lo:hi], block_diff,
+                                      flat, product, mags[lo:hi])
+
+
+def _shared_empty(shape, dtype=float) -> np.ndarray:
+    """An array in anonymous shared memory, which a forked child writes
+    for its parent."""
+    # mmap, signal and traceback are imported where they are used: only
+    # a forking run loads them, so other commands start as before
+    import mmap
+
+    size = int(np.prod(shape)) * np.dtype(dtype).itemsize
+    return np.frombuffer(mmap.mmap(-1, size), dtype=dtype).reshape(shape)
+
+
+def _run_forked(run: Callable[[list], None], mine: list, theirs: list) -> None:
+    """run(theirs) in one forked child while this process runs run(mine).
+
+    The child leaves by os._exit, so it runs no exit handler and flushes no
+    inherited buffer.  If this process's half raises, the child is killed;
+    either way it is reaped before this returns or raises.  A failed child
+    raises RuntimeError here, after its traceback on stderr.
+    """
+    with warnings.catch_warnings():
+        # Python 3.12+ counts the BLAS pool's idle threads; the GEMMs here
+        # are sized to run on the calling thread
+        warnings.simplefilter("ignore", DeprecationWarning)
+        pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            run(theirs)
+            status = 0
+        except BaseException:
+            import traceback
+            os.write(2, traceback.format_exc().encode())
+        finally:
+            os._exit(status)
+    try:
+        run(mine)
+    except BaseException:
+        import signal
+        os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if code:
+        raise RuntimeError(
+            f"chain_traces' worker process failed with exit status {code}")
+
+
 def chain_traces(spec: GamowSpec, cell_ops, words, start_step: int = 0,
                  on_depth: Optional[Callable[[int, np.ndarray, int, np.ndarray],
                                              None]] = None
@@ -275,31 +361,48 @@ def chain_traces(spec: GamowSpec, cell_ops, words, start_step: int = 0,
 
     Blocks.  The rows need not be sorted or distinct; unless they already
     are, they are sorted once by partitions.prefix_levels.  The distinct
-    words are cut into blocks of lexicographically adjacent words,
-    limits.BLOCK_BYTES of products each.  Every depth of one block runs
-    before the next block starts.  Rows with the same length-(n+1) prefix
-    have the same depth-n product, so within a block each distinct prefix's
-    product is computed once, from its parent's; a prefix that straddles two
-    blocks is computed in both.  The prefixes are grouped by their depth-n
-    symbol, and each group is multiplied by its one link in GEMMs of
-    _gemm_rows rows, none large enough to start a BLAS thread.  BLAS forms
-    each entry of a GEMM the same way whatever its row count, so every
-    magnitude has the bits of a product taken row by row, whatever the
-    blocks; tests/test_gamow.py keeps that kernel as the reference.
+    words are cut into blocks of lexicographically adjacent words.  Every
+    depth of one block runs before the next block starts, and a block
+    writes only its own rows of mags and traces.  Rows with the same
+    length-(n+1) prefix have the same depth-n product, so within a block
+    each distinct prefix's product is computed once, from its parent's; a
+    prefix that straddles two blocks is computed in both.  The prefixes are
+    grouped by their depth-n symbol, and each group is multiplied by its
+    one link in GEMMs of _gemm_rows rows, none large enough to start a BLAS
+    thread.  BLAS forms each entry of a GEMM the same way whatever its row
+    count, so every magnitude has the bits of a product taken row by row,
+    whatever the blocks; tests/test_gamow.py keeps that kernel as the
+    reference.
 
-    Memory.  One block's products share one flat buffer of BLOCK_BYTES,
-    one k_0^2 slot per word (at least one word); a prefix lives in the slot
-    of its first row in the block.  A prefix's parent sits in the same slot
-    or an earlier one, so chunks of CHUNK_ENTRIES gathered entries run from
-    the last slot down, and each chunk gathers its parents before writing
-    its products.  limits.quantum_run_bytes counts the rest.
+    Workers.  When the distinct words fill more than one full block of
+    limits.BLOCK_BYTES, half a block holds a word, this process may run on
+    more than one CPU (os.sched_getaffinity) and no other Python thread
+    runs, the kernel forks once: a child runs the second half of the blocks, this process
+    the first half, and both write mags and traces in anonymous shared
+    memory.  The child reads the links copy-on-write and leaves by
+    os._exit; it is always reaped before this returns or raises.
+    Otherwise the same block loop runs over every block here.  Either way
+    the bits are the same.
 
-    on_depth(n, mags[:, n], k_n, prefix_mags) runs for every depth in
-    order once all blocks are done, with the magnitudes of the depth's
-    distinct prefixes in lexicographic order, each once; returns mags
-    (W, N) and traces (W,).
+    Memory.  Each of the w workers runs its blocks in one flat buffer of
+    BLOCK_BYTES // w, one k_0^2 slot per word (at least one word), so the
+    blocks hold BLOCK_BYTES in all; a prefix lives in the slot of its first
+    row in the block.  A prefix's parent sits in the same slot or an
+    earlier one, so chunks of CHUNK_ENTRIES gathered entries run from the
+    last slot down, and each chunk gathers its parents before writing its
+    products.  limits.quantum_run_bytes counts the rest, with one
+    worker's chunk scratch.
+
+    on_depth(n, mags[:, n], k_n, prefix_mags) runs in this process for
+    every depth in order once all blocks are done, with the magnitudes of
+    the depth's distinct prefixes in lexicographic order, each once;
+    returns mags (W, N) and traces (W,).
     """
     words = np.asarray(words)
+    if words.ndim != 2 or 0 in words.shape:
+        raise ValueError(
+            f"words must be a (W, N) array with W, N >= 1, got shape "
+            f"{words.shape}")
     if not 0 <= words.min() <= words.max() < len(cell_ops):
         raise ValueError(f"word symbols must lie in [0, {len(cell_ops)})")
     for op in cell_ops:
@@ -316,20 +419,21 @@ def chain_traces(spec: GamowSpec, cell_ops, words, start_step: int = 0,
         distinct = words[perm[starts]]
         first_diff, _ = _lex_first_diff(distinct)
 
-    slot = dims[0] ** 2
-    per_block = max(1, limits.BLOCK_BYTES // (16 * slot))
-    flat = np.empty((min(per_block, len(distinct)), slot), dtype=complex)
-    product = np.empty(min(flat.size, max(limits.CHUNK_ENTRIES, slot)),
-                       dtype=complex)
-    mags = np.empty(distinct.shape)
-    traces = np.empty(len(distinct), dtype=complex)
-    for lo in range(0, len(distinct), per_block):
-        hi = min(lo + per_block, len(distinct))
-        block_diff = first_diff[lo:hi].copy()
-        block_diff[0] = 0
-        traces[lo:hi] = _block_traces(links, dims, distinct[lo:hi], block_diff,
-                                      flat, product, mags[lo:hi])
-    del flat, product                   # freed before the row-order copies
+    slot_bytes = 16 * dims[0] ** 2
+    workers = _workers(len(distinct), slot_bytes)
+    spans = _block_spans(len(distinct), max(
+        1, limits.BLOCK_BYTES // workers // slot_bytes))
+    alloc = np.empty if workers == 1 else _shared_empty
+    mags = alloc(distinct.shape)
+    traces = alloc(len(distinct), dtype=complex)
+
+    def run(part):
+        _run_blocks(links, dims, distinct, first_diff, part, mags, traces)
+
+    if workers == 1:
+        run(spans)
+    else:
+        _run_forked(run, spans[:len(spans) // 2], spans[len(spans) // 2:])
     row_mags = mags if in_order else mags[where]
     if on_depth is not None:
         for n, k in enumerate(dims):

@@ -28,9 +28,11 @@ Bytes per unit, measured with tracemalloc:
   (8), traces, sort indices and row sums.  4 cells of 32 x 32 took 70 +
   16.3 bytes a symbol per word (depths 9-80); whole runs peaked at
   0.63-0.87 of quantum_run_bytes.
-- BLOCK_BYTES of chain products per block of gamow.chain_traces, 512
-  words at n_max 32 (smaller blocks were slower); CHUNK_ENTRIES gathered
-  complex entries per chunk.
+- BLOCK_BYTES of chain-product blocks in gamow.chain_traces, the total
+  over its workers: one worker's blocks are 512 words at n_max 32
+  (smaller blocks were slower on one core), and each of two workers'
+  half as many.  CHUNK_ENTRIES gathered complex entries per chunk; each
+  worker gathers its own, and quantum_run_bytes counts one worker's.
 - MC_TILE_SAMPLES samples a Monte Carlo tile of whole depth-0 cells
   reaches before it is cut; a larger cell is one tile.  10^6 samples to
   depth 10, medians of nine interleaved runs on a 2-core Xeon: cat 32x32
@@ -95,7 +97,8 @@ def quantum_words(cells: int, depth: int, budget: int) -> tuple[int, bool]:
 
 def quantum_run_bytes(n_words: int, depth: int, cells: int, dim: int) -> int:
     """Bytes a quantum run of n_words words may hold beside its operators:
-    chain_traces' four operator copies, depth + 1 links and one block."""
+    chain_traces' four operator copies, depth + 1 links, BLOCK_BYTES of
+    blocks over all its workers and one chunk scratch."""
     ops = 16 * cells * dim ** 2 * (depth + 5)
     block = max(BLOCK_BYTES, 16 * dim ** 2) + 32 * max(CHUNK_ENTRIES, dim ** 2)
     return ops + block + n_words * (QUANTUM_WORD_BYTES

@@ -1,4 +1,8 @@
 import math
+import os
+import re
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -12,13 +16,16 @@ from pesinlab import (BiorthOperator, GamowSpec, QuantumSource,
                       evolve_matrix_oracle, evolve_operator,
                       make_cell_operators, off_mass_ratio, prescription_run)
 from pesinlab import gamow, limits
-from pesinlab.gamow import (GEMM_ONE_THREAD, TRUNCATION_EPS, _gemm_rows,
-                            _truncation_dim)
+from pesinlab.gamow import (GEMM_ONE_THREAD, TRUNCATION_EPS, _block_spans,
+                            _gemm_rows, _truncation_dim)
 
 # tracemalloc peak of chain_traces on the default 4096 sampled words to
-# depth 80, stated in the README.  Blocks of 8 MiB measured 13.3 MiB; the
-# depth-major kernel, one 32x32 product per word, peaked at 68.5 MiB
+# depth 80 with one worker, stated in the README.  Blocks of 8 MiB measured
+# 13.3 MiB; the depth-major kernel, one 32x32 product per word, peaked at
+# 68.5 MiB
 CHAIN_DEFAULT_PEAK_BYTES = 16 * 2 ** 20
+
+_fork = os.fork
 
 
 def _chain_ops(rng, count, n_max=32, lead_lo=0.3, lead_hi=0.7, off=3e-4):
@@ -451,19 +458,42 @@ def test_on_depth_prefixes_of_unsorted_repeated_rows():
     assert seen[1].tobytes() == mags[[1, 0], 1].tobytes()
 
 
-def _block_words(monkeypatch, rows, spec, ops, start_step=0):
-    """Set BLOCK_BYTES to rows words of k_0^2 products; return block sizes."""
+def _use_cpus(monkeypatch, count):
+    """Give chain_traces count CPUs; return the pids of the children it
+    forks."""
+    monkeypatch.setattr(os, "sched_getaffinity",
+                        lambda pid: set(range(count)))
+    pids = []
+
+    def fork():
+        pid = _fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return pids
+
+
+def _assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _block_words(monkeypatch, rows, spec, ops, start_step=0, workers=1):
+    """Give each of workers processes blocks of rows words of k_0^2
+    products; return every block's size in row order, and the forked pids."""
     k0 = gamow._chain_links(spec, ops, 1, start_step)[1][0]
-    monkeypatch.setattr(limits, "BLOCK_BYTES", rows * 16 * k0 ** 2)
+    monkeypatch.setattr(limits, "BLOCK_BYTES", workers * rows * 16 * k0 ** 2)
     sizes = []
-    block_traces = gamow._block_traces
 
-    def spy(links, dims, words, *args):
-        sizes.append(len(words))
-        return block_traces(links, dims, words, *args)
+    def spy(n_words, per_block):
+        spans = _block_spans(n_words, per_block)
+        sizes.extend(hi - lo for lo, hi in spans)
+        return spans
 
-    monkeypatch.setattr(gamow, "_block_traces", spy)
-    return sizes
+    monkeypatch.setattr(gamow, "_block_spans", spy)
+    return sizes, _use_cpus(monkeypatch, workers)
 
 
 def _long_shared_prefixes(m, depth, count, seed):
@@ -488,15 +518,20 @@ def test_blocks_keep_every_bit(monkeypatch, rows, kind):
         words = _long_shared_prefixes(3, 30, 40, rows)
     ref_mags, ref_trace = _per_row_chain_traces(spec, ops, words)
     full_mags, _ = _untruncated_chain_traces(spec, ops, words)
-    sizes = _block_words(monkeypatch, rows, spec, ops)
-    mags, trace = chain_traces(spec, ops, words)
     distinct = np.unique(words, axis=0)
-    assert sizes[:-1] == [rows] * (len(sizes) - 1) and sum(sizes) == len(distinct)
     # some block starts inside a prefix shared with the block before it
     starts = distinct[rows::rows]
     assert (starts[:, :5] == distinct[rows - 1:-1:rows][:, :5]).all(axis=1).any()
-    assert mags.tobytes() == ref_mags.tobytes() == full_mags.tobytes()
-    assert trace.tobytes() == ref_trace.tobytes()
+    for workers in (1, 2):
+        sizes, forks = _block_words(monkeypatch, rows, spec, ops,
+                                    workers=workers)
+        mags, trace = chain_traces(spec, ops, words)
+        assert len(forks) == workers - 1
+        assert sizes[:-1] == [rows] * (len(sizes) - 1)
+        assert sum(sizes) == len(distinct)
+        assert mags.tobytes() == ref_mags.tobytes() == full_mags.tobytes()
+        assert trace.tobytes() == ref_trace.tobytes()
+    _assert_no_children()
 
 
 @pytest.mark.parametrize("rows", [1, 3, 7])
@@ -505,11 +540,13 @@ def test_blocks_keep_every_bit_on_the_default_family(monkeypatch, rows):
     ops = make_cell_operators(spec, 4, seed=rows)
     words = _long_shared_prefixes(4, 40, 24, rows)
     ref_mags, ref_trace = _per_row_chain_traces(spec, ops, words, 3)
-    sizes = _block_words(monkeypatch, rows, spec, ops, 3)
-    mags, trace = chain_traces(spec, ops, words, 3)
-    assert len(sizes) > 1
-    assert mags.tobytes() == ref_mags.tobytes()
-    assert trace.tobytes() == ref_trace.tobytes()
+    for workers in (1, 2):
+        sizes, forks = _block_words(monkeypatch, rows, spec, ops, 3, workers)
+        mags, trace = chain_traces(spec, ops, words, 3)
+        assert len(sizes) > 1 and len(forks) == workers - 1
+        assert mags.tobytes() == ref_mags.tobytes()
+        assert trace.tobytes() == ref_trace.tobytes()
+    _assert_no_children()
 
 
 @pytest.mark.parametrize("rows", [1, 3, 7])
@@ -523,34 +560,163 @@ def test_blocks_keep_on_depth_prefixes_dims_and_evolutions(monkeypatch, rows):
     chain_traces(spec, ops, words, 5, on_depth=lambda n, col, k, p:
                  ref_dims.append(k))
     ref, _ = _per_row_chain_traces(spec, ops, words, 5)
-    sizes = _block_words(monkeypatch, rows, spec, ops, 5)
-    steps = []
     evolve = gamow.evolution_factors
-    monkeypatch.setattr(gamow, "evolution_factors",
-                        lambda spec, j: steps.append(j) or evolve(spec, j))
-    seen = []
-    mags, _ = chain_traces(spec, ops, words, 5, on_depth=lambda n, col, k, p:
-                           seen.append((n, k, col.copy(), p)))
-    assert len(sizes) > 1
-    assert steps == list(range(5, 46))           # once per depth
-    assert [n for n, *_ in seen] == list(range(41))
-    assert [k for _, k, *_ in seen] == ref_dims
-    for n, _, col, prefix_mags in seen:
-        assert col.tobytes() == mags[:, n].tobytes() == ref[:, n].tobytes()
-        assert prefix_mags.tobytes() == col[first_diff <= n].tobytes()
+    for workers in (1, 2):
+        sizes, forks = _block_words(monkeypatch, rows, spec, ops, 5, workers)
+        steps = []
+        monkeypatch.setattr(gamow, "evolution_factors",
+                            lambda spec, j: steps.append(j) or evolve(spec, j))
+        seen = []
+        mags, _ = chain_traces(spec, ops, words, 5, on_depth=lambda n, col, k,
+                               p: seen.append((n, k, col.copy(), p)))
+        assert len(sizes) > 1 and len(forks) == workers - 1
+        assert steps == list(range(5, 46))       # once per depth
+        assert [n for n, *_ in seen] == list(range(41))
+        assert [k for _, k, *_ in seen] == ref_dims
+        for n, _, col, prefix_mags in seen:
+            assert col.tobytes() == mags[:, n].tobytes() == ref[:, n].tobytes()
+            assert prefix_mags.tobytes() == col[first_diff <= n].tobytes()
+    _assert_no_children()
 
 
-def test_default_kernel_peak_memory_is_bounded():
+def test_default_kernel_peak_memory_is_bounded(monkeypatch):
+    # tracemalloc sees only this process: one worker runs the whole block
+    # loop here, two leave half the blocks and mags and traces to a child
+    # and to shared memory
     spec = GamowSpec()
     ops = make_cell_operators(spec, 4, seed=0)
     words = _sampled_words(4, 80, 4096, 0)
-    tracemalloc.start()
+    peaks = []
+    for workers in (1, 2):
+        forks = _use_cpus(monkeypatch, workers)
+        tracemalloc.start()
+        try:
+            chain_traces(spec, ops, words, on_depth=lambda *args: None)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert len(forks) == workers - 1
+    assert peaks[1] < peaks[0] < CHAIN_DEFAULT_PEAK_BYTES
+    _assert_no_children()
+
+
+# --- worker processes -------------------------------------------------------
+
+def _default_run(monkeypatch, workers, count=4096):
+    """Mags, traces and on_depth arguments of the default family on count
+    sampled words, and the pids forked."""
+    spec = GamowSpec()
+    ops = make_cell_operators(spec, 4, seed=0)
+    forks = _use_cpus(monkeypatch, workers)
+    seen = []
+    mags, trace = chain_traces(
+        spec, ops, _sampled_words(4, 80, 4096, 0)[:count],
+        on_depth=lambda n, col, k, p: seen.append(
+            (n, k, col.tobytes(), p.tobytes())))
+    return (mags.tobytes(), trace.tobytes(), seen), forks
+
+
+def test_one_and_two_workers_give_the_same_bits(monkeypatch):
+    one, no_forks = _default_run(monkeypatch, 1)
+    two, forks = _default_run(monkeypatch, 2)
+    assert no_forks == [] and len(forks) == 1
+    assert len(one[2]) == 81
+    assert one == two
+    _assert_no_children()
+
+
+def _forbid_fork(monkeypatch, cpus):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+
+    def fork():
+        raise AssertionError("chain_traces forked")
+
+    monkeypatch.setattr(os, "fork", fork)
+
+
+@pytest.mark.parametrize("cpus, count", [(1, 4096), (2, 512), (2, 1)])
+def test_no_fork_on_one_cpu_or_within_one_block(monkeypatch, cpus, count):
+    # 512 words of 32x32 products fill one 8 MiB block exactly
+    _forbid_fork(monkeypatch, cpus)
+    spec = GamowSpec()
+    ops = make_cell_operators(spec, 4, seed=0)
+    mags, _ = chain_traces(spec, ops, _sampled_words(4, 80, 4096, 0)[:count])
+    assert mags.shape == (count, 81)
+
+
+def test_one_word_past_a_full_block_forks(monkeypatch):
+    _, forks = _default_run(monkeypatch, 2, 513)
+    assert len(forks) == 1
+    _assert_no_children()
+
+
+def test_no_fork_while_another_thread_runs(monkeypatch):
+    _forbid_fork(monkeypatch, 2)
+    stop = threading.Event()
+    other = threading.Thread(target=stop.wait)
+    other.start()
     try:
-        chain_traces(spec, ops, words, on_depth=lambda *args: None)
-        peak = tracemalloc.get_traced_memory()[1]
+        spec = GamowSpec()
+        ops = make_cell_operators(spec, 4, seed=0)
+        chain_traces(spec, ops, _sampled_words(4, 80, 4096, 0))
     finally:
-        tracemalloc.stop()
-    assert peak < CHAIN_DEFAULT_PEAK_BYTES
+        stop.set()
+        other.join()
+
+
+class _Planted(Exception):
+    pass
+
+
+def _raise():
+    raise _Planted("planted failure")
+
+
+def _plant(monkeypatch, in_parent=None, in_child=None):
+    """Make each block call in_parent() in this process, or in_child() in
+    a forked child, before its work."""
+    parent = os.getpid()
+    block_traces = gamow._block_traces
+
+    def spy(*args):
+        how = in_parent if os.getpid() == parent else in_child
+        if how is not None:
+            how()
+        return block_traces(*args)
+
+    monkeypatch.setattr(gamow, "_block_traces", spy)
+
+
+def test_a_failing_child_fails_the_call(monkeypatch, capfd):
+    _plant(monkeypatch, in_child=_raise)
+    with pytest.raises(RuntimeError, match="worker process failed"):
+        _default_run(monkeypatch, 2)
+    assert "_Planted: planted failure" in capfd.readouterr().err
+    _assert_no_children()
+
+
+def test_a_failing_parent_half_kills_and_reaps_the_child(monkeypatch):
+    # the child would sleep for a minute in its first block; the call
+    # raises as soon as the parent's half fails
+    _plant(monkeypatch, in_parent=_raise, in_child=lambda: time.sleep(60))
+    start = time.perf_counter()
+    with pytest.raises(_Planted):
+        _default_run(monkeypatch, 2)
+    assert time.perf_counter() - start < 30
+    _assert_no_children()
+
+
+@pytest.mark.parametrize("shape", [(0, 81), (4, 0), (0, 0), (81,)])
+def test_empty_words_are_refused_naming_the_shape(monkeypatch, shape):
+    def links(*args):
+        raise AssertionError("links built")
+
+    monkeypatch.setattr(gamow, "_chain_links", links)
+    spec = GamowSpec()
+    ops = make_cell_operators(spec, 4, seed=0)
+    words = np.zeros(shape, dtype=np.int32)
+    with pytest.raises(ValueError, match=re.escape(str(shape))):
+        chain_traces(spec, ops, words)
 
 
 @settings(max_examples=40, deadline=None)

@@ -190,6 +190,16 @@ GOLDEN_RECORDS = {
         ("83a83743e2fce827", "51c04c2ba7a0cfe0", "10.049932062106517"),
         ("eeccc3ec7ee86d9a", "e4fef0ca887ccf38", "11.04476584550114"),
     ),
+    # words of several pieces, so each measure is an fsum of pieces
+    ("cat", 2, 1, 6): (
+        ("9d34149fbd1fe777", "606e5166986dd9f1", "0.6931471805599453"),
+        ("a1e03200f1f82ad2", "5073e61eafb5e090", "1.3862943611198906"),
+        ("fece8d601cd4c902", "c627d7530b73d70c", "2.079441541679836"),
+        ("f23d672bb9b341f9", "41d19815e9025b53", "2.7725887222397825"),
+        ("bcc9bcfc670935c6", "475c8f61bef3fc25", "3.464601687071657"),
+        ("7a4644928f3a08db", "8e2a57a17b1014dd", "4.1563122172168265"),
+        ("3e4f0a2fd9498da7", "760d81da9aec479b", "4.847599204548061"),
+    ),
     ("identity", 2, 2, 4): (
         ("a1e03200f1f82ad2", "5073e61eafb5e090", "1.3862943611198906"),
         ("1162a84ab547d5dd", "5073e61eafb5e090", "1.3862943611198906"),
