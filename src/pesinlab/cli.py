@@ -31,8 +31,7 @@ from .gamow import GamowSpec, evolve_operator, make_cell_operators, \
 from .lyapunov import lyapunov_spectrum, pesin_residual
 from .maps import MAP_NAMES, PhasePoint, make_map
 from .partitions import (MC_ESTIMATORS, MEASURE_MODES, GridPartition,
-                         McConfig, h_mu_ratio, hks_estimate, progress_line,
-                         word_rows)
+                         McConfig, h_mu_ratio, hks_estimate, word_rows)
 from .pipeline import ClassicalSource, QuantumSource, prescription_run
 
 FORMATS = ("json", "csv", "both")
@@ -328,12 +327,9 @@ def _refinement_setup(cfg, opt, exact_depth, mc_depth, low):
     return GridPartition(*grid), None, depth
 
 
-def _depth_progress(n_max, ladder=False):
-    """on_record callback printing each finished depth to stderr."""
-    def report(record):
-        grid = f"grid {record.grid[0]}x{record.grid[1]} " if ladder else ""
-        print(grid + progress_line(record, n_max), file=sys.stderr)
-    return report
+def _progress(line):
+    """The progress sink of every command: one line to stderr."""
+    print(line, file=sys.stderr)
 
 
 def _prescribed_tables(cfg):
@@ -431,8 +427,7 @@ def _entropy_side(cfg, opt):
     if laddered:
         ladder = _parse_ladder(cfg["ladder"])
         cfg["ladder"] = [[p.m_q, p.m_p] for p in ladder]
-    est = hks_estimate(torus_map, ladder, depth, opt["mode"], mc,
-                       _depth_progress(depth, ladder=laddered))
+    est = hks_estimate(torus_map, ladder, depth, opt["mode"], mc, _progress)
     return torus_map, est, laddered
 
 
@@ -544,7 +539,7 @@ def cmd_prescription(args):
     run = prescription_run(source, depth, word_budget=opt["word_budget"],
                            seed=opt["seed"], r2_threshold=opt["r2_threshold"],
                            onset=opt["onset"],
-                           progress=lambda line: print(line, file=sys.stderr))
+                           progress=_progress)
 
     doc = {"command": "prescription",
            "config": _echo(cfg, ("any", source_name)),

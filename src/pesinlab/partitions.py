@@ -221,16 +221,6 @@ def iter_floats(arr: np.ndarray) -> Iterator[float]:
 
 # --- exact refinement -------------------------------------------------------
 
-def _exact_record(n: int, codes: np.ndarray, measures: np.ndarray,
-                  torus_map: TorusMap, part: GridPartition) -> RefinementRecord:
-    # both arrays own their data and are not written again, so the record
-    # keeps them, read-only, instead of copying them
-    codes.setflags(write=False)
-    measures.setflags(write=False)
-    return RefinementRecord(n, entropy_nats(iter_floats(measures)), codes, measures,
-                            torus_map.name, (part.m_q, part.m_p), "exact")
-
-
 def _keep_cuts(parts: dict, verts: np.ndarray, counts: np.ndarray,
                keys: np.ndarray, areas: np.ndarray) -> None:
     """Append one chunk's cuts thicker than _ZERO_AREA to parts, unpadded.
@@ -320,16 +310,14 @@ def _refine_pieces(verts: np.ndarray, counts: np.ndarray, owner: np.ndarray,
     return codes, measures, verts, counts, owner
 
 
-def _exact_series(torus_map: TorusMap, part: GridPartition, n_max: int,
-                  on_record: Optional[Callable[[RefinementRecord], None]]
-                  ) -> list[RefinementRecord]:
-    """Exact records of depths 0..n_max, each passed to on_record when done.
+def _exact_series(torus_map: TorusMap, part: GridPartition, n_max: int
+                  ) -> Iterator[tuple[float, np.ndarray, np.ndarray]]:
+    """Yield the entropy, codes and measures of depths 0..n_max in turn.
 
     Each depth refines the store of the one before (_refine_pieces), so a
     depth holds its input store, one copy of its kept cuts and one pass's
     scratch.  The last depth builds no store: it holds its kept cuts' keys
-    and areas only, and its input store is let go before its record is
-    made.
+    and areas only, and its input store is let go before it is yielded.
     """
     if torus_map.branches is None:
         raise UnsupportedOperationError(
@@ -345,19 +333,15 @@ def _exact_series(torus_map: TorusMap, part: GridPartition, n_max: int,
     measures = geometry.polygon_area_batch(verts, counts)
     codes = np.arange(part.n_cells)
     store = [verts.reshape(-1, 2), counts, codes]
-    records = []
+    words = (0, 0)  # the word counts of the last two depths
     for n in range(n_max + 1):
         if n >= 2:
-            limits.check_word_projection(records[-1].nonempty_words,
-                                         records[-2].nonempty_words, n,
-                                         n_max, what)
+            limits.check_word_projection(words[1], words[0], n, n_max, what)
         if n > 0:
             codes, measures, *store = _refine_pieces(*store, torus_map, part,
                                                      n < n_max)
-        records.append(_exact_record(n, codes, measures, torus_map, part))
-        if on_record is not None:
-            on_record(records[-1])
-    return records
+        words = (words[1], len(codes))
+        yield entropy_nats(iter_floats(measures)), codes, measures
 
 
 # --- Monte-Carlo refinement -------------------------------------------------
@@ -409,9 +393,10 @@ def _mc_entropy(counts: np.ndarray, n_samples: int, estimator: str) -> float:
     return float(-np.sum(terms))
 
 
-def _mc_record(code_parts: list, count_parts: list, n: int, cfg: McConfig,
-               torus_map: TorusMap, part: GridPartition) -> RefinementRecord:
-    """The record of depth n from its tiles' codes and counts, in lex order.
+def _mc_depth(code_parts: list, count_parts: list, cfg: McConfig
+              ) -> tuple[float, np.ndarray, np.ndarray]:
+    """The entropy, codes and measures of one depth from its tiles' codes
+    and counts, in lex order.
 
     Both lists are emptied as they are joined, and the counts are let go
     once the entropy and measures are taken, so no part outlives its copy.
@@ -420,14 +405,8 @@ def _mc_record(code_parts: list, count_parts: list, n: int, cfg: McConfig,
     code_parts.clear()
     counts = np.concatenate(count_parts)
     count_parts.clear()
-    entropy = _mc_entropy(counts, cfg.n_samples, cfg.estimator)
-    measures = counts / cfg.n_samples
-    del counts
-    codes.setflags(write=False)
-    measures.setflags(write=False)
-    meta = {"n_samples": cfg.n_samples, "seed": cfg.seed, "estimator": cfg.estimator}
-    return RefinementRecord(n, entropy, codes, measures, torus_map.name,
-                            (part.m_q, part.m_p), "mc", meta)
+    return (_mc_entropy(counts, cfg.n_samples, cfg.estimator), codes,
+            counts / cfg.n_samples)
 
 
 def _mc_tiles(starts: np.ndarray, n_samples: int) -> list[tuple[int, int]]:
@@ -441,9 +420,9 @@ def _mc_tiles(starts: np.ndarray, n_samples: int) -> list[tuple[int, int]]:
 
 
 def _mc_series(torus_map: TorusMap, part: GridPartition, n_max: int,
-               cfg: McConfig,
-               on_record: Optional[Callable[[RefinementRecord], None]]
-               ) -> list[RefinementRecord]:
+               cfg: McConfig) -> Iterator[tuple[float, np.ndarray, np.ndarray]]:
+    """Yield the entropy, codes and measures of depths 0..n_max in turn,
+    from the words of cfg.n_samples seeded points."""
     limits.check_bytes(limits.refinement_bytes(cfg.n_samples, n_max),
                        f"Monte Carlo refinement of {cfg.n_samples} samples "
                        f"to depth {n_max}", "--mc-samples or --depth")
@@ -466,10 +445,7 @@ def _mc_series(torus_map: TorusMap, part: GridPartition, n_max: int,
     order, starts, codes, ids = group_prefixes(part.cell_index_batch(cloud))
     cloud = cloud.view(complex)[:, 0][order]
     tiles = _mc_tiles(starts, cfg.n_samples)
-    records = [_mc_record([codes], [np.diff(starts, append=cfg.n_samples)], 0,
-                          cfg, torus_map, part)]
-    if on_record is not None:
-        on_record(records[-1])
+    yield _mc_depth([codes], [np.diff(starts, append=cfg.n_samples)], cfg)
     for n in range(1, n_max + 1):
         code_parts, count_parts, words = [], [], 0
         for lo, hi in tiles:
@@ -489,39 +465,47 @@ def _mc_series(torus_map: TorusMap, part: GridPartition, n_max: int,
         if n == n_max:
             # the last record is the largest, so the cloud makes room for it
             del cloud, ids
-        records.append(_mc_record(code_parts, count_parts, n, cfg, torus_map,
-                                  part))
-        if on_record is not None:
-            on_record(records[-1])
-    return records
+        yield _mc_depth(code_parts, count_parts, cfg)
 
 
 def refine_series(torus_map: TorusMap, part: GridPartition, n_max: int,
                   measure_mode: str = "exact",
                   mc_config: Optional[McConfig] = None,
-                  on_record: Optional[Callable[[RefinementRecord], None]] = None
+                  progress: Optional[Callable[[str], None]] = None
                   ) -> list[RefinementRecord]:
     """Refinement records for every depth 0..n_max (one forward sweep).
 
-    on_record, when given, is called with each record as soon as its depth
-    is done, so callers can report progress while the sweep runs.
+    progress, when given, is called with each depth's line, "depth n/n_max:
+    W words, H=h", as soon as that depth is done, so callers can report
+    progress while the sweep runs.  The sweep starts at once, so a run
+    past a resource limit is refused here, before any cell or sample is
+    made.
     """
     if n_max < 0:
         raise ValueError("refinement depth must be nonnegative")
     if measure_mode == "exact":
-        return _exact_series(torus_map, part, n_max, on_record)
-    if measure_mode == "mc":
-        return _mc_series(torus_map, part, n_max, mc_config or McConfig(),
-                          on_record)
-    raise ConfigurationError(
-        f"unknown measure mode {measure_mode!r}; "
-        f"valid names: {', '.join(MEASURE_MODES)}")
-
-
-def progress_line(record: RefinementRecord, n_max: int) -> str:
-    """The progress line of one finished depth of an n_max-deep series."""
-    return (f"depth {record.n}/{n_max}: {record.nonempty_words} words, "
-            f"H={record.entropy:.6g}")
+        depths, meta = _exact_series(torus_map, part, n_max), {}
+    elif measure_mode == "mc":
+        cfg = mc_config or McConfig()
+        depths = _mc_series(torus_map, part, n_max, cfg)
+        meta = {"n_samples": cfg.n_samples, "seed": cfg.seed,
+                "estimator": cfg.estimator}
+    else:
+        raise ConfigurationError(
+            f"unknown measure mode {measure_mode!r}; "
+            f"valid names: {', '.join(MEASURE_MODES)}")
+    records = []
+    for n, (entropy, codes, measures) in enumerate(depths):
+        # both arrays own their data and are not written again, so the
+        # record keeps them, read-only, instead of copying them
+        codes.setflags(write=False)
+        measures.setflags(write=False)
+        records.append(RefinementRecord(n, entropy, codes, measures,
+                                        torus_map.name, (part.m_q, part.m_p),
+                                        measure_mode, dict(meta)))
+        if progress is not None:
+            progress(f"depth {n}/{n_max}: {len(codes)} words, H={entropy:.6g}")
+    return records
 
 
 # --- entropy-rate estimates -------------------------------------------------
@@ -597,11 +581,12 @@ class HksEstimate:
 def hks_estimate(torus_map: TorusMap, ladder, n_max: int,
                  measure_mode: str = "exact",
                  mc_config: Optional[McConfig] = None,
-                 on_record: Optional[Callable[[RefinementRecord], None]] = None
+                 progress: Optional[Callable[[str], None]] = None
                  ) -> HksEstimate:
     """Estimate the entropy rate as the max of h_mu over a grid ladder.
 
-    on_record is passed to each grid's refine_series.  A ladder keeps
+    progress is passed to each grid's refine_series; on a ladder of two or
+    more grids each line starts with its grid, "grid AxB ".  A ladder keeps
     every grid's records, so all of them are checked against the byte cap
     before the first grid runs; one grid is checked by refine_series.
     """
@@ -619,9 +604,14 @@ def hks_estimate(torus_map: TorusMap, ladder, n_max: int,
             limits.refinement_bytes(n_samples, n_max, len(ladder)),
             f"a ladder of {len(ladder)} grids refined to depth {n_max}",
             "--ladder, --mc-samples or --depth" if mc else "--ladder or --depth")
-    all_records = [tuple(refine_series(torus_map, part, n_max, measure_mode,
-                                       mc_config, on_record))
-                   for part in ladder]
+    all_records = []
+    for part in ladder:
+        sink = progress
+        if progress is not None and len(ladder) > 1:
+            def sink(line, grid=f"grid {part.m_q}x{part.m_p} "):
+                progress(grid + line)
+        all_records.append(tuple(refine_series(
+            torus_map, part, n_max, measure_mode, mc_config, sink)))
     profile = tuple((part.m_q, part.m_p, h_mu(recs))
                     for part, recs in zip(ladder, all_records))
     return HksEstimate(max(h for _, _, h in profile), profile, tuple(all_records))

@@ -26,8 +26,7 @@ from .gamow import BiorthOperator, GamowSpec, _check_dim, chain_traces, \
     decay_bounds
 from .maps import TorusMap
 from .partitions import GridPartition, McConfig, entropy_nats, fit_line, \
-    iter_floats, prefix_levels, progress_line, refine_series, tail_slope, \
-    word_rows
+    iter_floats, prefix_levels, refine_series, tail_slope, word_rows
 
 VERDICTS = ("exponential", "not_exponential", "inconclusive")
 
@@ -259,9 +258,8 @@ class _Measured:
 def _classical_measures(src: ClassicalSource, n_max: int, word_budget: int,
                         seed: int,
                         progress: Optional[Callable[[str], None]]) -> _Measured:
-    records = refine_series(
-        src.torus_map, src.partition, n_max, src.measure_mode, src.mc_config,
-        (lambda r: progress(progress_line(r, n_max))) if progress else None)
+    records = refine_series(src.torus_map, src.partition, n_max,
+                            src.measure_mode, src.mc_config, progress)
     final = records[-1]
     if final.nonempty_words > word_budget:
         rng = np.random.default_rng(seed)

@@ -590,9 +590,14 @@ def test_mc_tiles_are_runs_of_whole_cells(monkeypatch):
     assert partitions._mc_tiles(starts, 30) == [(0, 30)]
 
 
+def _depth_of(line):
+    """The depth n of a progress line "depth n/n_max: ..."."""
+    return int(line.split()[1].split("/")[0])
+
+
 def test_mc_progress_is_reported_before_the_next_depth_steps(monkeypatch):
-    # each depth's record reaches on_record before the first tile of the
-    # next depth is stepped, so progress streams while the sweep runs
+    # each depth's line reaches progress before the first tile of the next
+    # depth is stepped, so progress streams while the sweep runs
     monkeypatch.setattr(limits, "MC_TILE_SAMPLES", 100)
     cat = make_map("cat")
     events = []
@@ -602,8 +607,9 @@ def test_mc_progress_is_reported_before_the_next_depth_steps(monkeypatch):
         return cat.step_batch(pts)
 
     spy = dataclasses.replace(cat, step_batch=step_batch)
-    recs = refine_series(spy, GridPartition(4, 4), 5, "mc", McConfig(2000),
-                         on_record=lambda r: events.append(("record", r.n)))
+    recs = refine_series(
+        spy, GridPartition(4, 4), 5, "mc", McConfig(2000),
+        progress=lambda line: events.append(("record", _depth_of(line))))
     assert len(recs) == 6
     marks = [i for i, e in enumerate(events) if e[0] == "record"]
     assert [events[i][1] for i in marks] == list(range(6))
@@ -613,6 +619,43 @@ def test_mc_progress_is_reported_before_the_next_depth_steps(monkeypatch):
         assert len(steps) > 1                      # several tiles a depth
         assert all(kind == "step" for kind, _ in steps)
         assert sum(size for _, size in steps) == 2000
+
+
+def test_exact_progress_is_reported_before_the_next_depth_maps(monkeypatch):
+    # each depth's line reaches progress before the next depth's first
+    # batch of pieces is mapped forward
+    events = []
+    branch_images_batch = geometry.branch_images_batch
+
+    def spy(*args):
+        events.append(("map", None))
+        return branch_images_batch(*args)
+
+    monkeypatch.setattr(geometry, "branch_images_batch", spy)
+    recs = refine_series(make_map("cat"), GridPartition(8, 8), 4,
+                         progress=lambda line: events.append(("line", line)))
+    lines = [i for i, (kind, _) in enumerate(events) if kind == "line"]
+    assert [events[i][1] for i in lines] == [
+        f"depth {r.n}/4: {r.nonempty_words} words, H={r.entropy:.6g}"
+        for r in recs]
+    assert lines[0] == 0 and lines[-1] == len(events) - 1
+    for a, b in zip(lines, lines[1:]):
+        assert b - a > 1                           # the next depth maps after
+        assert all(kind == "map" for kind, _ in events[a + 1:b])
+
+
+def test_ladder_progress_lines_name_their_grid():
+    # a ladder of two or more grids prefixes each line with its grid; a
+    # ladder of one prints the lines of refine_series
+    ladder = [GridPartition(2, 1), GridPartition(2, 2)]
+    lines = []
+    hks_estimate(make_map("baker"), ladder, 4, progress=lines.append)
+    assert [line.split(":")[0] for line in lines] == \
+        [f"grid {g} depth {n}/4" for g in ("2x1", "2x2") for n in range(5)]
+    lines.clear()
+    hks_estimate(make_map("baker"), ladder[1:], 4, progress=lines.append)
+    assert [line.split(":")[0] for line in lines] == \
+        [f"depth {n}/4" for n in range(5)]
 
 
 def test_mc_memory_cap_is_checked_before_the_cloud(monkeypatch):

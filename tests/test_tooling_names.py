@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import pesinlab
-from pesinlab import MAP_NAMES, make_map
+from pesinlab import MAP_NAMES, GridPartition, McConfig, make_map, refine_series
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -57,3 +57,21 @@ def test_public_names_are_exported():
               if not name.startswith("_")
               and not isinstance(value, types.ModuleType)}
     assert public <= set(pesinlab.__all__), sorted(public - set(pesinlab.__all__))
+
+
+@pytest.mark.parametrize("mode", ["exact", "mc"])
+def test_refine_series_returns_what_the_refined_hook_reads(mode):
+    # the tracer's refined hook is handed refine_series' return value after
+    # the call: it counts each record's nonempty_words and, in mc mode,
+    # reads meta["n_samples"] of the first record, so the value must be a
+    # list, which a generator spent by the hook would not leave the caller
+    tracing = _tracing()
+    tracer = tracing.Tracer()
+    args = (make_map("baker"), GridPartition(2, 1), 3, mode, McConfig(100))
+    recs = refine_series(*args)
+    assert type(recs) is list
+    tracing._hooks(tracer)["partitions.refine_series"](recs, args, {})
+    assert tracer.words_per_depth == [r.nonempty_words for r in recs]
+    assert tracer.counts["partitions.words_total"] == sum(tracer.words_per_depth)
+    if mode == "mc":
+        assert tracer.counts["partitions.mc.sample_steps"] == 100 * 3
