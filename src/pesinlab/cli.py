@@ -418,8 +418,9 @@ def _entropy_side(cfg, opt):
     """The map and entropy estimate of ks-entropy and pesin.
 
     One --grid runs as a ladder of one, so its est.value is h_mu of
-    est.records[0].  Returns the map, the estimate and whether a --ladder
-    ran.
+    est.records[0].  Only ks-entropy's --include-words, which needs one
+    --grid, reads word arrays; every other record is a summary.  Returns
+    the map, the estimate and whether a --ladder ran.
     """
     torus_map = make_map(_required(opt, "map", MAP_NAMES))
     part, mc, depth = _refinement_setup(cfg, opt, 12, 10, low=4)
@@ -427,7 +428,8 @@ def _entropy_side(cfg, opt):
     if laddered:
         ladder = _parse_ladder(cfg["ladder"])
         cfg["ladder"] = [[p.m_q, p.m_p] for p in ladder]
-    est = hks_estimate(torus_map, ladder, depth, opt["mode"], mc, _progress)
+    est = hks_estimate(torus_map, ladder, depth, opt["mode"], mc, _progress,
+                       opt.get("include_words", False))
     return torus_map, est, laddered
 
 

@@ -390,8 +390,8 @@ def chain_traces(spec: GamowSpec, cell_ops, words, start_step: int = 0,
     row in the block.  A prefix's parent sits in the same slot or an
     earlier one, so chunks of CHUNK_ENTRIES gathered entries run from the
     last slot down, and each chunk gathers its parents before writing its
-    products.  limits.quantum_run_bytes counts the rest, with one
-    worker's chunk scratch.
+    products.  limits.quantum_run_bytes counts the rest, with two
+    workers' chunk scratch.
 
     on_depth(n, mags[:, n], k_n, prefix_mags) runs in this process for
     every depth in order once all blocks are done, with the magnitudes of

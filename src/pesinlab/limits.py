@@ -16,11 +16,14 @@ Bytes per unit, measured with tracemalloc:
   ks-entropy took 2,375 a depth on exact identity 2x1 and 3,381 on Monte
   Carlo baker 2x1 with one sample (depths 1,000-3,000).
 - MC_SAMPLE_BYTES a Monte Carlo sample, for the cloud and loop arrays,
-  plus 16 a sample and depth for the words.  Peaks past the records, 2 x
-  10^5 samples over the four estimators: 57-76 on baker 2x1 (depth 24),
-  29-51 on cat 8x8 (depth 12), 33 on cat 64x64 (depth 3); 81-85, 81 and
-  64 when each depth ran over the whole cloud.  It stays 128, so no
-  refusal moves.
+  plus 16 a sample and depth for the words.  Peaks of runs with summary
+  records, whose peak is the loop arrays', 2 x 10^5 samples over the four
+  estimators: 60 on baker 2x1 (depth 24), 44-53 on cat 8x8 (depth 12), 43
+  on cat 64x64 (depth 3, where depth 0's chunk scratch sets the peak).
+  Past the records of full runs 44, 24 and 27;
+  57, 29-35 and 33 when depth 0 gathered the whole cloud into a second
+  one, and 81-85, 81 and 64 when each depth ran over the whole cloud.  It
+  stays 128, so no refusal moves.
 - DRAW_ENTRY_BYTES an entry of a random draw's support block (64.8);
   EVOLVE_ENTRY_BYTES an entry of gamow-evolve's JSON and CSV (600-700).
 - QUANTUM_WORD_BYTES a quantum word, QUANTUM_SYMBOL_BYTES a word and
@@ -32,7 +35,7 @@ Bytes per unit, measured with tracemalloc:
   over its workers: one worker's blocks are 512 words at n_max 32
   (smaller blocks were slower on one core), and each of two workers'
   half as many.  CHUNK_ENTRIES gathered complex entries per chunk; each
-  worker gathers its own, and quantum_run_bytes counts one worker's.
+  worker gathers its own, and quantum_run_bytes counts two workers'.
 - MC_TILE_SAMPLES samples a Monte Carlo tile of whole depth-0 cells
   reaches before it is cut; a larger cell is one tile.  10^6 samples to
   depth 10, medians of nine interleaved runs on a 2-core Xeon: cat 32x32
@@ -98,9 +101,11 @@ def quantum_words(cells: int, depth: int, budget: int) -> tuple[int, bool]:
 def quantum_run_bytes(n_words: int, depth: int, cells: int, dim: int) -> int:
     """Bytes a quantum run of n_words words may hold beside its operators:
     chain_traces' four operator copies, depth + 1 links, BLOCK_BYTES of
-    blocks over all its workers and one chunk scratch."""
+    blocks over all its workers and the chunk scratch of each of two
+    workers, counted whether or not the run forks, so the estimate does
+    not depend on the host's CPUs."""
     ops = 16 * cells * dim ** 2 * (depth + 5)
-    block = max(BLOCK_BYTES, 16 * dim ** 2) + 32 * max(CHUNK_ENTRIES, dim ** 2)
+    block = max(BLOCK_BYTES, 16 * dim ** 2) + 64 * max(CHUNK_ENTRIES, dim ** 2)
     return ops + block + n_words * (QUANTUM_WORD_BYTES
                                     + QUANTUM_SYMBOL_BYTES * (depth + 1))
 

@@ -30,6 +30,14 @@ _ZERO_AREA = 1e-15
 # floats iter_floats turns into Python floats at a time
 _FLOAT_CHUNK = 2 ** 14
 
+# sample points _mc_cloud draws and places at a time, about 55 bytes of
+# scratch a point.  More rows than a tile holds on fine grids, so once a
+# chunk's scratch is freed, glibc's malloc serves the tiles' temporaries
+# from its heap rather than mapping and unmapping them every tile: at
+# 2^14, cat 8x8 with 10^6 samples took 96,000 page faults against 17,000
+# and 0.15 s more system time
+_DRAW_ROWS = 2 ** 16
+
 MEASURE_MODES = ("exact", "mc")
 MC_ESTIMATORS = ("plugin", "miller_madow", "grassberger", "chao_shen")
 
@@ -75,18 +83,27 @@ class RefinementRecord:
     alphabet size (the grid's cell count), plus the last symbol (at depth 0
     the symbol itself), as group_prefixes makes them; so codes ascend.
     word_rows turns a series of records back into symbol words.
+
+    A summary keeps n, the entropy, the word count and the run's
+    description only: codes and measures are None, and nonempty_words is
+    given.  A record with codes counts them.
     """
 
     n: int
     entropy: float
-    codes: np.ndarray
-    measures: np.ndarray
+    codes: Optional[np.ndarray]
+    measures: Optional[np.ndarray]
     map_name: str
     grid: tuple[int, int]
     mode: str
     meta: dict = field(default_factory=dict)
+    nonempty_words: Optional[int] = None
 
     def __post_init__(self) -> None:
+        if self.codes is None and self.measures is None:
+            if self.nonempty_words is None:
+                raise ValueError("a summary record needs its word count")
+            return
         # a read-only array that owns its data is kept as it is; any other
         # is copied, so no caller's array is frozen or shared
         for name in ("codes", "measures"):
@@ -96,14 +113,18 @@ class RefinementRecord:
                 arr = np.array(arr)
                 arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+        object.__setattr__(self, "nonempty_words", len(self.codes))
 
-    @property
-    def nonempty_words(self) -> int:
-        return len(self.codes)
+    def _check_words(self) -> None:
+        if self.codes is None:
+            raise ValueError(
+                f"the depth-{self.n} record is a summary, with no codes or "
+                "measures; refine with words=True to keep them")
 
     @property
     def stderrs(self) -> np.ndarray:
         """Binomial sampling error of each measure; 0 for exact measures."""
+        self._check_words()
         if self.mode != "mc":
             return np.zeros(len(self.measures))
         return np.sqrt(self.measures * (1.0 - self.measures)
@@ -120,6 +141,8 @@ def word_rows(records: Sequence[RefinementRecord],
     (W, n+1) with column d the measure of the word's length-(d+1) prefix.
     """
     _check_same_run(records)
+    for r in records:
+        r._check_words()
     m = records[0].grid[0] * records[0].grid[1]
     pos = np.arange(records[-1].nonempty_words) if rows is None \
         else np.asarray(rows, dtype=np.int64)
@@ -342,6 +365,8 @@ def _exact_series(torus_map: TorusMap, part: GridPartition, n_max: int
                                                      n < n_max)
         words = (words[1], len(codes))
         yield entropy_nats(iter_floats(measures)), codes, measures
+        # a summary's arrays are not held while the next depth refines
+        del codes, measures
 
 
 # --- Monte-Carlo refinement -------------------------------------------------
@@ -366,31 +391,55 @@ def _grassberger_terms(max_count: int) -> np.ndarray:
     return g
 
 
-def _mc_entropy(counts: np.ndarray, n_samples: int, estimator: str) -> float:
-    freqs = counts / n_samples
-    if estimator == "plugin":
-        return entropy_nats(iter_floats(freqs))
-    if estimator == "miller_madow":
-        return entropy_nats(iter_floats(freqs)) + (len(counts) - 1) / (2.0 * n_samples)
+def _mc_entropy(count_parts: list, n_samples: int, estimator: str
+                ) -> tuple[float, np.ndarray]:
+    """The entropy and measures of one depth from its tiles' word counts,
+    in lex order.
+
+    The measures and each estimator's per-word terms fill one word-sized
+    array each, part by part, and each count part is let go once used.
+    Every step is elementwise, and the terms are summed once over the whole
+    array, so the bits are those of the same steps on the joined counts.
+    """
+    n_words = sum(len(c) for c in count_parts)
+    measures = np.empty(n_words)
     if estimator == "grassberger":
-        g = _grassberger_terms(int(counts.max()))
-        return math.log(n_samples) - float(np.sum(counts * g[counts])) / n_samples
-    # chao_shen: rescale frequencies by the estimated coverage, then weight
-    # each word by its probability of having been seen at all.  Reduces to
-    # plugin when there are no singletons.  Each step runs in place on a
-    # word-sized array, the same operations as out of place, so the bits
-    # are those of -sum(adj ln adj / seen)
-    singles = int((counts == 1).sum())
-    coverage = max(1.0 - singles / n_samples, 1.0 / n_samples)
-    adj = freqs
-    adj *= coverage
-    seen = np.subtract(1.0, adj)
-    np.power(seen, n_samples, out=seen)
-    np.subtract(1.0, seen, out=seen)
-    terms = np.log(adj)
-    terms *= adj
-    terms /= seen
-    return float(-np.sum(terms))
+        g = _grassberger_terms(max(int(c.max()) for c in count_parts))
+    elif estimator == "chao_shen":
+        # rescale frequencies by the estimated coverage, then weight each
+        # word by its probability of having been seen at all; reduces to
+        # plugin when there are no singletons
+        singles = sum(int((c == 1).sum()) for c in count_parts)
+        coverage = max(1.0 - singles / n_samples, 1.0 / n_samples)
+    if estimator in ("grassberger", "chao_shen"):
+        terms = np.empty(n_words)
+    at = 0
+    count_parts.reverse()
+    while count_parts:
+        counts = count_parts.pop()
+        rows = slice(at, at + len(counts))
+        at += len(counts)
+        np.divide(counts, n_samples, out=measures[rows])
+        if estimator == "grassberger":
+            np.multiply(counts, g[counts], out=terms[rows])
+        elif estimator == "chao_shen":
+            # -sum(adj ln adj / seen), each step in place
+            adj = measures[rows] * coverage
+            seen = np.subtract(1.0, adj)
+            np.power(seen, n_samples, out=seen)
+            np.subtract(1.0, seen, out=seen)
+            np.log(adj, out=terms[rows])
+            terms[rows] *= adj
+            terms[rows] /= seen
+        del counts
+    if estimator == "plugin":
+        return entropy_nats(iter_floats(measures)), measures
+    if estimator == "miller_madow":
+        return (entropy_nats(iter_floats(measures))
+                + (n_words - 1) / (2.0 * n_samples)), measures
+    if estimator == "grassberger":
+        return math.log(n_samples) - float(np.sum(terms)) / n_samples, measures
+    return float(-np.sum(terms)), measures
 
 
 def _mc_depth(code_parts: list, count_parts: list, cfg: McConfig
@@ -398,15 +447,12 @@ def _mc_depth(code_parts: list, count_parts: list, cfg: McConfig
     """The entropy, codes and measures of one depth from its tiles' codes
     and counts, in lex order.
 
-    Both lists are emptied as they are joined, and the counts are let go
-    once the entropy and measures are taken, so no part outlives its copy.
+    Both lists are emptied as they are joined, so no part outlives its use.
     """
     codes = np.concatenate(code_parts)
     code_parts.clear()
-    counts = np.concatenate(count_parts)
-    count_parts.clear()
-    return (_mc_entropy(counts, cfg.n_samples, cfg.estimator), codes,
-            counts / cfg.n_samples)
+    entropy, measures = _mc_entropy(count_parts, cfg.n_samples, cfg.estimator)
+    return entropy, codes, measures
 
 
 def _mc_tiles(starts: np.ndarray, n_samples: int) -> list[tuple[int, int]]:
@@ -419,6 +465,45 @@ def _mc_tiles(starts: np.ndarray, n_samples: int) -> list[tuple[int, int]]:
     return list(zip(cuts[:-1], cuts[1:]))
 
 
+def _mc_cloud(part: GridPartition, cfg: McConfig):
+    """The cfg.n_samples seeded points in word order at depth 0.
+
+    A counting sort over two passes of the same draws, _DRAW_ROWS points
+    at a time: the first counts each cell's points, the second re-seeds,
+    draws the same chunks, groups each by cell (group_prefixes) and moves
+    its points into their cells' next free rows.  Chunked draws are the
+    rows of one whole draw, and a cell's rows keep their draw order, so
+    the cloud is the whole draw stably grouped by cell, made with no
+    temporary larger than a chunk.  Returns the cloud, one complex item a
+    point; ids, each row's depth-0 word row (int32: the byte cap keeps the
+    samples far below 2^31); and the depth's codes, starts and counts.
+    """
+    n, m = cfg.n_samples, part.n_cells
+
+    def chunks():
+        rng = np.random.default_rng(cfg.seed)
+        for lo in range(0, n, _DRAW_ROWS):
+            pts = rng.random((min(_DRAW_ROWS, n - lo), 2))
+            yield pts, part.cell_index_batch(pts)
+
+    counts = np.zeros(m, dtype=np.int64)
+    for _, cells in chunks():
+        counts += np.bincount(cells, minlength=m)
+    free = np.cumsum(counts) - counts
+    cloud = np.empty(n, dtype=complex)
+    for pts, cells in chunks():
+        order, starts, codes, _ = group_prefixes(cells)
+        sizes = np.diff(starts, append=len(order))
+        rows = np.repeat(free[codes] - starts, sizes)
+        rows += np.arange(len(order))
+        cloud[rows] = pts.view(complex)[order, 0]
+        free[codes] += sizes
+    codes = np.flatnonzero(counts)
+    counts = counts[codes]
+    ids = np.repeat(np.arange(len(codes), dtype=np.int32), counts)
+    return cloud, ids, codes, np.cumsum(counts) - counts, counts
+
+
 def _mc_series(torus_map: TorusMap, part: GridPartition, n_max: int,
                cfg: McConfig) -> Iterator[tuple[float, np.ndarray, np.ndarray]]:
     """Yield the entropy, codes and measures of depths 0..n_max in turn,
@@ -426,32 +511,31 @@ def _mc_series(torus_map: TorusMap, part: GridPartition, n_max: int,
     limits.check_bytes(limits.refinement_bytes(cfg.n_samples, n_max),
                        f"Monte Carlo refinement of {cfg.n_samples} samples "
                        f"to depth {n_max}", "--mc-samples or --depth")
-    rng = np.random.default_rng(cfg.seed)
-    cloud = rng.random((cfg.n_samples, 2))
     m = part.n_cells
 
-    # The cloud is kept in word order: after each grouping the points
-    # themselves are gathered by order, so row i of the cloud is the
-    # sample whose word row is ids[i], and ids ascend.  A depth-0 cell is
-    # then a run of rows that no later word leaves, so each depth runs one
-    # tile of whole cells at a time (_mc_tiles), and every temporary is
-    # tile-sized.  Keys are global prefix rows times m plus a cell, so a
-    # tile's codes are the record's; its local word rows are offset by the
-    # words of the tiles before it, and the tiles' codes, in lex order,
-    # concatenate to the depth's.  Each point's arithmetic does not
-    # depend on its row, and codes and counts do not depend on the order
-    # of the samples inside a word.  The gather takes each row as one
-    # complex item, which numpy moves faster than a row of two floats.
-    order, starts, codes, ids = group_prefixes(part.cell_index_batch(cloud))
-    cloud = cloud.view(complex)[:, 0][order]
+    # The cloud is kept in word order: _mc_cloud places it so, and after
+    # each grouping the points themselves are gathered by order, so row i
+    # of the cloud is the sample whose word row is ids[i], and ids ascend.
+    # A depth-0 cell is then a run of rows that no later word leaves, so
+    # each depth runs one tile of whole cells at a time (_mc_tiles), and
+    # every temporary is tile-sized.  Keys are global prefix rows times m
+    # plus a cell, so a tile's codes are the record's; its local word rows
+    # are offset by the words of the tiles before it, and the tiles'
+    # codes, in lex order, concatenate to the depth's.  Each point's
+    # arithmetic does not depend on its row, and codes and counts do not
+    # depend on the order of the samples inside a word.  The gather takes
+    # each row as one complex item, which numpy moves faster than a row of
+    # two floats.
+    cloud, ids, codes, starts, counts = _mc_cloud(part, cfg)
     tiles = _mc_tiles(starts, cfg.n_samples)
-    yield _mc_depth([codes], [np.diff(starts, append=cfg.n_samples)], cfg)
+    yield _mc_depth([codes], [counts], cfg)
+    del codes, starts, counts
     for n in range(1, n_max + 1):
         code_parts, count_parts, words = [], [], 0
         for lo, hi in tiles:
             pts = torus_map.step_batch(cloud[lo:hi].view(float).reshape(-1, 2))
             order, starts, codes, local = group_prefixes(
-                ids[lo:hi] * m + part.cell_index_batch(pts))
+                ids[lo:hi].astype(np.int64) * m + part.cell_index_batch(pts))
             if n < n_max:
                 local += words
                 ids[lo:hi] = local
@@ -462,6 +546,9 @@ def _mc_series(torus_map: TorusMap, part: GridPartition, n_max: int,
             code_parts.append(codes)
             count_parts.append(np.diff(starts, append=hi - lo))
             words += len(codes)
+            # the tile's scratch goes before the next tile is made, and
+            # is not held while the depth's record is
+            del pts, order, starts, codes, local
         if n == n_max:
             # the last record is the largest, so the cloud makes room for it
             del cloud, ids
@@ -471,9 +558,15 @@ def _mc_series(torus_map: TorusMap, part: GridPartition, n_max: int,
 def refine_series(torus_map: TorusMap, part: GridPartition, n_max: int,
                   measure_mode: str = "exact",
                   mc_config: Optional[McConfig] = None,
-                  progress: Optional[Callable[[str], None]] = None
-                  ) -> list[RefinementRecord]:
+                  progress: Optional[Callable[[str], None]] = None,
+                  words: bool = True) -> list[RefinementRecord]:
     """Refinement records for every depth 0..n_max (one forward sweep).
+
+    With words false each record is a summary (RefinementRecord): it keeps
+    n, the entropy, the word count and meta, and each depth's codes and
+    measures are let go once the record is made, so a caller that reads
+    only R_n and H holds no word arrays.  The entropies are those of full
+    records.
 
     progress, when given, is called with each depth's line, "depth n/n_max:
     W words, H=h", as soon as that depth is done, so callers can report
@@ -495,16 +588,24 @@ def refine_series(torus_map: TorusMap, part: GridPartition, n_max: int,
             f"unknown measure mode {measure_mode!r}; "
             f"valid names: {', '.join(MEASURE_MODES)}")
     records = []
-    for n, (entropy, codes, measures) in enumerate(depths):
-        # both arrays own their data and are not written again, so the
-        # record keeps them, read-only, instead of copying them
-        codes.setflags(write=False)
-        measures.setflags(write=False)
-        records.append(RefinementRecord(n, entropy, codes, measures,
-                                        torus_map.name, (part.m_q, part.m_p),
-                                        measure_mode, dict(meta)))
+    # no enumerate: its cached result tuple would hold a depth's arrays
+    # while the next depth is made
+    for entropy, codes, measures in depths:
+        n, arrays = len(records), (None, None)
+        if words:
+            # both arrays own their data and are not written again, so the
+            # record keeps them, read-only, instead of copying them
+            codes.setflags(write=False)
+            measures.setflags(write=False)
+            arrays = (codes, measures)
+        records.append(RefinementRecord(n, entropy, *arrays, torus_map.name,
+                                        (part.m_q, part.m_p), measure_mode,
+                                        dict(meta), len(codes)))
+        # a summary's arrays go before the next depth is made
+        del codes, measures
         if progress is not None:
-            progress(f"depth {n}/{n_max}: {len(codes)} words, H={entropy:.6g}")
+            progress(f"depth {n}/{n_max}: {records[-1].nonempty_words} "
+                     f"words, H={entropy:.6g}")
     return records
 
 
@@ -581,14 +682,16 @@ class HksEstimate:
 def hks_estimate(torus_map: TorusMap, ladder, n_max: int,
                  measure_mode: str = "exact",
                  mc_config: Optional[McConfig] = None,
-                 progress: Optional[Callable[[str], None]] = None
-                 ) -> HksEstimate:
+                 progress: Optional[Callable[[str], None]] = None,
+                 words: bool = True) -> HksEstimate:
     """Estimate the entropy rate as the max of h_mu over a grid ladder.
 
-    progress is passed to each grid's refine_series; on a ladder of two or
-    more grids each line starts with its grid, "grid AxB ".  A ladder keeps
-    every grid's records, so all of them are checked against the byte cap
-    before the first grid runs; one grid is checked by refine_series.
+    progress and words are passed to each grid's refine_series; on a
+    ladder of two or more grids each progress line starts with its grid,
+    "grid AxB ", and with words false every record is a summary.  A
+    ladder keeps every grid's records, so all of them are checked against
+    the byte cap before the first grid runs; one grid is checked by
+    refine_series.
     """
     ladder = list(ladder)
     if not ladder:
@@ -611,7 +714,7 @@ def hks_estimate(torus_map: TorusMap, ladder, n_max: int,
             def sink(line, grid=f"grid {part.m_q}x{part.m_p} "):
                 progress(grid + line)
         all_records.append(tuple(refine_series(
-            torus_map, part, n_max, measure_mode, mc_config, sink)))
+            torus_map, part, n_max, measure_mode, mc_config, sink, words)))
     profile = tuple((part.m_q, part.m_p, h_mu(recs))
                     for part, recs in zip(ladder, all_records))
     return HksEstimate(max(h for _, _, h in profile), profile, tuple(all_records))

@@ -168,6 +168,32 @@ def test_ks_entropy_ladder(tmp_path, capsys):
     assert csv[1].startswith("2x1,0,")
 
 
+@pytest.mark.parametrize("argv,words", [
+    (["ks-entropy", "--map", "baker", "--include-words"], True),
+    (["ks-entropy", "--map", "baker"], False),
+    (["ks-entropy", "--map", "baker", "--ladder", "2x1,2x2"], False),
+    (["pesin", "--map", "baker", "--lyap-steps", "100"], False),
+    (["pesin", "--map", "baker", "--ladder", "2x1,2x2",
+      "--lyap-steps", "100"], False)])
+def test_entropy_commands_keep_word_arrays_only_for_include_words(
+        tmp_path, capsys, monkeypatch, argv, words):
+    # only --include-words reads a record's codes and measures; every other
+    # entropy command reads R_n and H, so its records are summaries
+    kept = []
+    hks_estimate = cli.hks_estimate
+
+    def spy(*args):
+        est = hks_estimate(*args)
+        kept.extend(r.codes is not None for recs in est.records for r in recs)
+        return est
+
+    monkeypatch.setattr(cli, "hks_estimate", spy)
+    code, _, err = run_cli(argv + ["--depth", "4", "--out", str(tmp_path)],
+                           capsys)
+    assert code == 0, err
+    assert kept and set(kept) == {words}
+
+
 def test_ks_entropy_bad_grid(tmp_path, capsys):
     code, _, err = run_cli(["ks-entropy", "--map", "baker", "--grid", "2by1",
                             "--out", str(tmp_path)], capsys)

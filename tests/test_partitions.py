@@ -467,6 +467,43 @@ def test_mc_seed_determinism():
     assert a.entropy != c.entropy
 
 
+# --- summaries --------------------------------------------------------------
+
+@pytest.mark.parametrize("mode,estimator", [("exact", "chao_shen")] + [
+    ("mc", estimator) for estimator in MC_ESTIMATORS])
+def test_summaries_keep_what_full_records_give(mode, estimator):
+    # words=False keeps each depth's n, entropy, word count and meta, and
+    # reports the same progress lines, with no codes or measures
+    args = (make_map("cat"), GridPartition(4, 4), 5, mode,
+            McConfig(3000, seed=4, estimator=estimator))
+    full_lines, summary_lines = [], []
+    full = refine_series(*args, progress=full_lines.append)
+    summary = refine_series(*args, progress=summary_lines.append, words=False)
+    assert type(summary) is list
+    assert summary_lines == full_lines
+    assert len(summary) == len(full)
+    for s, f in zip(summary, full):
+        assert (s.n, s.entropy, s.nonempty_words, s.meta, s.map_name, s.grid,
+                s.mode) == (f.n, f.entropy, f.nonempty_words, f.meta,
+                            f.map_name, f.grid, f.mode)
+        assert s.codes is None and s.measures is None
+    ladder = [GridPartition(2, 2), GridPartition(4, 4)]
+    whole = hks_estimate(*args[:1], ladder, *args[2:])
+    lean = hks_estimate(*args[:1], ladder, *args[2:], words=False)
+    assert lean.value == whole.value and lean.profile == whole.profile
+    assert all(r.codes is None for recs in lean.records for r in recs)
+
+
+def test_summaries_refuse_word_reads():
+    recs = refine_series(make_map("baker"), GridPartition(2, 1), 3, "mc",
+                         McConfig(100), words=False)
+    with pytest.raises(ValueError, match="depth-0 record is a summary.*"
+                                         "words=True"):
+        word_rows(recs)
+    with pytest.raises(ValueError, match="depth-3 record is a summary"):
+        recs[-1].stderrs
+
+
 # --- Monte Carlo grouping ---------------------------------------------------
 
 def _unique_mc_series(torus_map, part, n_max, cfg):
@@ -488,6 +525,24 @@ def _unique_mc_series(torus_map, part, n_max, cfg):
     return series
 
 
+def _whole_cloud_entropy(counts, n_samples, estimator):
+    """Each estimator over one joined array of counts, as _mc_entropy took
+    it before it filled its arrays part by part: the reference whose bits
+    the parts must give."""
+    freqs = counts / n_samples
+    if estimator == "plugin":
+        return entropy_nats(freqs.tolist())
+    if estimator == "miller_madow":
+        return entropy_nats(freqs.tolist()) + (len(counts) - 1) / (2.0 * n_samples)
+    if estimator == "grassberger":
+        g = partitions._grassberger_terms(int(counts.max()))
+        return math.log(n_samples) - float(np.sum(counts * g[counts])) / n_samples
+    singles = int((counts == 1).sum())
+    adj = freqs * max(1.0 - singles / n_samples, 1.0 / n_samples)
+    seen = 1.0 - (1.0 - adj) ** n_samples
+    return float(-np.sum(adj * np.log(adj) / seen))
+
+
 def _assert_mc_matches_reference(name, grid, depth, n_samples, seed):
     part = GridPartition(*grid)
     ref = _unique_mc_series(make_map(name), part, depth,
@@ -501,7 +556,7 @@ def _assert_mc_matches_reference(name, grid, depth, n_samples, seed):
             assert rec.codes.tobytes() == codes.tobytes()
             assert rec.measures.tobytes() == (counts / n_samples).tobytes()
             assert repr(rec.entropy) == repr(
-                _mc_entropy(counts, n_samples, estimator))
+                _whole_cloud_entropy(counts, n_samples, estimator))
 
 
 MC_GRIDS = [(1, 1), (2, 1), (4, 4), (8, 8)]
@@ -577,6 +632,54 @@ def test_mc_records_match_golden(case):
 def test_mc_records_match_golden_in_any_tiles(case, tile, monkeypatch):
     monkeypatch.setattr(limits, "MC_TILE_SAMPLES", tile)
     test_mc_records_match_golden(case)
+
+
+def _whole_cloud_depth0(part, cfg):
+    """The depth-0 cloud, ids, codes and starts of one whole draw grouped
+    by cell at once, as _mc_series placed them before _mc_cloud: the
+    reference the counting sort must equal."""
+    cloud = np.random.default_rng(cfg.seed).random((cfg.n_samples, 2))
+    order, starts, codes, ids = partitions.group_prefixes(
+        part.cell_index_batch(cloud))
+    return cloud.view(complex)[:, 0][order], ids, codes, starts
+
+
+# (chunk rows, sample counts): 1, rows - 1, rows and rows + 1 samples
+DRAW_CASES = [(1, (1, 2)), (7, (1, 6, 7, 8)),
+              (2 ** 16, (1, 2 ** 16 - 1, 2 ** 16, 2 ** 16 + 1))]
+
+
+@pytest.mark.parametrize("grid", [(1, 1), (2, 1), (8, 8), (64, 64)],
+                         ids=lambda g: "%dx%d" % g)
+@pytest.mark.parametrize("rows,sizes", DRAW_CASES,
+                         ids=[str(rows) for rows, _ in DRAW_CASES])
+def test_mc_cloud_equals_the_whole_cloud_grouping(rows, sizes, grid,
+                                                  monkeypatch):
+    monkeypatch.setattr(partitions, "_DRAW_ROWS", rows)
+    part = GridPartition(*grid)
+    # 64x64 at 100 samples leaves most cells empty
+    for n_samples in (*sizes, 100):
+        cfg = McConfig(n_samples, seed=n_samples)
+        cloud, ids, codes, starts, counts = partitions._mc_cloud(part, cfg)
+        ref_cloud, ref_ids, ref_codes, ref_starts = _whole_cloud_depth0(part, cfg)
+        assert cloud.dtype == ref_cloud.dtype
+        assert cloud.tobytes() == ref_cloud.tobytes()
+        assert ids.dtype == np.int32 and (ids == ref_ids).all()
+        for got, want in ((codes, ref_codes), (starts, ref_starts)):
+            assert got.dtype == want.dtype and (got == want).all()
+        assert (counts == np.diff(starts, append=n_samples)).all()
+
+
+def test_mc_depth0_peak_is_one_cloud_and_ids(monkeypatch):
+    # depth 0 holds the cloud (16 bytes a sample), the word ids (4) and one
+    # chunk's scratch, at most 128 bytes a drawn row; cat 8x8 with 10^5
+    # samples peaked at 1.98 MiB by tracemalloc with chunks of 2^12 rows,
+    # against the 2.47 MiB bound, and at 4.6-5.2 MiB when depth 0 grouped
+    # the whole cloud and gathered it into a second one
+    rows, n_samples = 2 ** 12, 100_000
+    monkeypatch.setattr(partitions, "_DRAW_ROWS", rows)
+    assert _mc_peak("cat", (8, 8), 0, n_samples) <= \
+        n_samples * (16 + 4) + rows * 128 + 2 ** 16
 
 
 def test_mc_tiles_are_runs_of_whole_cells(monkeypatch):
@@ -730,9 +833,11 @@ def test_mc_peak_memory_is_within_the_cap_budget(name, grid):
 
 def test_mc_tiles_keep_the_peak_below_the_whole_cloud_loop():
     # tracemalloc peak of cat 8x8, 10^5 samples to depth 10: 14.37 MiB when
-    # each depth ran over the whole cloud at once, 10.35 MiB in tiles, of
-    # which 6.75 MiB are the records; the bound leaves 0.65 MiB of margin
-    assert _mc_peak("cat", (8, 8), 10, 100_000) <= 11 * 2 ** 20
+    # each depth ran over the whole cloud at once, 10.35 MiB in tiles, and
+    # 9.30 MiB with depth 0 placed by _mc_cloud, of which 6.75 MiB are the
+    # records; 10.03 MiB when it is the process's first refinement, which
+    # the bound leaves 0.47 MiB of margin
+    assert _mc_peak("cat", (8, 8), 10, 100_000) <= 10.5 * 2 ** 20
 
 
 def test_mc_stderr_is_binomial():
@@ -752,15 +857,20 @@ def test_mc_config_validation():
 
 # --- estimator corrections --------------------------------------------------
 
+def _entropy(counts, n_samples, estimator):
+    """_mc_entropy of one array of counts."""
+    return _mc_entropy([counts], n_samples, estimator)[0]
+
+
 def test_chao_shen_reduces_to_plugin_without_singletons():
     counts = np.array([500, 300, 200])
-    assert _mc_entropy(counts, 1000, "chao_shen") == pytest.approx(
-        _mc_entropy(counts, 1000, "plugin"), abs=1e-15)
+    assert _entropy(counts, 1000, "chao_shen") == pytest.approx(
+        _entropy(counts, 1000, "plugin"), abs=1e-15)
 
 
 def test_miller_madow_adds_fixed_bonus():
     counts = np.array([400, 350, 250])
-    gap = _mc_entropy(counts, 1000, "miller_madow") - _mc_entropy(
+    gap = _entropy(counts, 1000, "miller_madow") - _entropy(
         counts, 1000, "plugin")
     assert abs(gap - (3 - 1) / 2000.0) < 1e-15
 
@@ -775,14 +885,14 @@ def test_plugin_estimators_take_the_bits_of_the_array_path(seed):
     counts = counts[counts > 0]
     freqs = counts / n_samples
     plugin = entropy_nats(freqs)
-    assert repr(_mc_entropy(counts, n_samples, "plugin")) == repr(plugin)
-    assert repr(_mc_entropy(counts, n_samples, "miller_madow")) == repr(
+    assert repr(_entropy(counts, n_samples, "plugin")) == repr(plugin)
+    assert repr(_entropy(counts, n_samples, "miller_madow")) == repr(
         plugin + (len(counts) - 1) / (2.0 * n_samples))
 
 
 def test_grassberger_close_to_plugin_at_large_counts():
     counts = np.full(10, 100_000)
-    gap = _mc_entropy(counts, 1_000_000, "grassberger") - _mc_entropy(
+    gap = _entropy(counts, 1_000_000, "grassberger") - _entropy(
         counts, 1_000_000, "plugin")
     assert abs(gap) < 1e-4
 
@@ -790,10 +900,10 @@ def test_grassberger_close_to_plugin_at_large_counts():
 def test_corrections_raise_undersampled_entropy():
     counts = np.concatenate([np.full(5000, 1), np.full(100, 50)])
     n = int(counts.sum())
-    hp = _mc_entropy(counts, n, "plugin")
-    assert _mc_entropy(counts, n, "miller_madow") > hp
-    assert _mc_entropy(counts, n, "grassberger") > hp
-    assert _mc_entropy(counts, n, "chao_shen") > hp
+    hp = _entropy(counts, n, "plugin")
+    assert _entropy(counts, n, "miller_madow") > hp
+    assert _entropy(counts, n, "grassberger") > hp
+    assert _entropy(counts, n, "chao_shen") > hp
 
 
 # --- convergence examples (slow lane) ----------------------------------------

@@ -64,14 +64,18 @@ def test_refine_series_returns_what_the_refined_hook_reads(mode):
     # the tracer's refined hook is handed refine_series' return value after
     # the call: it counts each record's nonempty_words and, in mc mode,
     # reads meta["n_samples"] of the first record, so the value must be a
-    # list, which a generator spent by the hook would not leave the caller
-    tracing = _tracing()
-    tracer = tracing.Tracer()
+    # list, which a generator spent by the hook would not leave the caller;
+    # summary records (words=False), which the CLI's entropy commands get,
+    # keep both
     args = (make_map("baker"), GridPartition(2, 1), 3, mode, McConfig(100))
-    recs = refine_series(*args)
-    assert type(recs) is list
-    tracing._hooks(tracer)["partitions.refine_series"](recs, args, {})
-    assert tracer.words_per_depth == [r.nonempty_words for r in recs]
-    assert tracer.counts["partitions.words_total"] == sum(tracer.words_per_depth)
-    if mode == "mc":
-        assert tracer.counts["partitions.mc.sample_steps"] == 100 * 3
+    for words in (True, False):
+        tracing = _tracing()
+        tracer = tracing.Tracer()
+        recs = refine_series(*args, words=words)
+        assert type(recs) is list
+        tracing._hooks(tracer)["partitions.refine_series"](recs, args, {})
+        assert tracer.words_per_depth == [r.nonempty_words for r in recs]
+        assert tracer.counts["partitions.words_total"] == sum(
+            tracer.words_per_depth)
+        if mode == "mc":
+            assert tracer.counts["partitions.mc.sample_steps"] == 100 * 3
