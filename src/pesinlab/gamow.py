@@ -15,9 +15,6 @@ turns long operator-product traces into products of (0, 0) values.
 from __future__ import annotations
 
 import math
-import os
-import threading
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -25,6 +22,7 @@ import numpy as np
 
 from . import limits
 from .errors import ConfigurationError, ResourceLimitError
+from .forking import forked, may_fork
 from .partitions import prefix_levels
 
 _ORACLE_DIM_CAP = 200
@@ -252,21 +250,6 @@ def _lex_first_diff(rows: np.ndarray) -> tuple[np.ndarray, bool]:
     return first_diff, bool((rows[r, col] > rows[r - 1, col]).all())
 
 
-def _workers(n_words: int, slot_bytes: int) -> int:
-    """Processes for n_words distinct words of slot_bytes products each.
-
-    Two when the words fill more than one full block of BLOCK_BYTES, half
-    a block still holds a word, this process may run on more than one CPU,
-    and no other Python thread runs (a fork copies only the calling
-    thread); otherwise one.
-    """
-    full = limits.BLOCK_BYTES // slot_bytes
-    cpus = getattr(os, "sched_getaffinity", lambda pid: ())(0)
-    forks = (n_words > full >= 2 and len(cpus) > 1
-             and threading.active_count() == 1)
-    return 2 if forks else 1
-
-
 def _block_spans(n_words: int, per_block: int) -> list[tuple[int, int]]:
     """The (lo, hi) rows of each block of per_block words, in row order."""
     return [(lo, min(lo + per_block, n_words))
@@ -291,48 +274,11 @@ def _run_blocks(links, dims, words: np.ndarray, first_diff: np.ndarray,
 def _shared_empty(shape, dtype=float) -> np.ndarray:
     """An array in anonymous shared memory, which a forked child writes
     for its parent."""
-    # mmap, signal and traceback are imported where they are used: only
-    # a forking run loads them, so other commands start as before
+    # imported where used: only a forking run loads it
     import mmap
 
     size = int(np.prod(shape)) * np.dtype(dtype).itemsize
     return np.frombuffer(mmap.mmap(-1, size), dtype=dtype).reshape(shape)
-
-
-def _run_forked(run: Callable[[list], None], mine: list, theirs: list) -> None:
-    """run(theirs) in one forked child while this process runs run(mine).
-
-    The child leaves by os._exit, so it runs no exit handler and flushes no
-    inherited buffer.  If this process's half raises, the child is killed;
-    either way it is reaped before this returns or raises.  A failed child
-    raises RuntimeError here, after its traceback on stderr.
-    """
-    with warnings.catch_warnings():
-        # Python 3.12+ counts the BLAS pool's idle threads; the GEMMs here
-        # are sized to run on the calling thread
-        warnings.simplefilter("ignore", DeprecationWarning)
-        pid = os.fork()
-    if pid == 0:
-        status = 1
-        try:
-            run(theirs)
-            status = 0
-        except BaseException:
-            import traceback
-            os.write(2, traceback.format_exc().encode())
-        finally:
-            os._exit(status)
-    try:
-        run(mine)
-    except BaseException:
-        import signal
-        os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
-        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    if code:
-        raise RuntimeError(
-            f"chain_traces' worker process failed with exit status {code}")
 
 
 def chain_traces(spec: GamowSpec, cell_ops, words, start_step: int = 0,
@@ -375,12 +321,12 @@ def chain_traces(spec: GamowSpec, cell_ops, words, start_step: int = 0,
     reference.
 
     Workers.  When the distinct words fill more than one full block of
-    limits.BLOCK_BYTES, half a block holds a word, this process may run on
-    more than one CPU (os.sched_getaffinity) and no other Python thread
-    runs, the kernel forks once: a child runs the second half of the blocks, this process
-    the first half, and both write mags and traces in anonymous shared
-    memory.  The child reads the links copy-on-write and leaves by
-    os._exit; it is always reaped before this returns or raises.
+    limits.BLOCK_BYTES, half a block holds a word and forking.may_fork()
+    (more than one CPU, no other Python thread), the kernel forks once
+    (forking.forked): a child runs the second half of the blocks, this
+    process the first half, and both write mags and traces in anonymous
+    shared memory.  The child reads the links copy-on-write; it is always
+    reaped before this returns or raises.
     Otherwise the same block loop runs over every block here.  Either way
     the bits are the same.
 
@@ -420,7 +366,8 @@ def chain_traces(spec: GamowSpec, cell_ops, words, start_step: int = 0,
         first_diff, _ = _lex_first_diff(distinct)
 
     slot_bytes = 16 * dims[0] ** 2
-    workers = _workers(len(distinct), slot_bytes)
+    full = limits.BLOCK_BYTES // slot_bytes
+    workers = 2 if len(distinct) > full >= 2 and may_fork() else 1
     spans = _block_spans(len(distinct), max(
         1, limits.BLOCK_BYTES // workers // slot_bytes))
     alloc = np.empty if workers == 1 else _shared_empty
@@ -433,7 +380,8 @@ def chain_traces(spec: GamowSpec, cell_ops, words, start_step: int = 0,
     if workers == 1:
         run(spans)
     else:
-        _run_forked(run, spans[:len(spans) // 2], spans[len(spans) // 2:])
+        with forked(lambda: run(spans[len(spans) // 2:])):
+            run(spans[:len(spans) // 2])
     row_mags = mags if in_order else mags[where]
     if on_depth is not None:
         for n, k in enumerate(dims):

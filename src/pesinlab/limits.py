@@ -18,12 +18,14 @@ Bytes per unit, measured with tracemalloc:
 - MC_SAMPLE_BYTES a Monte Carlo sample, for the cloud and loop arrays,
   plus 16 a sample and depth for the words.  Peaks of runs with summary
   records, whose peak is the loop arrays', 2 x 10^5 samples over the four
-  estimators: 60 on baker 2x1 (depth 24), 44-53 on cat 8x8 (depth 12), 43
-  on cat 64x64 (depth 3, where depth 0's chunk scratch sets the peak).
-  Past the records of full runs 44, 24 and 27;
-  57, 29-35 and 33 when depth 0 gathered the whole cloud into a second
-  one, and 81-85, 81 and 64 when each depth ran over the whole cloud.  It
-  stays 128, so no refusal moves.
+  estimators: 52-56 on baker 2x1 (depth 24), 42-45 on cat 8x8 (depth 12),
+  43 on cat 64x64 (depth 3, where depth 0's chunk scratch sets the peak);
+  past the records of full runs 44, 24 and 27, against 81-85, 81 and 64
+  when each depth ran over the whole cloud.  A forked run adds its
+  child's copy of half the cloud and ids (10) and tile scratch: the two
+  processes' summed peaks were 98-102, 66-69 and 61 with summaries.  It
+  stays 128, which counts a child whether or not a run forks, so no
+  refusal moves.
 - DRAW_ENTRY_BYTES an entry of a random draw's support block (64.8);
   EVOLVE_ENTRY_BYTES an entry of gamow-evolve's JSON and CSV (600-700).
 - QUANTUM_WORD_BYTES a quantum word, QUANTUM_SYMBOL_BYTES a word and
@@ -78,8 +80,8 @@ def check_bytes(need: int, what: str, flags: str) -> None:
 
 def refinement_bytes(n_samples: int, depth: int, grids: int = 1) -> int:
     """The depth records of grids refinements, each with the words of its
-    n_samples Monte Carlo samples (0 in exact mode), and the cloud and
-    loop arrays of one, since the grids of a ladder run in turn."""
+    n_samples Monte Carlo samples (0 in exact mode), and the cloud and loop
+    arrays of one, with a forked worker's, as a ladder's grids run in turn."""
     return grids * (depth + 1) * (RECORD_BYTES + 16 * n_samples) \
         + n_samples * MC_SAMPLE_BYTES
 

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
+import os
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from typing import Optional
@@ -22,12 +24,13 @@ import numpy as np
 
 from . import geometry, limits
 from .errors import ConfigurationError, UnsupportedOperationError
+from .forking import forked, may_fork
 from .maps import TorusMap
 
 # pieces thinner than this are clipping slivers, not cells
 _ZERO_AREA = 1e-15
 
-# floats iter_floats turns into Python floats at a time
+# floats entropy_nats turns into Python floats at a time
 _FLOAT_CHUNK = 2 ** 14
 
 # sample points _mc_cloud draws and places at a time, about 55 bytes of
@@ -229,17 +232,20 @@ def entropy_nats(values: Iterable[float]) -> float:
     """-sum mu ln mu in nats with the 0 ln 0 = 0 convention.
 
     No normalization check; fsum makes the result independent of term order.
+    The nonzero values become Python floats _FLOAT_CHUNK at a time, whose
+    terms are formed in C, so no list the size of values is built.
     """
-    return -math.fsum(v * math.log(v) for v in values if v != 0.0)
+    arr = values if isinstance(values, np.ndarray) else \
+        np.fromiter(values, dtype=float)
 
+    def terms(lo):
+        # the last chunk's floats are gone before this one's are made
+        chunk = arr[lo:lo + _FLOAT_CHUNK]
+        chunk = chunk[chunk != 0.0].tolist()
+        return map(operator.mul, chunk, map(math.log, chunk))
 
-def iter_floats(arr: np.ndarray) -> Iterator[float]:
-    """The values of a 1-d array as Python floats, which entropy_nats runs
-    over faster than numpy scalars, converted _FLOAT_CHUNK at a time, so
-    no list the size of arr is built."""
-    return itertools.chain.from_iterable(
-        arr[lo:lo + _FLOAT_CHUNK].tolist()
-        for lo in range(0, len(arr), _FLOAT_CHUNK))
+    return -math.fsum(itertools.chain.from_iterable(
+        map(terms, range(0, len(arr), _FLOAT_CHUNK))))
 
 
 # --- exact refinement -------------------------------------------------------
@@ -364,7 +370,7 @@ def _exact_series(torus_map: TorusMap, part: GridPartition, n_max: int
             codes, measures, *store = _refine_pieces(*store, torus_map, part,
                                                      n < n_max)
         words = (words[1], len(codes))
-        yield entropy_nats(iter_floats(measures)), codes, measures
+        yield entropy_nats(measures), codes, measures
         # a summary's arrays are not held while the next depth refines
         del codes, measures
 
@@ -433,9 +439,9 @@ def _mc_entropy(count_parts: list, n_samples: int, estimator: str
             terms[rows] /= seen
         del counts
     if estimator == "plugin":
-        return entropy_nats(iter_floats(measures)), measures
+        return entropy_nats(measures), measures
     if estimator == "miller_madow":
-        return (entropy_nats(iter_floats(measures))
+        return (entropy_nats(measures)
                 + (n_words - 1) / (2.0 * n_samples)), measures
     if estimator == "grassberger":
         return math.log(n_samples) - float(np.sum(terms)) / n_samples, measures
@@ -443,13 +449,13 @@ def _mc_entropy(count_parts: list, n_samples: int, estimator: str
 
 
 def _mc_depth(code_parts: list, count_parts: list, cfg: McConfig
-              ) -> tuple[float, np.ndarray, np.ndarray]:
-    """The entropy, codes and measures of one depth from its tiles' codes
-    and counts, in lex order.
+              ) -> tuple[float, Optional[np.ndarray], np.ndarray]:
+    """The entropy, codes (None with no code parts) and measures of one
+    depth from its tiles' codes and counts, in lex order.
 
     Both lists are emptied as they are joined, so no part outlives its use.
     """
-    codes = np.concatenate(code_parts)
+    codes = np.concatenate(code_parts) if code_parts else None
     code_parts.clear()
     entropy, measures = _mc_entropy(count_parts, cfg.n_samples, cfg.estimator)
     return entropy, codes, measures
@@ -504,55 +510,119 @@ def _mc_cloud(part: GridPartition, cfg: McConfig):
     return cloud, ids, codes, np.cumsum(counts) - counts, counts
 
 
-def _mc_series(torus_map: TorusMap, part: GridPartition, n_max: int,
-               cfg: McConfig) -> Iterator[tuple[float, np.ndarray, np.ndarray]]:
-    """Yield the entropy, codes and measures of depths 0..n_max in turn,
-    from the words of cfg.n_samples seeded points."""
-    limits.check_bytes(limits.refinement_bytes(cfg.n_samples, n_max),
-                       f"Monte Carlo refinement of {cfg.n_samples} samples "
-                       f"to depth {n_max}", "--mc-samples or --depth")
+def _mc_steps(torus_map: TorusMap, part: GridPartition, n_max: int,
+              cloud: np.ndarray, ids: np.ndarray, tiles: list, words: bool
+              ) -> Iterator[tuple[list, list]]:
+    """Yield the code parts (none without words) and count parts of the
+    tiles' words at each depth 1..n_max; the cloud and ids, which no caller
+    may hold, go before the last.  ids counts word rows from the first
+    tile's, so the codes are a record's less m times the words before."""
     m = part.n_cells
-
-    # The cloud is kept in word order: _mc_cloud places it so, and after
-    # each grouping the points themselves are gathered by order, so row i
-    # of the cloud is the sample whose word row is ids[i], and ids ascend.
-    # A depth-0 cell is then a run of rows that no later word leaves, so
-    # each depth runs one tile of whole cells at a time (_mc_tiles), and
-    # every temporary is tile-sized.  Keys are global prefix rows times m
-    # plus a cell, so a tile's codes are the record's; its local word rows
-    # are offset by the words of the tiles before it, and the tiles'
-    # codes, in lex order, concatenate to the depth's.  Each point's
-    # arithmetic does not depend on its row, and codes and counts do not
-    # depend on the order of the samples inside a word.  The gather takes
-    # each row as one complex item, which numpy moves faster than a row of
-    # two floats.
-    cloud, ids, codes, starts, counts = _mc_cloud(part, cfg)
-    tiles = _mc_tiles(starts, cfg.n_samples)
-    yield _mc_depth([codes], [counts], cfg)
-    del codes, starts, counts
     for n in range(1, n_max + 1):
-        code_parts, count_parts, words = [], [], 0
+        code_parts, count_parts, n_words = [], [], 0
         for lo, hi in tiles:
             pts = torus_map.step_batch(cloud[lo:hi].view(float).reshape(-1, 2))
             order, starts, codes, local = group_prefixes(
                 ids[lo:hi].astype(np.int64) * m + part.cell_index_batch(pts))
             if n < n_max:
-                local += words
+                local += n_words
                 ids[lo:hi] = local
                 # order is a permutation, so nothing is clipped, and a
                 # clipped take writes out directly, with no buffer
                 np.take(pts.view(complex)[:, 0], order, out=cloud[lo:hi],
                         mode="clip")
-            code_parts.append(codes)
+            if words:
+                code_parts.append(codes)
             count_parts.append(np.diff(starts, append=hi - lo))
-            words += len(codes)
+            n_words += len(codes)
             # the tile's scratch goes before the next tile is made, and
             # is not held while the depth's record is
             del pts, order, starts, codes, local
         if n == n_max:
             # the last record is the largest, so the cloud makes room for it
             del cloud, ids
-        yield _mc_depth(code_parts, count_parts, cfg)
+        yield code_parts, count_parts
+
+
+def _receive(inp) -> np.ndarray:
+    """The next int64 array a worker wrote to inp, after its length."""
+    head = inp.read(8)
+    arr = np.empty(int.from_bytes(head, "little"), dtype=np.int64)
+    if len(head) < 8 or inp.readinto(arr) < arr.nbytes:
+        raise RuntimeError("a worker process ended before sending its words")
+    return arr
+
+
+def _mc_series(torus_map: TorusMap, part: GridPartition, n_max: int,
+               cfg: McConfig, words: bool = True
+               ) -> Iterator[tuple[float, Optional[np.ndarray], np.ndarray]]:
+    """Yield the entropy, codes and measures of depths 0..n_max in turn,
+    from the words of cfg.n_samples seeded points; without words the
+    codes are None, and none are joined or sent."""
+    limits.check_bytes(limits.refinement_bytes(cfg.n_samples, n_max),
+                       f"Monte Carlo refinement of {cfg.n_samples} samples "
+                       f"to depth {n_max}", "--mc-samples or --depth")
+
+    # The cloud is kept in word order: _mc_cloud places it so, and after
+    # each grouping the points themselves are gathered by order, so row i
+    # of the cloud is the sample whose word row is ids[i], and ids ascend.
+    # A depth-0 cell is then a run of rows that no later word leaves, so
+    # each depth runs one tile of whole cells at a time (_mc_tiles), and
+    # every temporary is tile-sized.  Keys are prefix rows times m plus a
+    # cell, so a tile's codes are the record's; its local word rows are
+    # offset by the words of the tiles before it, and the tiles' codes, in
+    # lex order, concatenate to the depth's.  Each point's arithmetic does
+    # not depend on its row, and codes and counts do not depend on the
+    # order of the samples inside a word.  The gather takes each row as one
+    # complex item, which numpy moves faster than a row of two floats.
+    #
+    # Tiles never meet, so with two tiles or more and forking.may_fork(),
+    # the run forks once after depth 0.  A child takes the tiles from the
+    # one that starts nearest the middle sample: it copies its rows of the
+    # cloud and ids, the latter less their first row's, so its word rows
+    # count from 0, and lets the whole cloud go.  At each depth it sends
+    # each tile's codes (with words) and counts down a pipe.  This process
+    # runs the first tiles, adds its own words at depth n - 1 times m to
+    # the child's codes and joins both halves in lex order, so every bit
+    # and every progress line is the same.  Each side's parts are
+    # tile-sized, so this process holds what a one-process run would.
+    cloud, ids, codes, starts, counts = _mc_cloud(part, cfg)
+    tiles = _mc_tiles(starts, cfg.n_samples)
+    yield _mc_depth([codes] if words else [], [counts], cfg)
+    del codes, starts, counts
+    k = min(range(1, len(tiles)), default=0,
+            key=lambda t: abs(2 * tiles[t][0] - cfg.n_samples))
+    if not (n_max and k and may_fork()):
+        depths = _mc_steps(torus_map, part, n_max, cloud, ids, tiles, words)
+        del cloud, ids
+        yield from (_mc_depth(*parts, cfg) for parts in depths)
+        return
+    base, offset = tiles[k][0], int(ids[tiles[k][0]])
+    theirs = [(lo - base, hi - base) for lo, hi in tiles[k:]]
+
+    def child():
+        nonlocal cloud, ids
+        half = _mc_steps(torus_map, part, n_max, cloud[base:].copy(),
+                         ids[base:] - ids[base], theirs, words)
+        cloud = ids = None
+        for code_parts, count_parts in half:
+            for arr in code_parts + count_parts:
+                out.writelines((len(arr).to_bytes(8, "little"), arr))
+        out.close()
+
+    r, w = os.pipe()
+    with open(r, "rb") as inp, open(w, "wb") as out, forked(child):
+        out.close()
+        depths = _mc_steps(torus_map, part, n_max, cloud, ids, tiles[:k],
+                           words)
+        del cloud, ids
+        for code_parts, count_parts in depths:
+            if words:
+                code_parts += [_receive(inp) + offset * part.n_cells
+                               for _ in theirs]
+            offset = sum(len(c) for c in count_parts)
+            count_parts += [_receive(inp) for _ in theirs]
+            yield _mc_depth(code_parts, count_parts, cfg)
 
 
 def refine_series(torus_map: TorusMap, part: GridPartition, n_max: int,
@@ -580,7 +650,7 @@ def refine_series(torus_map: TorusMap, part: GridPartition, n_max: int,
         depths, meta = _exact_series(torus_map, part, n_max), {}
     elif measure_mode == "mc":
         cfg = mc_config or McConfig()
-        depths = _mc_series(torus_map, part, n_max, cfg)
+        depths = _mc_series(torus_map, part, n_max, cfg, words)
         meta = {"n_samples": cfg.n_samples, "seed": cfg.seed,
                 "estimator": cfg.estimator}
     else:
@@ -588,24 +658,29 @@ def refine_series(torus_map: TorusMap, part: GridPartition, n_max: int,
             f"unknown measure mode {measure_mode!r}; "
             f"valid names: {', '.join(MEASURE_MODES)}")
     records = []
-    # no enumerate: its cached result tuple would hold a depth's arrays
-    # while the next depth is made
-    for entropy, codes, measures in depths:
-        n, arrays = len(records), (None, None)
-        if words:
-            # both arrays own their data and are not written again, so the
-            # record keeps them, read-only, instead of copying them
-            codes.setflags(write=False)
-            measures.setflags(write=False)
-            arrays = (codes, measures)
-        records.append(RefinementRecord(n, entropy, *arrays, torus_map.name,
-                                        (part.m_q, part.m_p), measure_mode,
-                                        dict(meta), len(codes)))
-        # a summary's arrays go before the next depth is made
-        del codes, measures
-        if progress is not None:
-            progress(f"depth {n}/{n_max}: {records[-1].nonempty_words} "
-                     f"words, H={entropy:.6g}")
+    try:
+        # no enumerate: its cached result tuple would hold a depth's arrays
+        # while the next depth is made
+        for entropy, codes, measures in depths:
+            n, arrays = len(records), (None, None)
+            if words:
+                # both arrays own their data and are not written again, so
+                # the record keeps them, read-only, instead of copying them
+                codes.setflags(write=False)
+                measures.setflags(write=False)
+                arrays = (codes, measures)
+            records.append(RefinementRecord(
+                n, entropy, *arrays, torus_map.name, (part.m_q, part.m_p),
+                measure_mode, dict(meta), len(measures)))
+            # a summary's arrays go before the next depth is made
+            del codes, measures
+            if progress is not None:
+                progress(f"depth {n}/{n_max}: {records[-1].nonempty_words} "
+                         f"words, H={entropy:.6g}")
+    finally:
+        # a forked worker is reaped here if progress raises, not whenever
+        # the traceback lets the producer go
+        depths.close()
     return records
 
 

@@ -26,7 +26,7 @@ from .gamow import BiorthOperator, GamowSpec, _check_dim, chain_traces, \
     decay_bounds
 from .maps import TorusMap
 from .partitions import GridPartition, McConfig, entropy_nats, fit_line, \
-    iter_floats, prefix_levels, refine_series, tail_slope, word_rows
+    prefix_levels, refine_series, tail_slope, word_rows
 
 VERDICTS = ("exponential", "not_exponential", "inconclusive")
 
@@ -281,7 +281,7 @@ def _classical_measures(src: ClassicalSource, n_max: int, word_budget: int,
     # configured estimator, not the plug-in entropy of the measures
     profile = tuple(r.entropy for r in records)
     entropies = list(profile) if src.measure_mode == "exact" else \
-        [entropy_nats(iter_floats(r.measures)) for r in records]
+        [entropy_nats(r.measures) for r in records]
     return _Measured(
         desc, words, mags, entropies, profile,
         tuple(r.nonempty_words for r in records),
@@ -346,7 +346,7 @@ def _quantum_measures(src: QuantumSource, n_max: int, word_budget: int,
                      f"dim {k}")
 
     mags, tr = chain_traces(spec, ops, words, on_depth=on_depth)
-    entropies = [entropy_nats(vals.tolist()) for vals in per_depth]
+    entropies = [entropy_nats(vals) for vals in per_depth]
     with np.errstate(invalid="ignore", divide="ignore"):
         ratios = np.where(mags[:, -1] > 0.0, np.abs(tr.imag) / mags[:, -1], 0.0)
 

@@ -1,6 +1,9 @@
 import dataclasses
 import hashlib
 import math
+import os
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -33,24 +36,49 @@ def test_entropy_zero_convention():
     assert abs(entropy_nats([0.5, 0.5, 0.0, 0.0]) - LN2) < 1e-15
 
 
+def _entropy_term_by_term(values):
+    """entropy_nats as one Python generator over every term: the reference
+    whose bits the chunked sum must give."""
+    return -math.fsum(v * math.log(v) for v in values if v != 0.0)
+
+
 @pytest.mark.parametrize("length", [0, 1, 6, 7, 8, 20])
-def test_iter_floats_gives_every_value_in_order(length, monkeypatch):
+def test_entropy_reads_every_chunk(length, monkeypatch):
+    # chunks of 7 values: none, one part, whole and cut chunks; zeros of
+    # either sign are left out wherever they fall
     monkeypatch.setattr(partitions, "_FLOAT_CHUNK", 7)
     arr = np.random.default_rng(length).random(length)
-    got = list(partitions.iter_floats(arr))
-    assert all(type(v) is float for v in got)
-    assert got == arr.tolist()
+    arr[::3] = 0.0
+    arr[1::5] = -0.0
+    want = repr(_entropy_term_by_term(arr.tolist()))
+    assert repr(entropy_nats(arr)) == want
+    assert repr(entropy_nats(arr.tolist())) == want
+    assert repr(entropy_nats(iter(arr.tolist()))) == want
+
+
+def test_entropy_keeps_the_bits_of_the_term_by_term_sum():
+    rng = np.random.default_rng(5)
+    for values in (rng.random(3 * partitions._FLOAT_CHUNK + 5),
+                   rng.random(1000) ** 8, np.full(64, 1 / 64)):
+        assert repr(entropy_nats(values)) == repr(
+            _entropy_term_by_term(values.tolist()))
+
+
+def test_entropy_propagates_nan_and_refuses_negatives():
+    assert math.isnan(entropy_nats(np.array([0.5, math.nan, 0.0])))
+    with pytest.raises(ValueError):
+        entropy_nats(np.array([0.5, -0.25]))
 
 
 def test_entropy_of_an_array_holds_one_chunk_of_floats():
     arr = np.full(2 ** 17, 2.0 ** -17)
     tracemalloc.start()
     try:
-        h = entropy_nats(partitions.iter_floats(arr))
+        h = entropy_nats(arr)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert repr(h) == repr(entropy_nats(arr.tolist()))
+    assert repr(h) == repr(_entropy_term_by_term(arr.tolist()))
     # a list of every value takes 32 bytes a value, 4 MiB here
     assert peak < 2 * 32 * partitions._FLOAT_CHUNK
 
@@ -700,28 +728,35 @@ def _depth_of(line):
 
 def test_mc_progress_is_reported_before_the_next_depth_steps(monkeypatch):
     # each depth's line reaches progress before the first tile of the next
-    # depth is stepped, so progress streams while the sweep runs
+    # depth is stepped, so progress streams while the sweep runs; with two
+    # CPUs a worker process steps the last tiles, and this process the
+    # same first rows at every depth
     monkeypatch.setattr(limits, "MC_TILE_SAMPLES", 100)
     cat = make_map("cat")
-    events = []
+    for cpus in (1, 2):
+        forks = _use_cpus(monkeypatch, cpus)
+        events = []
 
-    def step_batch(pts):
-        events.append(("step", len(pts)))
-        return cat.step_batch(pts)
+        def step_batch(pts):
+            events.append(("step", len(pts)))
+            return cat.step_batch(pts)
 
-    spy = dataclasses.replace(cat, step_batch=step_batch)
-    recs = refine_series(
-        spy, GridPartition(4, 4), 5, "mc", McConfig(2000),
-        progress=lambda line: events.append(("record", _depth_of(line))))
-    assert len(recs) == 6
-    marks = [i for i, e in enumerate(events) if e[0] == "record"]
-    assert [events[i][1] for i in marks] == list(range(6))
-    assert marks[0] == 0 and marks[-1] == len(events) - 1
-    for a, b in zip(marks, marks[1:]):
-        steps = events[a + 1:b]
-        assert len(steps) > 1                      # several tiles a depth
-        assert all(kind == "step" for kind, _ in steps)
-        assert sum(size for _, size in steps) == 2000
+        spy = dataclasses.replace(cat, step_batch=step_batch)
+        recs = refine_series(
+            spy, GridPartition(4, 4), 5, "mc", McConfig(2000),
+            progress=lambda line: events.append(("record", _depth_of(line))))
+        assert len(recs) == 6 and len(forks) == cpus - 1
+        marks = [i for i, e in enumerate(events) if e[0] == "record"]
+        assert [events[i][1] for i in marks] == list(range(6))
+        assert marks[0] == 0 and marks[-1] == len(events) - 1
+        rows = set()
+        for a, b in zip(marks, marks[1:]):
+            steps = events[a + 1:b]
+            assert len(steps) > 1                      # several tiles a depth
+            assert all(kind == "step" for kind, _ in steps)
+            rows.add(sum(size for _, size in steps))
+        assert rows == {2000} if cpus == 1 else (len(rows) == 1
+                                                 and 0 < rows.pop() < 2000)
 
 
 def test_exact_progress_is_reported_before_the_next_depth_maps(monkeypatch):
@@ -838,6 +873,159 @@ def test_mc_tiles_keep_the_peak_below_the_whole_cloud_loop():
     # records; 10.03 MiB when it is the process's first refinement, which
     # the bound leaves 0.47 MiB of margin
     assert _mc_peak("cat", (8, 8), 10, 100_000) <= 10.5 * 2 ** 20
+
+
+# --- Monte Carlo worker process --------------------------------------------
+
+_fork = os.fork
+
+
+def _use_cpus(monkeypatch, count):
+    """Give refine_series count CPUs; return the pids of the children it
+    forks."""
+    monkeypatch.setattr(os, "sched_getaffinity",
+                        lambda pid: set(range(count)))
+    pids = []
+
+    def fork():
+        pid = _fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return pids
+
+
+def _assert_reaped(pids):
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, 0)
+
+
+def _run_bytes(name, grid, depth, cfg, words):
+    """Every record's codes, measures, entropy and word count, and every
+    progress line, of one Monte Carlo series."""
+    lines = []
+    recs = refine_series(make_map(name), GridPartition(*grid), depth, "mc",
+                         cfg, progress=lines.append, words=words)
+    return [(r.codes.tobytes() if words else None,
+             r.measures.tobytes() if words else None,
+             repr(r.entropy), r.nonempty_words) for r in recs], lines
+
+
+# 40,000 samples: cat 8x8 runs 3 tiles of whole cells, baker 2x1 one cell
+# of about 20,000 samples a worker, identity 2x2 two cells a worker
+@pytest.mark.parametrize("name,grid,tiles", [
+    ("cat", (8, 8), 3), ("baker", (2, 1), 2), ("identity", (2, 2), 2)])
+@pytest.mark.parametrize("estimator", MC_ESTIMATORS)
+def test_mc_one_and_two_workers_give_the_same_bytes(monkeypatch, name, grid,
+                                                    tiles, estimator):
+    cfg = McConfig(40_000, seed=2, estimator=estimator)
+    cut = partitions._mc_tiles
+    seen = []
+    monkeypatch.setattr(partitions, "_mc_tiles",
+                        lambda *args: seen.append(cut(*args)) or seen[-1])
+    for words in (True, False):
+        runs = []
+        for cpus in (1, 2):
+            forks = _use_cpus(monkeypatch, cpus)
+            runs.append(_run_bytes(name, grid, 6, cfg, words))
+            assert len(forks) == cpus - 1 and len(seen[-1]) == tiles
+            _assert_reaped(forks)
+        assert runs[0] == runs[1]
+
+
+def _forbid_fork(monkeypatch, cpus):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+
+    def fork():
+        raise AssertionError("refine_series forked")
+
+    monkeypatch.setattr(os, "fork", fork)
+
+
+@pytest.mark.parametrize("cpus,n_samples", [(1, 100_000), (2, 10_000)])
+def test_mc_no_fork_on_one_cpu_or_one_tile(monkeypatch, cpus, n_samples):
+    # 10,000 samples fill less than one tile of MC_TILE_SAMPLES
+    _forbid_fork(monkeypatch, cpus)
+    recs = refine_series(make_map("cat"), GridPartition(8, 8), 3, "mc",
+                         McConfig(n_samples))
+    assert len(recs) == 4
+
+
+def test_mc_no_fork_while_another_thread_runs(monkeypatch):
+    _forbid_fork(monkeypatch, 2)
+    stop = threading.Event()
+    other = threading.Thread(target=stop.wait)
+    other.start()
+    try:
+        refine_series(make_map("cat"), GridPartition(8, 8), 3, "mc",
+                      McConfig(100_000))
+    finally:
+        stop.set()
+        other.join()
+
+
+def _planted_map(in_child, after=0):
+    """The cat map, whose step_batch calls in_child() first in a forked
+    child, from its call after + 1 on."""
+    cat, parent, calls = make_map("cat"), os.getpid(), []
+
+    def step_batch(pts):
+        if os.getpid() != parent:
+            calls.append(None)
+            if len(calls) > after:
+                in_child()
+        return cat.step_batch(pts)
+
+    return dataclasses.replace(cat, step_batch=step_batch)
+
+
+def _raise():
+    raise ValueError("planted failure")
+
+
+@pytest.mark.parametrize("words", [True, False])
+def test_mc_a_failing_child_fails_the_call(monkeypatch, capfd, words):
+    forks = _use_cpus(monkeypatch, 2)
+    with pytest.raises(RuntimeError, match="worker process"):
+        refine_series(_planted_map(_raise), GridPartition(8, 8), 4, "mc",
+                      McConfig(100_000), words=words)
+    assert len(forks) == 1
+    _assert_reaped(forks)
+    assert "ValueError: planted failure" in capfd.readouterr().err
+
+
+def test_mc_a_raising_progress_sink_kills_and_reaps_the_child(monkeypatch):
+    # the child would sleep for a minute once its depth-1 tiles are sent
+    # (100,000 samples of cat 8x8 make 6 tiles); the call raises as soon as
+    # the depth-1 line does
+    forks = _use_cpus(monkeypatch, 2)
+
+    def progress(line):
+        if _depth_of(line) == 1:
+            raise KeyboardInterrupt
+
+    start = time.perf_counter()
+    with pytest.raises(KeyboardInterrupt):
+        refine_series(_planted_map(lambda: time.sleep(60), 6),
+                      GridPartition(8, 8), 4, "mc", McConfig(100_000),
+                      progress=progress)
+    assert time.perf_counter() - start < 30
+    assert len(forks) == 1
+    _assert_reaped(forks)
+
+
+def test_mc_a_closed_series_leaves_no_child(monkeypatch):
+    forks = _use_cpus(monkeypatch, 2)
+    depths = partitions._mc_series(make_map("cat"), GridPartition(8, 8), 6,
+                                   McConfig(100_000))
+    next(depths)
+    next(depths)
+    assert len(forks) == 1
+    depths.close()
+    _assert_reaped(forks)
 
 
 def test_mc_stderr_is_binomial():
