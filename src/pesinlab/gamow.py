@@ -22,7 +22,7 @@ import numpy as np
 
 from . import limits
 from .errors import ConfigurationError, ResourceLimitError
-from .forking import forked, may_fork
+from .forking import may_fork, stream
 from .partitions import prefix_levels
 
 _ORACLE_DIM_CAP = 200
@@ -271,16 +271,6 @@ def _run_blocks(links, dims, words: np.ndarray, first_diff: np.ndarray,
                                       flat, product, mags[lo:hi])
 
 
-def _shared_empty(shape, dtype=float) -> np.ndarray:
-    """An array in anonymous shared memory, which a forked child writes
-    for its parent."""
-    # imported where used: only a forking run loads it
-    import mmap
-
-    size = int(np.prod(shape)) * np.dtype(dtype).itemsize
-    return np.frombuffer(mmap.mmap(-1, size), dtype=dtype).reshape(shape)
-
-
 def chain_traces(spec: GamowSpec, cell_ops, words, start_step: int = 0,
                  on_depth: Optional[Callable[[int, np.ndarray, int, np.ndarray],
                                              None]] = None
@@ -323,11 +313,11 @@ def chain_traces(spec: GamowSpec, cell_ops, words, start_step: int = 0,
     Workers.  When the distinct words fill more than one full block of
     limits.BLOCK_BYTES, half a block holds a word and forking.may_fork()
     (more than one CPU, no other Python thread), the kernel forks once
-    (forking.forked): a child runs the second half of the blocks, this
-    process the first half, and both write mags and traces in anonymous
-    shared memory.  The child reads the links copy-on-write; it is always
-    reaped before this returns or raises.
-    Otherwise the same block loop runs over every block here.  Either way
+    through forking.stream: a child runs the second half of the blocks and
+    sends its rows of mags and traces back, and this process runs the
+    first half, then copies the child's rows in.  The child reads the links
+    copy-on-write; it is always reaped before this returns or raises.
+    Otherwise nothing forks and this process runs every block.  Either way
     the bits are the same.
 
     Memory.  Each of the w workers runs its blocks in one flat buffer of
@@ -370,18 +360,20 @@ def chain_traces(spec: GamowSpec, cell_ops, words, start_step: int = 0,
     workers = 2 if len(distinct) > full >= 2 and may_fork() else 1
     spans = _block_spans(len(distinct), max(
         1, limits.BLOCK_BYTES // workers // slot_bytes))
-    alloc = np.empty if workers == 1 else _shared_empty
-    mags = alloc(distinct.shape)
-    traces = alloc(len(distinct), dtype=complex)
+    mags = np.empty(distinct.shape)
+    traces = np.empty(len(distinct), dtype=complex)
+    mine = spans[:len(spans) // workers]
+    base = mine[-1][1]
 
-    def run(part):
-        _run_blocks(links, dims, distinct, first_diff, part, mags, traces)
+    def child():
+        _run_blocks(links, dims, distinct, first_diff, spans[len(mine):],
+                    mags, traces)
+        yield [mags[base:], traces[base:]]
 
-    if workers == 1:
-        run(spans)
-    else:
-        with forked(lambda: run(spans[len(spans) // 2:])):
-            run(spans[:len(spans) // 2])
+    with stream(child if workers == 2 else None) as receive:
+        _run_blocks(links, dims, distinct, first_diff, mine, mags, traces)
+        mags[base:] = receive(float).reshape(-1, mags.shape[1])
+        traces[base:] = receive(complex)
     row_mags = mags if in_order else mags[where]
     if on_depth is not None:
         for n, k in enumerate(dims):
@@ -432,10 +424,13 @@ def off_mass_ratio(op: BiorthOperator) -> float:
     if lead == 0.0:
         raise ValueError("operator has no (0, 0) mass to compare against")
     # sum the off entries directly: subtracting lead^2 from the total would
-    # cancel to zero once the off mass drops below sqrt(ulp) of the lead
-    off = np.abs(c) ** 2
-    off[0, 0] = 0.0
-    return math.sqrt(float(np.sum(off))) / lead
+    # cancel to zero once the off mass drops below sqrt(ulp) of the lead;
+    # an overflow gives an infinite ratio, which limits.check_off_mass
+    # refuses, so it warns of nothing
+    with np.errstate(over="ignore"):
+        off = np.abs(c) ** 2
+        off[0, 0] = 0.0
+        return math.sqrt(float(np.sum(off))) / lead
 
 
 def make_cell_operators(spec: GamowSpec, m: int, generation: str = "random",

@@ -15,7 +15,6 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-import os
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from typing import Optional
@@ -24,7 +23,7 @@ import numpy as np
 
 from . import geometry, limits
 from .errors import ConfigurationError, UnsupportedOperationError
-from .forking import forked, may_fork
+from .forking import may_fork, stream
 from .maps import TorusMap
 
 # pieces thinner than this are clipping slivers, not cells
@@ -544,21 +543,13 @@ def _mc_steps(torus_map: TorusMap, part: GridPartition, n_max: int,
         yield code_parts, count_parts
 
 
-def _receive(inp) -> np.ndarray:
-    """The next int64 array a worker wrote to inp, after its length."""
-    head = inp.read(8)
-    arr = np.empty(int.from_bytes(head, "little"), dtype=np.int64)
-    if len(head) < 8 or inp.readinto(arr) < arr.nbytes:
-        raise RuntimeError("a worker process ended before sending its words")
-    return arr
-
-
 def _mc_series(torus_map: TorusMap, part: GridPartition, n_max: int,
                cfg: McConfig, words: bool = True
                ) -> Iterator[tuple[float, Optional[np.ndarray], np.ndarray]]:
     """Yield the entropy, codes and measures of depths 0..n_max in turn,
-    from the words of cfg.n_samples seeded points; without words the
-    codes are None, and none are joined or sent."""
+    from the words of cfg.n_samples seeded points, in one loop on one
+    process or two (forking.stream); without words the codes are None,
+    and none are joined or sent."""
     limits.check_bytes(limits.refinement_bytes(cfg.n_samples, n_max),
                        f"Monte Carlo refinement of {cfg.n_samples} samples "
                        f"to depth {n_max}", "--mc-samples or --depth")
@@ -580,12 +571,14 @@ def _mc_series(torus_map: TorusMap, part: GridPartition, n_max: int,
     # the run forks once after depth 0.  A child takes the tiles from the
     # one that starts nearest the middle sample: it copies its rows of the
     # cloud and ids, the latter less their first row's, so its word rows
-    # count from 0, and lets the whole cloud go.  At each depth it sends
-    # each tile's codes (with words) and counts down a pipe.  This process
-    # runs the first tiles, adds its own words at depth n - 1 times m to
-    # the child's codes and joins both halves in lex order, so every bit
-    # and every progress line is the same.  Each side's parts are
-    # tile-sized, so this process holds what a one-process run would.
+    # count from 0, and lets the whole cloud go.  At each depth it yields
+    # each tile's codes (with words) and counts, which forking.stream sends
+    # back.  This process runs the first tiles, adds its own words at depth
+    # n - 1 times m to the child's codes and joins both halves in lex
+    # order, so every bit and every progress line is the same.  Each side's
+    # parts are tile-sized, so this process holds what a one-process run
+    # would.  With no split this process runs every tile, the child's share
+    # is empty, and nothing forks.
     cloud, ids, codes, starts, counts = _mc_cloud(part, cfg)
     tiles = _mc_tiles(starts, cfg.n_samples)
     yield _mc_depth([codes] if words else [], [counts], cfg)
@@ -593,35 +586,29 @@ def _mc_series(torus_map: TorusMap, part: GridPartition, n_max: int,
     k = min(range(1, len(tiles)), default=0,
             key=lambda t: abs(2 * tiles[t][0] - cfg.n_samples))
     if not (n_max and k and may_fork()):
-        depths = _mc_steps(torus_map, part, n_max, cloud, ids, tiles, words)
-        del cloud, ids
-        yield from (_mc_depth(*parts, cfg) for parts in depths)
-        return
-    base, offset = tiles[k][0], int(ids[tiles[k][0]])
+        k = len(tiles)
+    base = tiles[k - 1][1]
     theirs = [(lo - base, hi - base) for lo, hi in tiles[k:]]
+    # this process's words at depth 0: base starts a depth-0 cell
+    offset = int(ids[base - 1]) + 1
 
     def child():
         nonlocal cloud, ids
         half = _mc_steps(torus_map, part, n_max, cloud[base:].copy(),
                          ids[base:] - ids[base], theirs, words)
         cloud = ids = None
-        for code_parts, count_parts in half:
-            for arr in code_parts + count_parts:
-                out.writelines((len(arr).to_bytes(8, "little"), arr))
-        out.close()
+        yield from (codes + counts for codes, counts in half)
 
-    r, w = os.pipe()
-    with open(r, "rb") as inp, open(w, "wb") as out, forked(child):
-        out.close()
+    with stream(child if theirs else None) as receive:
         depths = _mc_steps(torus_map, part, n_max, cloud, ids, tiles[:k],
                            words)
         del cloud, ids
         for code_parts, count_parts in depths:
             if words:
-                code_parts += [_receive(inp) + offset * part.n_cells
+                code_parts += [receive() + offset * part.n_cells
                                for _ in theirs]
             offset = sum(len(c) for c in count_parts)
-            count_parts += [_receive(inp) for _ in theirs]
+            count_parts += [receive() for _ in theirs]
             yield _mc_depth(code_parts, count_parts, cfg)
 
 

@@ -925,3 +925,72 @@ def test_console_script_installed(tmp_path):
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "lyapunov.json").exists()
+
+
+# --- refusals: exit 2, one error line, no output -----------------------------
+
+_NO_TABLES = {"generation": "prescribed", "n_max": 2, "cells": 2}
+
+
+@pytest.mark.parametrize("argv,config,message", [
+    (["ks-entropy", "--map", "cat", "--ladder", ","], None,
+     "ladder is empty"),
+    (["ks-entropy", "--map", "cat", "--ladder", "2x1,abc"], None,
+     "grid must look like '2x1' or [2, 1], got 'abc'"),
+    (["ks-entropy", "--map", "cat"], {"ladder": 5},
+     "ladder must look like '2x1,2x2,4x4', got 5"),
+    (["ks-entropy", "--map", "cat"], [1, 2],
+     "config file must hold a JSON object"),
+    (["ks-entropy", "--map", "cat"], {"mode": "fast"},
+     "mode must be one of exact, mc; got 'fast'"),
+    (["lyapunov", "--map", "cat"], "{\"steps\": 1e400}",
+     "steps must be an integer, got inf"),
+    (["lyapunov", "--map", "cat", "--config", "{tmp}/missing.json"], None,
+     "cannot read config file {tmp}/missing.json: "),
+    (["lyapunov", "--map", "cat", "--steps", "100",
+      "--out", "{tmp}/file/out"], None,
+     "cannot create output directory {tmp}/file/out: "),
+    (["gamow-evolve"], _NO_TABLES,
+     "generation=prescribed needs a 'tables' entry in the config file"),
+    (["gamow-evolve"], dict(_NO_TABLES, tables=[[0.5], {"re": [[0.25]]}]),
+     "tables[0] must be an object with 're' and optional 'im'"),
+    (["gamow-evolve"], dict(_NO_TABLES, tables=[
+        {"re": [[0.5, 0], [0, 0]]},
+        {"re": [[0.25, 0], [0, 0]], "im": [[0, 0], [0]]}]),
+     "tables[1] must hold numeric 're' and 'im' arrays of one shape: "),
+])
+def test_refusals_exit_2_with_one_error_line(tmp_path, capsys, argv, config,
+                                             message):
+    # a message ending ": " goes on with the text of an OS or numpy error
+    (tmp_path / "file").write_text("")
+    made = ["file"]
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    if config is not None:
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(config if isinstance(config, str)
+                            else json.dumps(config))
+        argv += ["--config", str(cfg_path)]
+        made.append("cfg.json")
+    if "--out" not in argv:
+        argv += ["--out", str(tmp_path / "out")]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: " + message.format(tmp=tmp_path))
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.rglob("*") if p.is_file()) == \
+        sorted(made)
+
+
+def test_overflowing_off_mass_is_refused_without_a_warning(tmp_path):
+    # off_mass_ratio overflows to inf, which limits.check_off_mass refuses;
+    # numpy's overflow warning must not reach the user before that line
+    proc = _run_module(["gamow-evolve", "--off-scale", "1e300",
+                        "--out", str(tmp_path)], 60)
+    assert proc.returncode == 2
+    assert proc.stderr == (
+        "error: the off-(0,0) mass ratio overflows a double; lower "
+        "--off-scale or raise --total-mass\n")
+    assert proc.stdout == ""
+    assert not [p for p in tmp_path.rglob("*") if p.is_file()]
