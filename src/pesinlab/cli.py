@@ -282,6 +282,10 @@ def _prologue(args):
     cfg["seed"] = opt["seed"]
     out_dir = Path(opt["out"])
     try:
+        # the directories this run makes, deepest first, which main
+        # removes again if the run fails before it writes to them
+        args.made_dirs = [p for p in (out_dir, *out_dir.parents)
+                          if not p.exists()]
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigurationError(
@@ -654,10 +658,18 @@ def main(argv=None) -> int:
     except (ConfigurationError, UnsupportedOperationError,
             ResourceLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        code = 2
     except Exception as exc:  # anything past config checks is a failed run
         print(f"run failed: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
+        code = 1
+    # a refused or failed run leaves no directory that it made and left
+    # empty
+    for path in getattr(args, "made_dirs", ()):
+        try:
+            path.rmdir()
+        except OSError:
+            break
+    return code
 
 
 if __name__ == "__main__":

@@ -16,16 +16,19 @@ Bytes per unit, measured with tracemalloc:
   ks-entropy took 2,375 a depth on exact identity 2x1 and 3,381 on Monte
   Carlo baker 2x1 with one sample (depths 1,000-3,000).
 - MC_SAMPLE_BYTES a Monte Carlo sample, for the cloud and loop arrays,
-  plus 16 a sample and depth for the words.  Peaks of runs with summary
-  records, whose peak is the loop arrays', 2 x 10^5 samples over the four
-  estimators: 52-56 on baker 2x1 (depth 24), 42-45 on cat 8x8 (depth 12),
-  43 on cat 64x64 (depth 3, where depth 0's chunk scratch sets the peak);
-  past the records of full runs 44, 24 and 27, against 81-85, 81 and 64
-  when each depth ran over the whole cloud.  A forked run adds its
-  child's copy of half the cloud and ids (10) and tile scratch: the two
-  processes' summed peaks were 98-102, 66-69 and 61 with summaries.  It
-  stays 128, which counts a child whether or not a run forks, so no
-  refusal moves.
+  plus 16 a sample and depth for the words.  Peaks of one-process runs
+  with summary records, whose peak is the loop arrays', 2 x 10^5 samples
+  over the four estimators: 56 on baker 2x1 (depth 24), 42 on cat 8x8
+  (depth 12), 43 on cat 64x64 (depth 3, where depth 0's chunk scratch
+  sets the peak); past the records of full runs 44, 24 and 27, against
+  81-85, 81 and 64 when each depth ran over the whole cloud.  The two
+  processes of a forked run each place and run only their own rows of
+  the cloud and ids (20 between them), and each draws every chunk: with
+  summaries the calling process peaked at 42, 32 and 34 and its child at
+  46, 34 and 34, summed 88, 66 and 68, against 98-102, 66-69 and 61 when
+  the calling process placed the whole cloud and its child copied out
+  its half.  It stays 128, which counts a child whether or not a run
+  forks, so no refusal moves.
 - DRAW_ENTRY_BYTES an entry of a random draw's support block (64.8);
   EVOLVE_ENTRY_BYTES an entry of gamow-evolve's JSON and CSV (600-700).
 - QUANTUM_WORD_BYTES a quantum word, QUANTUM_SYMBOL_BYTES a word and

@@ -32,7 +32,7 @@ _ZERO_AREA = 1e-15
 # floats entropy_nats turns into Python floats at a time
 _FLOAT_CHUNK = 2 ** 14
 
-# sample points _mc_cloud draws and places at a time, about 55 bytes of
+# sample points _mc_counts and _mc_place draw at a time, about 55 bytes of
 # scratch a point.  More rows than a tile holds on fine grids, so once a
 # chunk's scratch is freed, glibc's malloc serves the tiles' temporaries
 # from its heap rather than mapping and unmapping them every tile: at
@@ -236,15 +236,21 @@ def entropy_nats(values: Iterable[float]) -> float:
     """
     arr = values if isinstance(values, np.ndarray) else \
         np.fromiter(values, dtype=float)
+    return _entropy_of_parts((arr,))
 
-    def terms(lo):
+
+def _entropy_of_parts(parts: Iterable[np.ndarray]) -> float:
+    """entropy_nats of the values of float arrays taken in turn, each let
+    go once used; fsum is exact, so the bits are those of the joined array."""
+
+    def terms(chunk):
         # the last chunk's floats are gone before this one's are made
-        chunk = arr[lo:lo + _FLOAT_CHUNK]
         chunk = chunk[chunk != 0.0].tolist()
         return map(operator.mul, chunk, map(math.log, chunk))
 
     return -math.fsum(itertools.chain.from_iterable(
-        map(terms, range(0, len(arr), _FLOAT_CHUNK))))
+        terms(arr[lo:lo + _FLOAT_CHUNK])
+        for arr in parts for lo in range(0, len(arr), _FLOAT_CHUNK)))
 
 
 # --- exact refinement -------------------------------------------------------
@@ -339,8 +345,9 @@ def _refine_pieces(verts: np.ndarray, counts: np.ndarray, owner: np.ndarray,
 
 
 def _exact_series(torus_map: TorusMap, part: GridPartition, n_max: int
-                  ) -> Iterator[tuple[float, np.ndarray, np.ndarray]]:
-    """Yield the entropy, codes and measures of depths 0..n_max in turn.
+                  ) -> Iterator[tuple[float, int, np.ndarray, np.ndarray]]:
+    """Yield the entropy, word count, codes and measures of depths
+    0..n_max in turn.
 
     Each depth refines the store of the one before (_refine_pieces), so a
     depth holds its input store, one copy of its kept cuts and one pass's
@@ -369,7 +376,7 @@ def _exact_series(torus_map: TorusMap, part: GridPartition, n_max: int
             codes, measures, *store = _refine_pieces(*store, torus_map, part,
                                                      n < n_max)
         words = (words[1], len(codes))
-        yield entropy_nats(measures), codes, measures
+        yield entropy_nats(measures), len(codes), codes, measures
         # a summary's arrays are not held while the next depth refines
         del codes, measures
 
@@ -396,18 +403,21 @@ def _grassberger_terms(max_count: int) -> np.ndarray:
     return g
 
 
-def _mc_entropy(count_parts: list, n_samples: int, estimator: str
-                ) -> tuple[float, np.ndarray]:
-    """The entropy and measures of one depth from its tiles' word counts,
-    in lex order.
+def _mc_entropy(count_parts: list, n_samples: int, estimator: str,
+                words: bool = True) -> tuple[float, Optional[np.ndarray]]:
+    """The entropy and measures (None without words) of one depth from its
+    tiles' word counts, in lex order.
 
-    The measures and each estimator's per-word terms fill one word-sized
-    array each, part by part, and each count part is let go once used.
-    Every step is elementwise, and the terms are summed once over the whole
-    array, so the bits are those of the same steps on the joined counts.
+    The measures, with words, and Grassberger's or Chao-Shen's per-word
+    terms fill one word-sized array each, part by part; without words each
+    part's measures are a part-sized temporary.  Each count part is let go
+    once used.  Every step is elementwise, the terms are summed once over
+    the whole array, and plugin and Miller-Madow take one fsum over the
+    parts' measures, so the bits are those of the same steps on the joined
+    counts.
     """
     n_words = sum(len(c) for c in count_parts)
-    measures = np.empty(n_words)
+    measures = np.empty(n_words) if words else None
     if estimator == "grassberger":
         g = _grassberger_terms(max(int(c.max()) for c in count_parts))
     elif estimator == "chao_shen":
@@ -416,48 +426,55 @@ def _mc_entropy(count_parts: list, n_samples: int, estimator: str
         # plugin when there are no singletons
         singles = sum(int((c == 1).sum()) for c in count_parts)
         coverage = max(1.0 - singles / n_samples, 1.0 / n_samples)
-    if estimator in ("grassberger", "chao_shen"):
-        terms = np.empty(n_words)
-    at = 0
-    count_parts.reverse()
-    while count_parts:
-        counts = count_parts.pop()
-        rows = slice(at, at + len(counts))
-        at += len(counts)
-        np.divide(counts, n_samples, out=measures[rows])
+
+    def parts():
+        # each part's rows, counts and measures, its count part let go
+        at = 0
+        count_parts.reverse()
+        while count_parts:
+            counts = count_parts.pop()
+            rows = slice(at, at + len(counts))
+            at += len(counts)
+            yield rows, counts, np.divide(
+                counts, n_samples, out=measures[rows] if words else None)
+
+    if estimator in ("plugin", "miller_madow"):
+        entropy = _entropy_of_parts(freqs for _, _, freqs in parts())
+        if estimator == "miller_madow":
+            entropy += (n_words - 1) / (2.0 * n_samples)
+        return entropy, measures
+    terms = np.empty(n_words)
+    for rows, counts, freqs in parts():
         if estimator == "grassberger":
             np.multiply(counts, g[counts], out=terms[rows])
-        elif estimator == "chao_shen":
+        else:
             # -sum(adj ln adj / seen), each step in place
-            adj = measures[rows] * coverage
+            adj = freqs * coverage
             seen = np.subtract(1.0, adj)
             np.power(seen, n_samples, out=seen)
             np.subtract(1.0, seen, out=seen)
             np.log(adj, out=terms[rows])
             terms[rows] *= adj
             terms[rows] /= seen
-        del counts
-    if estimator == "plugin":
-        return entropy_nats(measures), measures
-    if estimator == "miller_madow":
-        return (entropy_nats(measures)
-                + (n_words - 1) / (2.0 * n_samples)), measures
     if estimator == "grassberger":
         return math.log(n_samples) - float(np.sum(terms)) / n_samples, measures
     return float(-np.sum(terms)), measures
 
 
-def _mc_depth(code_parts: list, count_parts: list, cfg: McConfig
-              ) -> tuple[float, Optional[np.ndarray], np.ndarray]:
-    """The entropy, codes (None with no code parts) and measures of one
-    depth from its tiles' codes and counts, in lex order.
+def _mc_depth(code_parts: list, count_parts: list, cfg: McConfig,
+              words: bool) -> tuple[float, int, Optional[np.ndarray],
+                                    Optional[np.ndarray]]:
+    """The entropy, word count, codes and measures (both None without
+    words) of one depth from its tiles' codes and counts, in lex order.
 
     Both lists are emptied as they are joined, so no part outlives its use.
     """
-    codes = np.concatenate(code_parts) if code_parts else None
+    codes = np.concatenate(code_parts) if words else None
     code_parts.clear()
-    entropy, measures = _mc_entropy(count_parts, cfg.n_samples, cfg.estimator)
-    return entropy, codes, measures
+    n_words = sum(len(c) for c in count_parts)
+    entropy, measures = _mc_entropy(count_parts, cfg.n_samples,
+                                    cfg.estimator, words)
+    return entropy, n_words, codes, measures
 
 
 def _mc_tiles(starts: np.ndarray, n_samples: int) -> list[tuple[int, int]]:
@@ -470,43 +487,54 @@ def _mc_tiles(starts: np.ndarray, n_samples: int) -> list[tuple[int, int]]:
     return list(zip(cuts[:-1], cuts[1:]))
 
 
-def _mc_cloud(part: GridPartition, cfg: McConfig):
-    """The cfg.n_samples seeded points in word order at depth 0.
+def _mc_chunks(part: GridPartition, cfg: McConfig):
+    """The cfg.n_samples seeded points, _DRAW_ROWS at a time, each chunk
+    with its points' cells; chunked draws are the rows of one whole draw."""
+    rng = np.random.default_rng(cfg.seed)
+    for lo in range(0, cfg.n_samples, _DRAW_ROWS):
+        pts = rng.random((min(_DRAW_ROWS, cfg.n_samples - lo), 2))
+        yield pts, part.cell_index_batch(pts)
 
-    A counting sort over two passes of the same draws, _DRAW_ROWS points
-    at a time: the first counts each cell's points, the second re-seeds,
-    draws the same chunks, groups each by cell (group_prefixes) and moves
-    its points into their cells' next free rows.  Chunked draws are the
-    rows of one whole draw, and a cell's rows keep their draw order, so
-    the cloud is the whole draw stably grouped by cell, made with no
-    temporary larger than a chunk.  Returns the cloud, one complex item a
-    point; ids, each row's depth-0 word row (int32: the byte cap keeps the
-    samples far below 2^31); and the depth's codes, starts and counts.
+
+def _mc_counts(part: GridPartition, cfg: McConfig) -> np.ndarray:
+    """Each grid cell's count of the seeded points: the first pass of the
+    depth-0 counting sort, whose second is _mc_place."""
+    counts = np.zeros(part.n_cells, dtype=np.int64)
+    for _, cells in _mc_chunks(part, cfg):
+        counts += np.bincount(cells, minlength=part.n_cells)
+    return counts
+
+
+def _mc_place(part: GridPartition, cfg: McConfig, cell_counts: np.ndarray,
+              lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rows [lo, hi) of the seeded points in word order at depth 0, lo and
+    hi the bounds of whole cells, with no temporary larger than a chunk.
+
+    The second pass of a counting sort over cell_counts (_mc_counts): it
+    re-seeds, draws the same chunks, groups each by cell (group_prefixes)
+    and moves the points of the cells in [lo, hi) into their next free
+    rows.  A cell's rows keep their draw order, so the rows are those of
+    the whole draw stably grouped by cell.  Returns them, one complex item
+    a point, and ids, each row's depth-0 word row counted from lo's (int32:
+    the byte cap keeps the samples far below 2^31).
     """
-    n, m = cfg.n_samples, part.n_cells
-
-    def chunks():
-        rng = np.random.default_rng(cfg.seed)
-        for lo in range(0, n, _DRAW_ROWS):
-            pts = rng.random((min(_DRAW_ROWS, n - lo), 2))
-            yield pts, part.cell_index_batch(pts)
-
-    counts = np.zeros(m, dtype=np.int64)
-    for _, cells in chunks():
-        counts += np.bincount(cells, minlength=m)
-    free = np.cumsum(counts) - counts
-    cloud = np.empty(n, dtype=complex)
-    for pts, cells in chunks():
+    free = np.cumsum(cell_counts) - cell_counts - lo
+    # the cells whose rows are [lo, hi), as free rows from lo ascend
+    first, last = np.searchsorted(free, (0, hi - lo))
+    cloud = np.empty(hi - lo, dtype=complex)
+    for pts, cells in _mc_chunks(part, cfg):
         order, starts, codes, _ = group_prefixes(cells)
-        sizes = np.diff(starts, append=len(order))
-        rows = np.repeat(free[codes] - starts, sizes)
-        rows += np.arange(len(order))
-        cloud[rows] = pts.view(complex)[order, 0]
+        edges = np.append(starts, len(order))
+        a, b = np.searchsorted(codes, (first, last))
+        codes = codes[a:b]
+        sizes = np.diff(edges[a:b + 1])
+        rows = np.repeat(free[codes] - edges[a:b], sizes)
+        rows += np.arange(edges[a], edges[b])
+        cloud[rows] = pts.view(complex)[order[edges[a]:edges[b]], 0]
         free[codes] += sizes
-    codes = np.flatnonzero(counts)
-    counts = counts[codes]
-    ids = np.repeat(np.arange(len(codes), dtype=np.int32), counts)
-    return cloud, ids, codes, np.cumsum(counts) - counts, counts
+    sizes = cell_counts[first:last]
+    sizes = sizes[sizes > 0]
+    return cloud, np.repeat(np.arange(len(sizes), dtype=np.int32), sizes)
 
 
 def _mc_steps(torus_map: TorusMap, part: GridPartition, n_max: int,
@@ -545,16 +573,17 @@ def _mc_steps(torus_map: TorusMap, part: GridPartition, n_max: int,
 
 def _mc_series(torus_map: TorusMap, part: GridPartition, n_max: int,
                cfg: McConfig, words: bool = True
-               ) -> Iterator[tuple[float, Optional[np.ndarray], np.ndarray]]:
-    """Yield the entropy, codes and measures of depths 0..n_max in turn,
-    from the words of cfg.n_samples seeded points, in one loop on one
-    process or two (forking.stream); without words the codes are None,
-    and none are joined or sent."""
+               ) -> Iterator[tuple[float, int, Optional[np.ndarray],
+                                   Optional[np.ndarray]]]:
+    """Yield the entropy, word count, codes and measures of depths
+    0..n_max in turn, from the words of cfg.n_samples seeded points, in one
+    loop on one process or two (forking.stream); without words the codes
+    and measures are None, and no codes are joined or sent."""
     limits.check_bytes(limits.refinement_bytes(cfg.n_samples, n_max),
                        f"Monte Carlo refinement of {cfg.n_samples} samples "
                        f"to depth {n_max}", "--mc-samples or --depth")
 
-    # The cloud is kept in word order: _mc_cloud places it so, and after
+    # The cloud is kept in word order: _mc_place places it so, and after
     # each grouping the points themselves are gathered by order, so row i
     # of the cloud is the sample whose word row is ids[i], and ids ascend.
     # A depth-0 cell is then a run of rows that no later word leaves, so
@@ -567,49 +596,52 @@ def _mc_series(torus_map: TorusMap, part: GridPartition, n_max: int,
     # order of the samples inside a word.  The gather takes each row as one
     # complex item, which numpy moves faster than a row of two floats.
     #
-    # Tiles never meet, so with two tiles or more and forking.may_fork(),
-    # the run forks once after depth 0.  A child takes the tiles from the
-    # one that starts nearest the middle sample: it copies its rows of the
-    # cloud and ids, the latter less their first row's, so its word rows
-    # count from 0, and lets the whole cloud go.  At each depth it yields
-    # each tile's codes (with words) and counts, which forking.stream sends
-    # back.  This process runs the first tiles, adds its own words at depth
-    # n - 1 times m to the child's codes and joins both halves in lex
-    # order, so every bit and every progress line is the same.  Each side's
-    # parts are tile-sized, so this process holds what a one-process run
-    # would.  With no split this process runs every tile, the child's share
-    # is empty, and nothing forks.
-    cloud, ids, codes, starts, counts = _mc_cloud(part, cfg)
+    # Depth 0 and the tiles come from the cells' counts (_mc_counts), so
+    # tiles never meet, and with two tiles or more and forking.may_fork(),
+    # the run forks once, before any point is placed.  A child takes the
+    # tiles from the one that starts nearest the middle sample, base: it
+    # places rows [base, N) itself, with word rows counted from 0, so
+    # neither process holds the other's rows.  At each depth it yields each
+    # tile's codes (with words) and counts, which forking.stream sends
+    # back.  This process places and runs rows [0, base), adds its own
+    # words at depth n - 1 times m to the child's codes and joins both
+    # halves in lex order, so every bit and every progress line is the
+    # same.  Each side's parts are tile-sized, so this process holds what a
+    # one-process run would, less the child's rows.  With no split this
+    # process places and runs every row, the child's share is empty, and
+    # nothing forks.
+    cell_counts = _mc_counts(part, cfg)
+    codes = np.flatnonzero(cell_counts)
+    counts = cell_counts[codes]
+    starts = np.cumsum(counts) - counts
     tiles = _mc_tiles(starts, cfg.n_samples)
-    yield _mc_depth([codes] if words else [], [counts], cfg)
-    del codes, starts, counts
+    yield _mc_depth([codes], [counts], cfg, words)
     k = min(range(1, len(tiles)), default=0,
             key=lambda t: abs(2 * tiles[t][0] - cfg.n_samples))
     if not (n_max and k and may_fork()):
         k = len(tiles)
     base = tiles[k - 1][1]
     theirs = [(lo - base, hi - base) for lo, hi in tiles[k:]]
-    # this process's words at depth 0: base starts a depth-0 cell
-    offset = int(ids[base - 1]) + 1
+    # this process's words at depth 0: base starts a depth-0 cell or ends
+    # the cloud
+    offset = int(np.searchsorted(starts, base))
+    del codes, starts, counts
 
     def child():
-        nonlocal cloud, ids
-        half = _mc_steps(torus_map, part, n_max, cloud[base:].copy(),
-                         ids[base:] - ids[base], theirs, words)
-        cloud = ids = None
+        half = _mc_steps(torus_map, part, n_max, *_mc_place(
+            part, cfg, cell_counts, base, cfg.n_samples), theirs, words)
         yield from (codes + counts for codes, counts in half)
 
     with stream(child if theirs else None) as receive:
-        depths = _mc_steps(torus_map, part, n_max, cloud, ids, tiles[:k],
-                           words)
-        del cloud, ids
+        depths = _mc_steps(torus_map, part, n_max, *_mc_place(
+            part, cfg, cell_counts, 0, base), tiles[:k], words)
         for code_parts, count_parts in depths:
             if words:
                 code_parts += [receive() + offset * part.n_cells
                                for _ in theirs]
             offset = sum(len(c) for c in count_parts)
             count_parts += [receive() for _ in theirs]
-            yield _mc_depth(code_parts, count_parts, cfg)
+            yield _mc_depth(code_parts, count_parts, cfg, words)
 
 
 def refine_series(torus_map: TorusMap, part: GridPartition, n_max: int,
@@ -648,7 +680,7 @@ def refine_series(torus_map: TorusMap, part: GridPartition, n_max: int,
     try:
         # no enumerate: its cached result tuple would hold a depth's arrays
         # while the next depth is made
-        for entropy, codes, measures in depths:
+        for entropy, n_words, codes, measures in depths:
             n, arrays = len(records), (None, None)
             if words:
                 # both arrays own their data and are not written again, so
@@ -658,7 +690,7 @@ def refine_series(torus_map: TorusMap, part: GridPartition, n_max: int,
                 arrays = (codes, measures)
             records.append(RefinementRecord(
                 n, entropy, *arrays, torus_map.name, (part.m_q, part.m_p),
-                measure_mode, dict(meta), len(measures)))
+                measure_mode, dict(meta), n_words))
             # a summary's arrays go before the next depth is made
             del codes, measures
             if progress is not None:

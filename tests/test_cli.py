@@ -983,6 +983,26 @@ def test_refusals_exit_2_with_one_error_line(tmp_path, capsys, argv, config,
         sorted(made)
 
 
+@pytest.mark.parametrize("argv", [
+    ["ks-entropy", "--map", "cat", "--ladder", ","],
+    ["ks-entropy", "--map", "cat", "--mode", "mc", "--mc-samples",
+     "100000000", "--depth", "40"],
+    ["prescription", "--source", "gamow", "--depth", "3"],
+    ["gamow-evolve", "--off-scale", "1e300"],
+], ids=["ladder", "mc-bytes", "quantum-depth", "off-mass"])
+def test_refused_runs_leave_no_directory_they_made(tmp_path, capsys, argv):
+    # --out and its missing parent are made before the command's own
+    # checks, and removed again when those refuse the run; a directory
+    # that was already there stays
+    kept = tmp_path / "kept"
+    kept.mkdir()
+    for out in (tmp_path / "made" / "out", kept):
+        code, out_text, err = run_cli(argv + ["--out", str(out)], capsys)
+        assert code == 2 and out_text == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["kept"]
+
+
 def test_overflowing_off_mass_is_refused_without_a_warning(tmp_path):
     # off_mass_ratio overflows to inf, which limits.check_off_mass refuses;
     # numpy's overflow warning must not reach the user before that line

@@ -664,8 +664,8 @@ def test_mc_records_match_golden_in_any_tiles(case, tile, monkeypatch):
 
 def _whole_cloud_depth0(part, cfg):
     """The depth-0 cloud, ids, codes and starts of one whole draw grouped
-    by cell at once, as _mc_series placed them before _mc_cloud: the
-    reference the counting sort must equal."""
+    by cell at once, as _mc_series placed them before the counting sort:
+    the reference that _mc_counts and _mc_place must equal."""
     cloud = np.random.default_rng(cfg.seed).random((cfg.n_samples, 2))
     order, starts, codes, ids = partitions.group_prefixes(
         part.cell_index_batch(cloud))
@@ -683,19 +683,33 @@ DRAW_CASES = [(1, (1, 2)), (7, (1, 6, 7, 8)),
                          ids=[str(rows) for rows, _ in DRAW_CASES])
 def test_mc_cloud_equals_the_whole_cloud_grouping(rows, sizes, grid,
                                                   monkeypatch):
+    # the rows placed at [0, N), and on either side of every tile cut and
+    # in every tile, are the whole grouping's, with ids counted from 0
     monkeypatch.setattr(partitions, "_DRAW_ROWS", rows)
     part = GridPartition(*grid)
     # 64x64 at 100 samples leaves most cells empty
     for n_samples in (*sizes, 100):
         cfg = McConfig(n_samples, seed=n_samples)
-        cloud, ids, codes, starts, counts = partitions._mc_cloud(part, cfg)
+        cell_counts = partitions._mc_counts(part, cfg)
+        codes = np.flatnonzero(cell_counts)
+        counts = cell_counts[codes]
+        starts = np.cumsum(counts) - counts
         ref_cloud, ref_ids, ref_codes, ref_starts = _whole_cloud_depth0(part, cfg)
-        assert cloud.dtype == ref_cloud.dtype
-        assert cloud.tobytes() == ref_cloud.tobytes()
-        assert ids.dtype == np.int32 and (ids == ref_ids).all()
         for got, want in ((codes, ref_codes), (starts, ref_starts)):
             assert got.dtype == want.dtype and (got == want).all()
         assert (counts == np.diff(starts, append=n_samples)).all()
+        # about four tiles, so that small clouds have cuts too
+        monkeypatch.setattr(limits, "MC_TILE_SAMPLES", max(n_samples // 4, 1))
+        tiles = partitions._mc_tiles(starts, n_samples)
+        spans = {(0, n_samples), *tiles}
+        for _, cut in tiles[:-1]:
+            spans |= {(0, cut), (cut, n_samples)}
+        for lo, hi in sorted(spans):
+            cloud, ids = partitions._mc_place(part, cfg, cell_counts, lo, hi)
+            assert cloud.dtype == ref_cloud.dtype
+            assert cloud.tobytes() == ref_cloud[lo:hi].tobytes()
+            assert ids.dtype == np.int32
+            assert (ids == ref_ids[lo:hi] - ref_ids[lo]).all()
 
 
 def test_mc_depth0_peak_is_one_cloud_and_ids(monkeypatch):
@@ -844,13 +858,13 @@ def test_exact_depth_records_are_checked_before_the_cells(monkeypatch):
         refine_series(*args, 11)
 
 
-def _mc_peak(name, grid, depth, n_samples):
+def _mc_peak(name, grid, depth, n_samples, words=True):
     """tracemalloc peak of one Monte Carlo refinement."""
     args = (make_map(name), GridPartition(*grid), depth, "mc",
             McConfig(n_samples))
     tracemalloc.start()
     try:
-        refine_series(*args)
+        refine_series(*args, words=words)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -873,6 +887,51 @@ def test_mc_tiles_keep_the_peak_below_the_whole_cloud_loop():
     # records; 10.03 MiB when it is the process's first refinement, which
     # the bound leaves 0.47 MiB of margin
     assert _mc_peak("cat", (8, 8), 10, 100_000) <= 10.5 * 2 ** 20
+
+
+@pytest.mark.parametrize("estimator", MC_ESTIMATORS)
+def test_mc_summary_joins_build_no_word_long_measures(monkeypatch, estimator):
+    # each depth's join of a summary run allocates, over the count parts
+    # it is given, part-sized temporaries and, with plugin and
+    # Miller-Madow, one chunk of entropy_nats's floats, or, with
+    # Grassberger and Chao-Shen, the word-long terms; but no word-long
+    # measures.  Cat 8x8, 10^5 samples to depth 10, whose last depth has
+    # 98,075 words in parts of at most 17,032: its join peaked at 0.76 MiB
+    # (plugin, Miller-Madow), 1.07 (Grassberger) and 1.33 (Chao-Shen)
+    # against bounds of about 1.1, 1.52 and 1.52, and at 1.37, 1.69 and 1.89
+    # MiB when it filled the measures too
+    tracemalloc.start()
+    try:
+        entropy_nats(np.full(partitions._FLOAT_CHUNK, 0.5))
+        chunk = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    join, joins = partitions._mc_entropy, []
+
+    def spy(count_parts, *args):
+        # the parts are held here, so the join's own bytes are measured
+        held = list(count_parts)
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = join(count_parts, *args)
+        joins.append((sum(map(len, held)), max(map(len, held)),
+                      tracemalloc.get_traced_memory()[1] - start))
+        return result
+
+    monkeypatch.setattr(partitions, "_mc_entropy", spy)
+    _use_cpus(monkeypatch, 1)
+    tracemalloc.start()
+    try:
+        refine_series(make_map("cat"), GridPartition(8, 8), 10, "mc",
+                      McConfig(100_000, estimator=estimator), words=False)
+    finally:
+        tracemalloc.stop()
+    plugin = estimator in ("plugin", "miller_madow")
+    assert joins[-1][0] > 90_000
+    for n_words, part, peak in joins:
+        # two parts' measures, or the terms and five part-sized temporaries
+        assert peak <= 2 ** 17 + (chunk + 8 * 2 * part if plugin
+                                  else 8 * (n_words + 5 * part))
 
 
 # --- Monte Carlo worker process --------------------------------------------
@@ -936,6 +995,38 @@ def test_mc_one_and_two_workers_give_the_same_bytes(monkeypatch, name, grid,
         assert runs[0] == runs[1]
 
 
+def test_mc_forked_calling_process_holds_only_its_rows(monkeypatch):
+    # with summaries the loop's arrays set the peak, and the calling
+    # process of a forked run places only rows [0, base), about half of
+    # the cloud (16 bytes a sample) and ids (4).  Cat 8x8, 10^5 samples to
+    # depth 10: 5.35 MiB on one process, 4.38 MiB in the calling process
+    # of two (10.2 bytes a sample less); both 5.35 MiB when the calling
+    # process placed the whole cloud and the child copied out its half
+    peaks = []
+    for cpus in (1, 2):
+        forks = _use_cpus(monkeypatch, cpus)
+        peaks.append(_mc_peak("cat", (8, 8), 10, 100_000, words=False))
+        assert len(forks) == cpus - 1
+        _assert_reaped(forks)
+    assert peaks[0] - peaks[1] >= 8 * 100_000
+
+
+def test_mc_a_forked_run_over_mostly_empty_cells_gives_the_same_bytes(
+        monkeypatch):
+    # 100 samples leave most of 64x64's cells empty, so tile cuts and the
+    # split fall among runs of empty cells; tiles of 10 samples fork
+    monkeypatch.setattr(limits, "MC_TILE_SAMPLES", 10)
+    for words in (True, False):
+        runs = []
+        for cpus in (1, 2):
+            forks = _use_cpus(monkeypatch, cpus)
+            runs.append(_run_bytes("cat", (64, 64), 6, McConfig(100, seed=3),
+                                   words))
+            assert len(forks) == cpus - 1
+            _assert_reaped(forks)
+        assert runs[0] == runs[1]
+
+
 def _forbid_fork(monkeypatch, cpus):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
 
@@ -991,6 +1082,26 @@ def test_mc_a_failing_child_fails_the_call(monkeypatch, capfd, words):
     forks = _use_cpus(monkeypatch, 2)
     with pytest.raises(RuntimeError, match="worker process"):
         refine_series(_planted_map(_raise), GridPartition(8, 8), 4, "mc",
+                      McConfig(100_000), words=words)
+    assert len(forks) == 1
+    _assert_reaped(forks)
+    assert "ValueError: planted failure" in capfd.readouterr().err
+
+
+@pytest.mark.parametrize("words", [True, False])
+def test_mc_a_child_failing_to_place_its_rows_fails_the_call(monkeypatch,
+                                                              capfd, words):
+    place, parent = partitions._mc_place, os.getpid()
+
+    def planted(*args):
+        if os.getpid() != parent:
+            raise ValueError("planted failure")
+        return place(*args)
+
+    monkeypatch.setattr(partitions, "_mc_place", planted)
+    forks = _use_cpus(monkeypatch, 2)
+    with pytest.raises(RuntimeError, match="worker process"):
+        refine_series(make_map("cat"), GridPartition(8, 8), 4, "mc",
                       McConfig(100_000), words=words)
     assert len(forks) == 1
     _assert_reaped(forks)
