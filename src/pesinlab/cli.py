@@ -236,15 +236,16 @@ def _required(opt, key, names):
     return opt[key]
 
 
-def _parse_grid(value):
+def _parse_grid(value, name="grid"):
     if isinstance(value, (list, tuple)) and len(value) == 2:
         mq, mp = value
     elif isinstance(value, str) and value.count("x") == 1:
         mq, mp = value.split("x")
     else:
         raise ConfigurationError(
-            f"grid must look like '2x1' or [2, 1], got {value!r}")
-    return (_as_int("grid rows", mq, low=1), _as_int("grid columns", mp, low=1))
+            f"{name} must look like '2x1' or [2, 1], got {value!r}")
+    return (_as_int(f"{name} rows", mq, low=1),
+            _as_int(f"{name} columns", mp, low=1))
 
 
 def _parse_ladder(value):
@@ -257,7 +258,9 @@ def _parse_ladder(value):
             f"ladder must look like '2x1,2x2,4x4', got {value!r}")
     if not parts:
         raise ConfigurationError("ladder is empty")
-    return [GridPartition(*_parse_grid(p)) for p in parts]
+    # each entry is named by its place in the ladder, as ladder[i]
+    return [GridPartition(*_parse_grid(p, f"ladder[{i}]"))
+            for i, p in enumerate(parts)]
 
 
 def _default_grid(map_name: str) -> str:

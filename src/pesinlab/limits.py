@@ -5,7 +5,9 @@ phases), exit 2 on the command line, naming the flags to lower.
 
 - BYTES_CAP, 2 GiB: check_bytes refuses refinement_bytes, operator_bytes,
   or quantum_run_bytes above it.
-- EXACT_WORD_CAP, 2^20 words, as projected from the last two depths.
+- EXACT_WORD_CAP, 2^20 words, as projected from the last two depths;
+  a refinement run in tiles replays the check of each tiled depth once
+  its last tile is done, before that depth is handed on.
 - MAX_LYAP_STEPS, 10^7 steps: 14 s at 0.7 M steps/s on a 2-core Xeon.
 - check_phases: evolution phases past a double; check_off_mass: an
   off-(0, 0) mass ratio past a double; check_underflow: quantum (0, 0)
@@ -48,6 +50,17 @@ Bytes per unit, measured with tracemalloc:
   2^13 to 2^15 and 0.60 s at 2^17; cat 8x8 took 0.49-0.57 s from 2^12
   to 2^16, alike within the noise.  Its tracemalloc peak, 59-61 MiB
   over that range, barely depends on it.
+- EXACT_TILE_PIECES pieces an exact refinement's store may be projected
+  to enter the last depth with before the deepest depths run in tiles of
+  whole words (partitions._exact_tiles), each tile projected within it.
+  Tracemalloc peaks with full records at 2^14, against every depth
+  whole: baker 2x1 to depth 16 (four tiles from depth 13) 8.3 against
+  15.6 MiB in the same 0.28 s, cat 8x8 to depth 7 (six tiles from depth
+  6) 11.5 against 25.1 MiB.  Cat 8x8 to depth 7 with summaries, medians
+  of five in process on a 2-core Xeon: 9.3 MiB and 1.14 s at 2^13, 8.8
+  and 1.01 s at 2^14, 11.5 and 0.97 s at 2^15, 14.5 and 0.95 s at 2^16,
+  and 23.0 and 0.97 s whole; smaller tiles map smaller batches of each
+  vertex count, which costs time.
 """
 
 import math
@@ -69,6 +82,7 @@ QUANTUM_SYMBOL_BYTES = 20
 BLOCK_BYTES = 2 ** 23
 CHUNK_ENTRIES = 2 ** 15
 MC_TILE_SAMPLES = 2 ** 14
+EXACT_TILE_PIECES = 2 ** 14
 
 
 def check_bytes(need: int, what: str, flags: str) -> None:

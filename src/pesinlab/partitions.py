@@ -32,6 +32,11 @@ _ZERO_AREA = 1e-15
 # floats entropy_nats turns into Python floats at a time
 _FLOAT_CHUNK = 2 ** 14
 
+# the most a tile's store is projected to grow before the last depth: a
+# tile starts at no fewer than limits.EXACT_TILE_PIECES / _TILE_GROWTH
+# pieces, since smaller tiles map smaller batches of each vertex count
+_TILE_GROWTH = 8
+
 # sample points _mc_counts and _mc_place draw at a time, about 55 bytes of
 # scratch a point.  More rows than a tile holds on fine grids, so once a
 # chunk's scratch is freed, glibc's malloc serves the tiles' temporaries
@@ -344,8 +349,37 @@ def _refine_pieces(verts: np.ndarray, counts: np.ndarray, owner: np.ndarray,
     return codes, measures, verts, counts, owner
 
 
-def _exact_series(torus_map: TorusMap, part: GridPartition, n_max: int
-                  ) -> Iterator[tuple[float, int, np.ndarray, np.ndarray]]:
+def _exact_tiles(owner: np.ndarray, n_words: list, n: int, n_max: int
+                 ) -> Optional[list[tuple[int, int]]]:
+    """Word-row bounds [w_lo, w_hi) of the tiles to cut the store entering
+    depth n into, or None to refine it whole.
+
+    The store of P pieces is projected to enter the last depth with
+    P g^(n_max - n) pieces, g = R_{n-1} / R_{n-2} from n_words.  It is cut
+    once that tops limits.EXACT_TILE_PIECES and g^(n_max - n) is at most
+    _TILE_GROWTH, into the fewest tiles of about equal pieces that are each
+    projected within the budget, so no tile starts below 1/_TILE_GROWTH of
+    it.
+    """
+    if not 2 <= n < n_max:
+        return None
+    last = n_words[-1]
+    growth = (last / n_words[-2]) ** (n_max - n)
+    n_tiles = math.ceil(len(owner) * growth / limits.EXACT_TILE_PIECES)
+    if n_tiles < 2 or growth > _TILE_GROWTH:
+        return None
+    # the first word row whose pieces, with those before it, reach each
+    # tile's share of the store
+    pieces = np.cumsum(np.bincount(owner, minlength=last))
+    cuts = np.searchsorted(pieces, np.arange(1, n_tiles) * (len(owner) / n_tiles))
+    bounds = [0, *np.unique(cuts + 1).tolist(), last]
+    return [(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:]) if lo < hi]
+
+
+def _exact_series(torus_map: TorusMap, part: GridPartition, n_max: int,
+                  words: bool = True
+                  ) -> Iterator[tuple[float, int, Optional[np.ndarray],
+                                      Optional[np.ndarray]]]:
     """Yield the entropy, word count, codes and measures of depths
     0..n_max in turn.
 
@@ -353,6 +387,13 @@ def _exact_series(torus_map: TorusMap, part: GridPartition, n_max: int
     depth holds its input store, one copy of its kept cuts and one pass's
     scratch.  The last depth builds no store: it holds its kept cuts' keys
     and areas only, and its input store is let go before it is yielded.
+
+    Once the store entering a depth is projected to enter the last depth
+    above limits.EXACT_TILE_PIECES pieces (_exact_tiles), the rest of the
+    series runs in tiles (_tiled_depths): a word's pieces never leave its
+    ancestor's, so each tile of whole words runs alone to n_max, and the
+    tiled depths are yielded together once the last tile is done.  Without
+    words, a tiled depth's codes and measures are None.
     """
     if torus_map.branches is None:
         raise UnsupportedOperationError(
@@ -368,17 +409,87 @@ def _exact_series(torus_map: TorusMap, part: GridPartition, n_max: int
     measures = geometry.polygon_area_batch(verts, counts)
     codes = np.arange(part.n_cells)
     store = [verts.reshape(-1, 2), counts, codes]
-    words = (0, 0)  # the word counts of the last two depths
+    n_words = []  # R_0, R_1, ... of the depths made
     for n in range(n_max + 1):
         if n >= 2:
-            limits.check_word_projection(words[1], words[0], n, n_max, what)
+            limits.check_word_projection(n_words[-1], n_words[-2], n, n_max,
+                                         what)
         if n > 0:
+            tiles = _exact_tiles(store[2], n_words, n, n_max)
+            if tiles:
+                yield from _tiled_depths(store, tiles, torus_map, part, n,
+                                         n_max, words, n_words, what)
+                return
             codes, measures, *store = _refine_pieces(*store, torus_map, part,
                                                      n < n_max)
-        words = (words[1], len(codes))
+        n_words.append(len(codes))
         yield entropy_nats(measures), len(codes), codes, measures
         # a summary's arrays are not held while the next depth refines
         del codes, measures
+
+
+def _tiled_depths(store: list, tiles: list, torus_map: TorusMap,
+                  part: GridPartition, n: int, n_max: int, words: bool,
+                  n_words: list, what: str
+                  ) -> Iterator[tuple[float, int, Optional[np.ndarray],
+                                      Optional[np.ndarray]]]:
+    """Yield depths n..n_max as _exact_series does, from the store entering
+    depth n (emptied here) cut into tiles of whole word rows.
+
+    A tile is every piece whose owner row lies in [w_lo, w_hi); it runs
+    alone to n_max through _refine_pieces, with its owner rows counted
+    from w_lo.  Its codes are offset by the earlier tiles' words at the
+    depth before, times the cell count, as _mc_series' tiles are, so the
+    tiles' codes, in turn, join to the depth's.  A word's measure is an
+    fsum over its own pieces, which all lie in one tile, and each depth's
+    entropy is one fsum over its tiles' measures, so every bit is that of
+    a whole run.  Each tiled depth keeps its tiles' measures and, with
+    words, codes until the last tile is done; then the depths are yielded
+    in order, each after limits.check_word_projection is replayed for it
+    (depth n's was checked before the cut), so a refusal comes after the
+    same depth lines as in a whole run.
+    """
+    m = part.n_cells
+    depths = range(n, n_max + 1)
+    code_parts = [[] for _ in depths]
+    measure_parts = [[] for _ in depths]
+    done = [0 for _ in depths]  # the words of the tiles done, per depth
+    verts, counts, owner = store
+    store.clear()
+    for i, (lo, hi) in enumerate(tiles):
+        # a subsequence of the store is still grouped by count
+        keep = (owner >= lo) & (owner < hi)
+        tile = [verts[np.repeat(keep, counts)], counts[keep], owner[keep] - lo]
+        del keep
+        if i == len(tiles) - 1:
+            # the last tile is cut, so the whole store goes
+            del verts, counts, owner
+        offset = lo  # the earlier tiles' words at the depth before
+        for j, d in enumerate(depths):
+            codes, measures, *tile = _refine_pieces(*tile, torus_map, part,
+                                                    d < n_max)
+            if words:
+                codes += offset * m
+                code_parts[j].append(codes)
+            measure_parts[j].append(measures)
+            offset = done[j]
+            done[j] += len(codes)
+            del codes, measures
+    for j, d in enumerate(depths):
+        if d > n:
+            limits.check_word_projection(n_words[-1], n_words[-2], d, n_max,
+                                         what)
+        n_words.append(done[j])
+        if words:
+            codes = np.concatenate(code_parts[j])
+            measures = np.concatenate(measure_parts[j])
+            code_parts[j] = measure_parts[j] = None
+            yield entropy_nats(measures), done[j], codes, measures
+            del codes, measures
+        else:
+            parts, measure_parts[j] = measure_parts[j], None
+            yield _entropy_of_parts(parts), done[j], None, None
+            del parts
 
 
 # --- Monte-Carlo refinement -------------------------------------------------
@@ -659,14 +770,15 @@ def refine_series(torus_map: TorusMap, part: GridPartition, n_max: int,
 
     progress, when given, is called with each depth's line, "depth n/n_max:
     W words, H=h", as soon as that depth is done, so callers can report
-    progress while the sweep runs.  The sweep starts at once, so a run
+    progress while the sweep runs; exact depths run in tiles are done
+    together, once their last tile is.  The sweep starts at once, so a run
     past a resource limit is refused here, before any cell or sample is
     made.
     """
     if n_max < 0:
         raise ValueError("refinement depth must be nonnegative")
     if measure_mode == "exact":
-        depths, meta = _exact_series(torus_map, part, n_max), {}
+        depths, meta = _exact_series(torus_map, part, n_max, words), {}
     elif measure_mode == "mc":
         cfg = mc_config or McConfig()
         depths = _mc_series(torus_map, part, n_max, cfg, words)

@@ -936,7 +936,7 @@ _NO_TABLES = {"generation": "prescribed", "n_max": 2, "cells": 2}
     (["ks-entropy", "--map", "cat", "--ladder", ","], None,
      "ladder is empty"),
     (["ks-entropy", "--map", "cat", "--ladder", "2x1,abc"], None,
-     "grid must look like '2x1' or [2, 1], got 'abc'"),
+     "ladder[1] must look like '2x1' or [2, 1], got 'abc'"),
     (["ks-entropy", "--map", "cat"], {"ladder": 5},
      "ladder must look like '2x1,2x2,4x4', got 5"),
     (["ks-entropy", "--map", "cat"], [1, 2],
@@ -958,6 +958,10 @@ _NO_TABLES = {"generation": "prescribed", "n_max": 2, "cells": 2}
         {"re": [[0.5, 0], [0, 0]]},
         {"re": [[0.25, 0], [0, 0]], "im": [[0, 0], [0]]}]),
      "tables[1] must hold numeric 're' and 'im' arrays of one shape: "),
+    (["ks-entropy", "--map", "cat", "--ladder", "2x1,2x0"], None,
+     "ladder[1] columns must be at least 1, got 0"),
+    (["ks-entropy", "--map", "cat"], {"ladder": [[2, 1], "4y4"]},
+     "ladder[1] must look like '2x1' or [2, 1], got '4y4'"),
 ])
 def test_refusals_exit_2_with_one_error_line(tmp_path, capsys, argv, config,
                                              message):

@@ -3,6 +3,8 @@
 The oracle is the padded, row-order loop the store replaced: each chunk a
 slice of rows, every batch padded to its widest piece, and the kept cuts
 concatenated at the widest chunk's width.  Records must not move by a bit.
+The deepest depths of a large run are refined in tiles of whole words; the
+reference for those is the same run with every depth whole.
 """
 
 import functools
@@ -14,7 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pesinlab import GridPartition, geometry, make_map, partitions, refine_series
+from pesinlab import (GridPartition, ResourceLimitError, geometry, limits,
+                      make_map, partitions, refine_series)
 
 # tracemalloc peaks of exact refinement, stated in the README.  Cat 8x8 to
 # depth 6 measured 9.35 MiB with the last depth keeping only keys and
@@ -241,3 +244,144 @@ def test_exact_refinement_peak_memory_is_bounded():
 
 def test_exact_baker_peak_memory_is_bounded():
     assert _refinement_peak("baker", 2, 1, 14) < EXACT_BAKER_DEPTH14_PEAK_BYTES
+
+
+# --- tiles of whole words ---------------------------------------------------
+
+# (budget, growth): limits.EXACT_TILE_PIECES and partitions._TILE_GROWTH.
+# A budget of 1 with the default growth cuts the last depths into tiles of
+# a few words; a huge growth cuts at depth 2, so most depths are tiled
+TILINGS = [(1, partitions._TILE_GROWTH), (64, 10 ** 9), (2048, 10 ** 9)]
+
+# cat 2x1 has several pieces a word; identity's store never grows, so only
+# a budget below its 4 pieces cuts it
+TILED_CASES = [("baker", 2, 1, 12), ("cat", 8, 8, 4), ("cat", 2, 1, 8),
+               ("cat", 3, 5, 5), ("identity", 2, 2, 5)]
+
+
+def _traced_series(case, words, budget, growth=partitions._TILE_GROWTH):
+    """refine_series at a tile budget, or the word-cap refusal it raised,
+    with its word projection checks and progress lines in order, and the
+    tile plans it cut."""
+    name, m_q, m_p, depth = case
+    events = []
+    check, tiles = limits.check_word_projection, partitions._exact_tiles
+
+    def spy_check(*args):
+        events.append(("check", args))
+        check(*args)
+
+    def spy_tiles(*args):
+        plan = tiles(*args)
+        events.append(("tiles", args[2], plan))
+        return plan
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(limits, "EXACT_TILE_PIECES", budget)
+        mp.setattr(partitions, "_TILE_GROWTH", growth)
+        mp.setattr(limits, "check_word_projection", spy_check)
+        mp.setattr(partitions, "_exact_tiles", spy_tiles)
+        try:
+            recs = refine_series(make_map(name), GridPartition(m_q, m_p), depth,
+                                 progress=lambda line: events.append(
+                                     ("line", line)),
+                                 words=words)
+        except ResourceLimitError as exc:
+            recs = (type(exc), str(exc))
+    plans = [plan for kind, *rest in events if kind == "tiles"
+             for plan in rest[1:] if plan]
+    return recs, [e for e in events if e[0] != "tiles"], plans
+
+
+def _series_bytes(recs):
+    return [(r.n, repr(r.entropy), r.nonempty_words, r.meta, r.mode,
+             None if r.codes is None else
+             _record_bytes(r.codes, r.measures, r.entropy)) for r in recs]
+
+
+@pytest.mark.parametrize("words", [True, False], ids=["full", "summary"])
+@pytest.mark.parametrize("tiling", TILINGS, ids=lambda t: "b%d-g%d" % t)
+@pytest.mark.parametrize("case", TILED_CASES, ids=_case_id)
+def test_tiled_series_equals_the_whole_store_series(case, tiling, words):
+    whole, whole_events, whole_plans = _traced_series(case, words, 2 ** 62)
+    tiled, tiled_events, plans = _traced_series(case, words, *tiling)
+    assert not whole_plans
+    if case[0] != "identity" or tiling[0] < 4:
+        assert plans and len(plans[0]) >= 2
+    assert _series_bytes(tiled) == _series_bytes(whole)
+    # the same checks with the same arguments and the same lines, in order
+    assert tiled_events == whole_events
+
+
+def test_tiles_hold_whole_words_of_about_equal_pieces():
+    # cat 2x1 words have many pieces each, of uneven counts
+    owner = np.repeat(np.arange(6), [5, 1, 1, 9, 2, 2])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(limits, "EXACT_TILE_PIECES", 10)
+        # 20 pieces growing 1.5-fold over one depth: 30, so three tiles
+        assert partitions._exact_tiles(owner, [4, 6], 3, 4) == \
+            [(0, 3), (3, 4), (4, 6)]
+        # growth beyond _TILE_GROWTH, or a store within the budget, is
+        # refined whole; so are depths 0, 1 and the last
+        assert partitions._exact_tiles(owner, [1, 6], 3, 5) is None
+        assert partitions._exact_tiles(owner[:9], [6, 6], 3, 4) is None
+        assert partitions._exact_tiles(owner, [4, 6], 4, 4) is None
+        assert partitions._exact_tiles(owner, [6], 1, 4) is None
+
+
+def test_default_budget_tiles_only_the_largest_stores():
+    # baker 2x1 to depth 16 cuts the 8,192 pieces entering depth 13 into
+    # four tiles of 2,048; cat 8x8 to depth 5 (the ks-cat-exact benchmark,
+    # largest store 11,264 pieces) and to depth 4 are refined whole
+    plans = {case: _traced_series(case, False, limits.EXACT_TILE_PIECES)[2]
+             for case in [("baker", 2, 1, 16), ("cat", 8, 8, 5),
+                          ("cat", 8, 8, 4), ("baker", 2, 1, 14)]}
+    assert plans[("baker", 2, 1, 16)] == [
+        [(0, 2048), (2048, 4096), (4096, 6144), (6144, 8192)]]
+    assert plans[("cat", 8, 8, 5)] == plans[("cat", 8, 8, 4)] == []
+    assert plans[("baker", 2, 1, 14)] == []
+
+
+@pytest.mark.parametrize("words", [True, False], ids=["full", "summary"])
+@pytest.mark.parametrize("refuse_at", [2, 3, 5, 7])
+def test_a_refused_tiled_depth_prints_the_whole_runs_lines(refuse_at, words,
+                                                           monkeypatch):
+    # the cap drops to one word at depth refuse_at; at this budget baker 2x1
+    # to depth 7 is cut entering depth 2, after that depth's check, into
+    # tiles of one word, so depths 3, 5 and 7 are refused in the replay
+    # after the tiles, and depth 2 before the cut
+    check = limits.check_word_projection
+
+    def capped(last, before, n, n_max, what):
+        with pytest.MonkeyPatch.context() as mp:
+            if n == refuse_at:
+                mp.setattr(limits, "EXACT_WORD_CAP", 1)
+            check(last, before, n, n_max, what)
+
+    monkeypatch.setattr(limits, "check_word_projection", capped)
+    case = ("baker", 2, 1, 7)
+    whole = _traced_series(case, words, 2 ** 62)
+    tiled = _traced_series(case, words, 4, 10 ** 9)
+    assert whole[0][0] is ResourceLimitError
+    assert "above the cap of 1;" in whole[0][1]
+    assert tiled[:2] == whole[:2]
+    assert [e[1] for e in whole[1] if e[0] == "line"][-1].startswith(
+        f"depth {refuse_at - 1}/7:")
+    assert tiled[2] == ([] if refuse_at == 2 else
+                        [[(0, 1), (1, 2), (2, 3), (3, 4)]])
+
+
+def test_a_lowered_word_cap_refuses_tiled_and_whole_runs_alike(monkeypatch):
+    monkeypatch.setattr(limits, "EXACT_WORD_CAP", 5000)
+    case = ("cat", 8, 8, 7)
+    whole, tiled = (_traced_series(case, True, budget, 10 ** 9)
+                    for budget in (2 ** 62, 64))
+    assert whole[0][0] is ResourceLimitError
+    assert tiled[:2] == whole[:2]
+
+
+def test_tiled_baker_depth16_peak_memory_is_bounded():
+    # tracemalloc peak of baker 2x1 to depth 16: 15.6 MiB when every depth
+    # refined the whole store, 8.3 MiB in four tiles from depth 13, where
+    # about 4 MiB are the records themselves
+    assert _refinement_peak("baker", 2, 1, 16) < 11 * 2 ** 20
