@@ -453,7 +453,7 @@ def _tiled_depths(store: list, tiles: list, torus_map: TorusMap,
     depths = range(n, n_max + 1)
     code_parts = [[] for _ in depths]
     measure_parts = [[] for _ in depths]
-    done = [0 for _ in depths]  # the words of the tiles done, per depth
+    done = [0] * len(depths)  # the words of the tiles done, per depth
     verts, counts, owner = store
     store.clear()
     for i, (lo, hi) in enumerate(tiles):
