@@ -8,6 +8,11 @@ classical and operator routes together.  The ``pesinlab`` console script
 fronts the same machinery.
 """
 
+import os
+
+# before numpy loads: an idle OpenBLAS worker spins on a second CPU
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .errors import (ConfigurationError, ResourceLimitError,
                      UnsupportedOperationError)
 from .gamow import (BiorthOperator, ChainResult, GamowSpec, chain_trace,

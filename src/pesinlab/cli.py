@@ -592,12 +592,10 @@ def cmd_gamow_evolve(args):
            "t_r": spec.t_r, "j": j, "off_mass_ratio": ratio,
            "operator": serialize.biorth_doc(evolved)}
     header = ("r", "s", "re", "im")
-    rows = []
-    for r in range(evolved.dim):
-        for s in range(evolved.dim):
-            rows.append([str(r), str(s),
-                         serialize.fmt_float(evolved.coeffs[r, s].real),
-                         serialize.fmt_float(evolved.coeffs[r, s].imag)])
+    # made as the CSV is written, so no row list of the whole operator is held
+    rows = ([str(r), str(s), serialize.fmt_float(evolved.coeffs[r, s].real),
+             serialize.fmt_float(evolved.coeffs[r, s].imag)]
+            for r in range(evolved.dim) for s in range(evolved.dim))
     written = _emit(out_dir, "gamow_evolve", opt["format"], doc, header, rows)
 
     print(f"spec: omega0 {_fmt(spec.omega0)}, gamma0 {_fmt(spec.gamma0)}, "

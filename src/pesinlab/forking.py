@@ -40,8 +40,10 @@ def stream(child: Callable[[], Iterator[list]] | None):
     r, w = os.pipe()
     with open(r, "rb") as inp, open(w, "wb") as out:
         with warnings.catch_warnings():
-            # Python 3.12+ counts the BLAS pool's idle threads; the work in
-            # either process runs on its calling thread
+            # Python 3.12+ warns of a BLAS pool's idle threads, which run
+            # when a caller asked for more than pesinlab's one BLAS thread
+            # or imported numpy first; the work in either process runs on
+            # its calling thread
             warnings.simplefilter("ignore", DeprecationWarning)
             pid = os.fork()
         if pid == 0:

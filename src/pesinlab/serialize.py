@@ -22,18 +22,26 @@ def fmt_float(x) -> str:
 
 
 def write_json(path, doc) -> Path:
+    """Write doc as it is encoded, so no whole-document string is held."""
     path = Path(path)
-    # bare NaN or Infinity would not be JSON
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True,
-                               allow_nan=False) + "\n")
+    try:
+        with path.open("w") as fh:
+            # bare NaN or Infinity would not be JSON
+            json.dump(doc, fh, indent=2, sort_keys=True, allow_nan=False)
+            fh.write("\n")
+    except Exception:
+        # a refused value leaves no partial file
+        path.unlink(missing_ok=True)
+        raise
     return path
 
 
 def write_csv(path, header, rows) -> Path:
+    """Write each of rows, an iterable of string lists, as it comes."""
     path = Path(path)
-    lines = [",".join(header)]
-    lines.extend(",".join(row) for row in rows)
-    path.write_text("\n".join(lines) + "\n")
+    with path.open("w") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(",".join(row) + "\n" for row in rows)
     return path
 
 

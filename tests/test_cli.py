@@ -7,6 +7,7 @@ import re
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -349,6 +350,27 @@ def test_gamow_evolve_prescribed_tables(tmp_path, capsys):
     doc = json.loads((tmp_path / "gamow_evolve.json").read_text())
     assert doc["operator"]["label"] == "left"
     assert doc["operator"]["re"][0][0] == 0.6
+
+
+def test_gamow_evolve_streams_its_output(tmp_path, capsys):
+    # 175 bytes a coefficient by tracemalloc, the operators and the JSON
+    # document's lists included; 760 with a row list of the whole CSV and
+    # the whole JSON text in one string
+    n_max = 150
+    tracemalloc.start()
+    try:
+        code, _, _ = run_cli(["gamow-evolve", "--n-max", str(n_max),
+                              "--cells", "2", "--format", "both",
+                              "--out", str(tmp_path)], capsys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 300 * n_max ** 2
+    rows = (tmp_path / "gamow_evolve.csv").read_text().splitlines()
+    assert len(rows) == 1 + n_max ** 2
+    doc = json.loads((tmp_path / "gamow_evolve.json").read_text())
+    assert float(rows[-1].split(",")[2]) == doc["operator"]["re"][-1][-1]
 
 
 def test_gamow_evolve_cell_out_of_range(tmp_path, capsys):

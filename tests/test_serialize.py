@@ -37,6 +37,7 @@ def test_json_writer_refuses_non_finite_numbers(tmp_path, value):
     # bare NaN or Infinity is not JSON; the writer must not produce it
     with pytest.raises(ValueError):
         write_json(tmp_path / "doc.json", {"a": [1.0, value]})
+    assert not (tmp_path / "doc.json").exists()
 
 
 def test_csv_writer_layout(tmp_path):
