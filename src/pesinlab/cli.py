@@ -23,16 +23,17 @@ from typing import Optional
 
 import numpy as np
 
-from . import limits, serialize
+from . import _lazy_submodule, limits, serialize
 from .errors import (ConfigurationError, ResourceLimitError,
                      UnsupportedOperationError)
-from .gamow import GamowSpec, evolve_operator, make_cell_operators, \
-    off_mass_ratio
-from .lyapunov import lyapunov_spectrum, pesin_residual
 from .maps import MAP_NAMES, PhasePoint, make_map
 from .partitions import (MC_ESTIMATORS, MEASURE_MODES, GridPartition,
                          McConfig, h_mu_ratio, hks_estimate, word_rows)
-from .pipeline import ClassicalSource, QuantumSource, prescription_run
+
+# the entropy commands never run these, so each loads on first use
+gamow = _lazy_submodule("gamow")
+lyapunov = _lazy_submodule("lyapunov")
+pipeline = _lazy_submodule("pipeline")
 
 FORMATS = ("json", "csv", "both")
 SOURCES = ("classical", "gamow")
@@ -366,8 +367,8 @@ def _cell_operators(cfg, opt, steps, step_flag, use_bytes,
     """The GamowSpec and cell operators of the operator-side commands,
     once their phases up to steps (step_flag) and their bytes with the
     use_bytes of the command's use of them (flags) pass the limits."""
-    spec = GamowSpec(**{k: opt[k] for k in ("omega0", "gamma0", "hbar",
-                                            "alpha", "n_max")})
+    spec = gamow.GamowSpec(**{k: opt[k] for k in ("omega0", "gamma0",
+                                                  "hbar", "alpha", "n_max")})
     limits.check_phases(spec, steps, step_flag)
     n_max, cells = opt["n_max"], opt["cells"]
     generation = opt.get("generation", "random")
@@ -385,7 +386,8 @@ def _cell_operators(cfg, opt, steps, step_flag, use_bytes,
                     f"{key} needs generation=prescribed")
         draw = {k: opt[k] for k in ("seed", "total_mass", "spread",
                                     "off_scale", "support")}
-    return spec, make_cell_operators(spec, opt["cells"], generation, **draw)
+    return spec, gamow.make_cell_operators(spec, opt["cells"], generation,
+                                           **draw)
 
 
 # --- commands ---------------------------------------------------------------
@@ -397,7 +399,7 @@ def _spectrum(torus_map, seed, steps):
     one spectrum is all either command needs.
     """
     x0 = PhasePoint(*np.random.default_rng(seed).random(2))
-    return lyapunov_spectrum(torus_map, x0, steps)
+    return lyapunov.lyapunov_spectrum(torus_map, x0, steps)
 
 
 def cmd_lyapunov(args):
@@ -503,7 +505,7 @@ def cmd_pesin(args):
                              for r in est.records[0]]}
 
     positive = _spectrum(torus_map, opt["seed"], lyap_steps).positive_sum
-    report = pesin_residual(max(est.value, 0.0), positive)
+    report = lyapunov.pesin_residual(max(est.value, 0.0), positive)
 
     doc = {"command": "pesin", "config": _echo(cfg), "h_estimate": h_doc,
            "lyapunov": {"positive_sum": positive, "steps": lyap_steps},
@@ -529,7 +531,7 @@ def cmd_prescription(args):
     if source_name == "classical":
         torus_map = make_map(_required(opt, "map", MAP_NAMES))
         part, mc, depth = _refinement_setup(cfg, opt, 16, 16, low=7)
-        source = ClassicalSource(torus_map, part, opt["mode"], mc)
+        source = pipeline.ClassicalSource(torus_map, part, opt["mode"], mc)
     else:
         depth = _depth(cfg, 80, low=7)
         # the operators and the run's use of them share one cap
@@ -537,7 +539,7 @@ def cmd_prescription(args):
                                         opt["word_budget"])
         use = limits.quantum_run_bytes(words, depth, opt["cells"],
                                        opt["n_max"])
-        source = QuantumSource(*_cell_operators(
+        source = pipeline.QuantumSource(*_cell_operators(
             cfg, opt, depth, "--depth", use,
             "--word-budget, --depth, --cells or --n-max"))
     cfg["depth"] = depth
@@ -545,10 +547,10 @@ def cmd_prescription(args):
         # the fits need at least 4 tail points among depths 0..depth
         _as_int("onset", opt["onset"], high=depth - 3)
 
-    run = prescription_run(source, depth, word_budget=opt["word_budget"],
-                           seed=opt["seed"], r2_threshold=opt["r2_threshold"],
-                           onset=opt["onset"],
-                           progress=_progress)
+    run = pipeline.prescription_run(
+        source, depth, word_budget=opt["word_budget"], seed=opt["seed"],
+        r2_threshold=opt["r2_threshold"], onset=opt["onset"],
+        progress=_progress)
 
     doc = {"command": "prescription",
            "config": _echo(cfg, ("any", source_name)),
@@ -585,18 +587,14 @@ def cmd_gamow_evolve(args):
     spec, ops = _cell_operators(cfg, opt, j, "--j",
                                 limits.EVOLVE_ENTRY_BYTES * opt["n_max"] ** 2)
 
-    evolved = evolve_operator(spec, ops[cell], j)
-    ratio = limits.check_off_mass(off_mass_ratio(evolved))
+    evolved = gamow.evolve_operator(spec, ops[cell], j)
+    ratio = limits.check_off_mass(gamow.off_mass_ratio(evolved))
 
     doc = {"command": "gamow-evolve", "config": _echo(cfg),
            "t_r": spec.t_r, "j": j, "off_mass_ratio": ratio,
            "operator": serialize.biorth_doc(evolved)}
-    header = ("r", "s", "re", "im")
-    # made as the CSV is written, so no row list of the whole operator is held
-    rows = ([str(r), str(s), serialize.fmt_float(evolved.coeffs[r, s].real),
-             serialize.fmt_float(evolved.coeffs[r, s].imag)]
-            for r in range(evolved.dim) for s in range(evolved.dim))
-    written = _emit(out_dir, "gamow_evolve", opt["format"], doc, header, rows)
+    written = _emit(out_dir, "gamow_evolve", opt["format"], doc,
+                    serialize.BIORTH_CSV_HEADER, serialize.biorth_rows(evolved))
 
     print(f"spec: omega0 {_fmt(spec.omega0)}, gamma0 {_fmt(spec.gamma0)}, "
           f"hbar {_fmt(spec.hbar)}, alpha {_fmt(spec.alpha)}, "

@@ -34,9 +34,11 @@ Bytes per unit, measured with tracemalloc:
 - DRAW_ENTRY_BYTES an entry of a random draw's support block (64.8);
   EVOLVE_ENTRY_BYTES an entry of gamow-evolve's JSON and CSV (600-700
   when both were built whole before writing).  They are now written as
-  they are made: --n-max 1000 --cells 2 peaks at 115 bytes a coefficient,
-  the operators and the JSON document's lists of floats included (110 MiB,
-  against 599 MB), so 640 overstates it; it stays, so no refusal moves.
+  they are made, each JSON list of floats as one joined string and the
+  CSV one matrix row at a time: --n-max 1000 --cells 2 peaks at 114 bytes
+  a coefficient, the operators and the JSON document's lists of floats
+  included (108 MiB, against 599 MB), so 640 overstates it; it stays, so
+  no refusal moves.
 - QUANTUM_WORD_BYTES a quantum word, QUANTUM_SYMBOL_BYTES a word and
   symbol: words (4), magnitudes (8), prefix magnitudes or fit temporaries
   (8), traces, sort indices and row sums.  4 cells of 32 x 32 took 70 +

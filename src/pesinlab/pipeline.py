@@ -16,17 +16,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import TYPE_CHECKING, Callable, Optional, Union
 
 import numpy as np
 
-from . import limits
+from . import _lazy_submodule, limits
 from .errors import ConfigurationError
-from .gamow import BiorthOperator, GamowSpec, _check_dim, chain_traces, \
-    decay_bounds
 from .maps import TorusMap
 from .partitions import GridPartition, McConfig, entropy_nats, fit_line, \
     prefix_levels, refine_series, tail_slope, word_rows
+
+if TYPE_CHECKING:
+    from .gamow import BiorthOperator, GamowSpec
+
+# a classical source never runs the operator model
+gamow = _lazy_submodule("gamow")
 
 VERDICTS = ("exponential", "not_exponential", "inconclusive")
 
@@ -97,7 +101,8 @@ def mu_via_quantum(spec: GamowSpec, cell_ops, word, start_step: int = 0) -> floa
     symbols = tuple(word)
     if len(symbols) < 1:
         raise ValueError("a word needs at least one symbol")
-    mags, _ = chain_traces(spec, list(cell_ops), np.array([symbols]), start_step)
+    mags, _ = gamow.chain_traces(spec, list(cell_ops), np.array([symbols]),
+                                 start_step)
     return float(mags[0, -1])
 
 
@@ -145,7 +150,7 @@ class QuantumSource:
         if len(ops) < 2:
             raise ValueError("need at least 2 cell operators")
         for op in ops:
-            _check_dim(self.spec, op)
+            gamow._check_dim(self.spec, op)
         object.__setattr__(self, "cell_ops", ops)
 
 
@@ -322,7 +327,7 @@ def _quantum_measures(src: QuantumSource, n_max: int, word_budget: int,
     # past the relaxation time a trace follows its word's (0, 0) lead
     # product; once that leaves the normal doubles the magnitudes lose
     # precision and then read 0, so such depths are refused up front
-    bounds = decay_bounds(ops)
+    bounds = gamow.decay_bounds(ops)
     limits.check_underflow([op.coeffs[0, 0].real for op in ops], words, n_max)
 
     # the entropy profile takes each depth's distinct prefixes once (shared
@@ -345,7 +350,7 @@ def _quantum_measures(src: QuantumSource, n_max: int, word_budget: int,
             progress(f"depth {n}/{n_max}: mean |trace| {col.mean():.6g}, "
                      f"dim {k}")
 
-    mags, tr = chain_traces(spec, ops, words, on_depth=on_depth)
+    mags, tr = gamow.chain_traces(spec, ops, words, on_depth=on_depth)
     entropies = [entropy_nats(vals) for vals in per_depth]
     with np.errstate(invalid="ignore", divide="ignore"):
         ratios = np.where(mags[:, -1] > 0.0, np.abs(tr.imag) / mags[:, -1], 0.0)

@@ -2,7 +2,12 @@
 
 Machine formats keep full double precision (repr round-trips); nothing here
 writes timestamps, hostnames, or filesystem paths, so a rerun with the same
-config and seed produces byte-identical files.
+config and seed produces byte-identical files.  JSON comes out in
+json.dump's indented layout, from a writer that formats each list of
+floats in one join.
+
+The result types are imported for type checking only, so every command
+can load this module without loading the modules that make them.
 """
 
 from __future__ import annotations
@@ -10,24 +15,109 @@ from __future__ import annotations
 import json
 import math
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .gamow import BiorthOperator
-from .lyapunov import LyapunovSpectrum, PesinReport
-from .partitions import RefinementRecord
-from .pipeline import PrescriptionRun
+if TYPE_CHECKING:
+    from .gamow import BiorthOperator
+    from .lyapunov import LyapunovSpectrum, PesinReport
+    from .partitions import RefinementRecord
+    from .pipeline import PrescriptionRun
 
 
 def fmt_float(x) -> str:
     return repr(float(x))
 
 
+_json_str = json.encoder.encode_basestring_ascii   # json.dump's, ensure_ascii
+
+
+def _json_float(x: float) -> str:
+    # bare NaN or Infinity would not be JSON
+    if not math.isfinite(x):
+        raise ValueError(
+            f"Out of range float values are not JSON compliant: {x!r}")
+    return float.__repr__(x)
+
+
+def _json_scalar(value) -> str:
+    if isinstance(value, str):
+        return _json_str(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return _json_float(value)
+    raise TypeError(
+        f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _json_chunks(value, indent: str):
+    """The text of json.dump(value, indent=2, sort_keys=True,
+    allow_nan=False), in pieces, for a value nested at indent.
+
+    A list of floats is one join of float.__repr__, which is what makes a
+    large operator cheap to write; json.dump's indented encoder is pure
+    Python and formats each float in its own call.
+    """
+    inner = indent + "  "
+    sep = ",\n" + inner
+    if isinstance(value, dict):
+        if not value:
+            yield "{}"
+            return
+        yield "{\n" + inner
+        for i, (key, item) in enumerate(sorted(value.items())):
+            if not isinstance(key, str):
+                if not isinstance(key, (int, float)) and key is not None:
+                    raise TypeError("keys must be str, int, float, bool or "
+                                    f"None, not {type(key).__name__}")
+                key = _json_scalar(key)
+            yield (sep if i else "") + _json_str(key) + ": "
+            if isinstance(item, (list, tuple, dict)):
+                yield from _json_chunks(item, inner)
+            else:
+                yield _json_scalar(item)
+        yield "\n" + indent + "}"
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            yield "[]"
+            return
+        if isinstance(value[0], float):
+            try:
+                text = sep.join(map(float.__repr__, value))
+            except TypeError:  # not floats throughout
+                pass
+            else:
+                if "n" in text:  # nan or inf: no finite repr has an n
+                    for x in value:
+                        _json_float(x)
+                yield "[\n" + inner + text + "\n" + indent + "]"
+                return
+        yield "[\n" + inner
+        for i, item in enumerate(value):
+            if i:
+                yield sep
+            if isinstance(item, (list, tuple, dict)):
+                yield from _json_chunks(item, inner)
+            else:
+                yield _json_scalar(item)
+        yield "\n" + indent + "]"
+    else:
+        yield _json_scalar(value)
+
+
 def write_json(path, doc) -> Path:
-    """Write doc as it is encoded, so no whole-document string is held."""
+    """Write doc in json.dump's layout (indent 2, sorted keys, no NaN) as
+    it is encoded, so no whole-document string is held."""
     path = Path(path)
     try:
         with path.open("w") as fh:
-            # bare NaN or Infinity would not be JSON
-            json.dump(doc, fh, indent=2, sort_keys=True, allow_nan=False)
+            fh.writelines(_json_chunks(doc, ""))
             fh.write("\n")
     except Exception:
         # a refused value leaves no partial file
@@ -106,9 +196,22 @@ def biorth_doc(op: BiorthOperator) -> dict:
     return {
         "label": op.label,
         "dim": op.dim,
-        "re": [[float(v) for v in row] for row in op.coeffs.real],
-        "im": [[float(v) for v in row] for row in op.coeffs.imag],
+        "re": op.coeffs.real.tolist(),
+        "im": op.coeffs.imag.tolist(),
     }
+
+
+BIORTH_CSV_HEADER = ("r", "s", "re", "im")
+
+
+def biorth_rows(op: BiorthOperator):
+    """The CSV rows of op's coefficients, made one matrix row at a time as
+    they are written, so no row list of the whole operator is held."""
+    cols = [str(s) for s in range(op.dim)]
+    for r, (re_row, im_row) in enumerate(zip(op.coeffs.real, op.coeffs.imag)):
+        r = str(r)
+        for s, re, im in zip(cols, re_row.tolist(), im_row.tolist()):
+            yield [r, s, repr(re), repr(im)]
 
 
 # --- prescription runs ------------------------------------------------------

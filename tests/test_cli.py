@@ -13,8 +13,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pesinlab import GridPartition, PhasePoint, cli, limits, \
-    lyapunov_spectrum, make_map, pipeline
+from pesinlab import GridPartition, PhasePoint, cli, gamow, limits, \
+    lyapunov, lyapunov_spectrum, make_map
 from pesinlab.cli import main
 
 LN2 = math.log(2.0)
@@ -353,7 +353,7 @@ def test_gamow_evolve_prescribed_tables(tmp_path, capsys):
 
 
 def test_gamow_evolve_streams_its_output(tmp_path, capsys):
-    # 175 bytes a coefficient by tracemalloc, the operators and the JSON
+    # 173 bytes a coefficient by tracemalloc, the operators and the JSON
     # document's lists included; 760 with a row list of the whole CSV and
     # the whole JSON text in one string
     n_max = 150
@@ -585,7 +585,7 @@ def test_quantum_words_past_the_old_product_buffer_pass_the_memory_cap(
         assert words.shape == (4 ** 10, 10)
         raise KernelReached
 
-    monkeypatch.setattr(pipeline, "chain_traces", kernel)
+    monkeypatch.setattr(gamow, "chain_traces", kernel)
     code, _, err = run_cli(["prescription", "--source", "gamow", "--cells",
                             "4", "--depth", "9", "--word-budget", "2000000",
                             "--out", str(tmp_path)], capsys)
@@ -597,7 +597,7 @@ def _forbid_draw(monkeypatch):
     def no_draw(*args, **kwargs):
         raise AssertionError("cell operators were drawn")
 
-    monkeypatch.setattr(cli, "make_cell_operators", no_draw)
+    monkeypatch.setattr(gamow, "make_cell_operators", no_draw)
 
 
 @pytest.mark.parametrize("argv", [
@@ -624,7 +624,7 @@ def test_longest_lyapunov_orbit_is_accepted(tmp_path, capsys, monkeypatch):
         asked.append(steps)
         return lyapunov_spectrum(torus_map, x0, 200)
 
-    monkeypatch.setattr(cli, "lyapunov_spectrum", short_spectrum)
+    monkeypatch.setattr(lyapunov, "lyapunov_spectrum", short_spectrum)
     code, _, err = run_cli(["lyapunov", "--map", "cat", "--steps",
                             str(limits.MAX_LYAP_STEPS), "--out",
                             str(tmp_path)],

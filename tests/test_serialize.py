@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import subprocess
 import sys
 
@@ -13,11 +14,11 @@ from pesinlab import (BiorthOperator, ClassicalSource, GamowSpec,
                       word_rows)
 from pesinlab.serialize import (PRESCRIPTION_CSV_HEADER,
                                 REFINEMENT_CSV_HEADER, biorth_doc,
-                                decay_report_doc, fmt_float, pesin_doc,
-                                prescription_doc, prescription_rows,
-                                refinement_record_doc, refinement_rows,
-                                spectrum_doc, write_csv, write_json,
-                                write_plot_script)
+                                biorth_rows, decay_report_doc, fmt_float,
+                                pesin_doc, prescription_doc,
+                                prescription_rows, refinement_record_doc,
+                                refinement_rows, spectrum_doc, write_csv,
+                                write_json, write_plot_script)
 
 
 def test_float_formatting_round_trips():
@@ -37,6 +38,43 @@ def test_json_writer_refuses_non_finite_numbers(tmp_path, value):
     # bare NaN or Infinity is not JSON; the writer must not produce it
     with pytest.raises(ValueError):
         write_json(tmp_path / "doc.json", {"a": [1.0, value]})
+    assert not (tmp_path / "doc.json").exists()
+
+
+# documents whose lists take the float join, or fall back from it part way
+JSON_DOCS = [
+    {},
+    [],
+    {"a": [], "b": {}, "c": [[], {}], "d": ()},
+    {"re": [[0.1, -0.0, 1e-300], [2.5, 1e300, -3.0]], "dim": 2},
+    {"mixed": [1.0, 2, "x", None, True, [3.0]], "ints": [1, 2.0]},
+    {"np": [np.float64(0.1), 0.2], "t": (1.5, 2.5), "u": "\u00e9\u2192\n"},
+    {"words": {"0,1": {"value": 0.25, "stderr": 0.0}}, "n": -7},
+    {2: "b", 1: "a"}, {2.5: 1, -0.5: 2}, {True: 1, False: 0}, {None: []},
+    {"deep": [{"a": [[0.5]]}, [[[]]]]},
+    1.5,
+    "top",
+]
+
+
+@pytest.mark.parametrize("doc", JSON_DOCS)
+def test_json_writer_matches_json_dump(tmp_path, doc):
+    p = write_json(tmp_path / "doc.json", doc)
+    expected = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+    assert p.read_text() == expected + "\n"
+
+
+@pytest.mark.parametrize("doc", [
+    {"a": [1.0, math.nan]}, [math.inf], {"a": -math.inf},
+    {"a": [0.5, "x", math.nan]}, {math.nan: 1},
+    {"a": [np.int64(1)]}, {"a": np.float32(1.0)}, {(1, 2): 0},
+    {1: 0, "a": 0},
+])
+def test_json_writer_refuses_what_json_dump_refuses(tmp_path, doc):
+    with pytest.raises((ValueError, TypeError)) as expected:
+        json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+    with pytest.raises(expected.type, match=re.escape(str(expected.value))):
+        write_json(tmp_path / "doc.json", doc)
     assert not (tmp_path / "doc.json").exists()
 
 
@@ -98,6 +136,13 @@ def test_biorth_doc_round_trip():
     assert doc["dim"] == 4
     back = np.array(doc["re"]) + 1j * np.array(doc["im"])
     assert np.array_equal(back, c)
+
+
+def test_biorth_rows_list_every_coefficient():
+    c = np.array([[0.1 - 2j, -0.0], [1e-300, 3.0 + 0.5j]])
+    rows = list(biorth_rows(BiorthOperator(c, None)))
+    assert rows == [["0", "0", "0.1", "-2.0"], ["0", "1", "-0.0", "0.0"],
+                    ["1", "0", "1e-300", "0.0"], ["1", "1", "3.0", "0.5"]]
 
 
 def test_prescription_doc_classical():

@@ -8,6 +8,10 @@ benchmark run, so these checks keep it in the fast suite.
 import dataclasses
 import importlib
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -16,7 +20,8 @@ import pytest
 import pesinlab
 from pesinlab import MAP_NAMES, GridPartition, McConfig, make_map, refine_series
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACING = ROOT / "perfbench" / "tracing.py"
 
 
 def _tracing():
@@ -79,3 +84,39 @@ def test_refine_series_returns_what_the_refined_hook_reads(mode):
             tracer.words_per_depth)
         if mode == "mc":
             assert tracer.counts["partitions.mc.sample_steps"] == 100 * 3
+
+
+TRACED_RUN = """
+import json
+import tracing
+
+tracer = tracing.Tracer()
+main = tracing.install(tracer)
+codes = [main(argv) for argv in ARGVS]
+print(json.dumps({"codes": codes,
+                  "calls": {name: stat[0]
+                            for name, stat in tracer.stats.items()}}))
+"""
+
+
+def test_tracer_reaches_the_commands_modules(tmp_path):
+    # the tracer finds its targets in sys.modules right after importing
+    # pesinlab.cli, in a fresh interpreter as the benchmark runs it, so the
+    # modules the CLI loads on first use must be there and traced too
+    argvs = [["ks-entropy", "--map", "cat", "--grid", "4x4", "--depth", "4",
+              "--out", str(tmp_path / "ks")],
+             ["prescription", "--source", "gamow", "--cells", "2",
+              "--depth", "8", "--word-budget", "16",
+              "--out", str(tmp_path / "presc")]]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(TRACING.parent), str(ROOT / "src")]))
+    proc = subprocess.run([sys.executable, "-c",
+                           f"ARGVS = {argvs!r}\n{TRACED_RUN}"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["codes"] == [0, 0]
+    calls = result["calls"]
+    for name in ("partitions.refine_series", "pipeline.prescription_run",
+                 "gamow.make_cell_operators"):
+        assert calls[name] >= 1, (name, calls)
