@@ -7,7 +7,8 @@ phases), exit 2 on the command line, naming the flags to lower.
   or quantum_run_bytes above it.
 - EXACT_WORD_CAP, 2^20 words, as projected from the last two depths;
   a refinement run in tiles replays the check of each tiled depth once
-  its last tile is done, before that depth is handed on.
+  its last tile is done, before its tiles are joined
+  (partitions._join_tiles) and the depth is handed on.
 - MAX_LYAP_STEPS, 10^7 steps: 14 s at 0.7 M steps/s on a 2-core Xeon.
 - check_phases: evolution phases past a double; check_off_mass: an
   off-(0, 0) mass ratio past a double; check_underflow: quantum (0, 0)

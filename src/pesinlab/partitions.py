@@ -4,7 +4,10 @@ Words (k_0, ..., k_n) label the cells of the iterated join of a grid
 partition with its dynamical preimages.  Their measures are obtained either
 exactly, by propagating polygon pieces forward (the piece list of a word is
 the n-step image of its cell, and the map preserves area), or by following a
-cloud of sample points and counting word frequencies.
+cloud of sample points and counting word frequencies.  Either way the
+deepest or largest depths run in tiles of whole words, and one join,
+_join_tiles, offsets each tile's codes and joins its parts into the
+depth's record.
 
 The entropy kernel is shared by every caller so that two code paths fed the
 same measures produce bit-identical entropies.
@@ -388,11 +391,16 @@ def _exact_series(torus_map: TorusMap, part: GridPartition, n_max: int,
     scratch.  The last depth builds no store: it holds its kept cuts' keys
     and areas only, and its input store is let go before it is yielded.
 
-    Once the store entering a depth is projected to enter the last depth
-    above limits.EXACT_TILE_PIECES pieces (_exact_tiles), the rest of the
-    series runs in tiles (_tiled_depths): a word's pieces never leave its
-    ancestor's, so each tile of whole words runs alone to n_max, and the
-    tiled depths are yielded together once the last tile is done.  Without
+    Once the store entering a depth n is projected to enter the last depth
+    above limits.EXACT_TILE_PIECES pieces (_exact_tiles), it is cut into
+    tiles of whole word rows [w_lo, w_hi).  A word's pieces never leave its
+    ancestor's, so each tile runs alone to n_max, its owner rows counted
+    from w_lo, and only one tile's store is live.  Then _join_tiles joins
+    the tiled depths in order, each after limits.check_word_projection is
+    replayed for it (depth n's ran before the cut), so a refusal comes
+    after the same lines as in a whole run.  A word's measure is an fsum
+    over its own pieces, all in one tile, and a depth's entropy one fsum
+    over its tiles' measures, so every bit is a whole run's.  Without
     words, a tiled depth's codes and measures are None.
     """
     if torus_map.branches is None:
@@ -414,48 +422,21 @@ def _exact_series(torus_map: TorusMap, part: GridPartition, n_max: int,
         if n >= 2:
             limits.check_word_projection(n_words[-1], n_words[-2], n, n_max,
                                          what)
+        tiles = _exact_tiles(store[2], n_words, n, n_max)
+        if tiles:
+            break
         if n > 0:
-            tiles = _exact_tiles(store[2], n_words, n, n_max)
-            if tiles:
-                yield from _tiled_depths(store, tiles, torus_map, part, n,
-                                         n_max, words, n_words, what)
-                return
             codes, measures, *store = _refine_pieces(*store, torus_map, part,
                                                      n < n_max)
         n_words.append(len(codes))
         yield entropy_nats(measures), len(codes), codes, measures
         # a summary's arrays are not held while the next depth refines
         del codes, measures
-
-
-def _tiled_depths(store: list, tiles: list, torus_map: TorusMap,
-                  part: GridPartition, n: int, n_max: int, words: bool,
-                  n_words: list, what: str
-                  ) -> Iterator[tuple[float, int, Optional[np.ndarray],
-                                      Optional[np.ndarray]]]:
-    """Yield depths n..n_max as _exact_series does, from the store entering
-    depth n (emptied here) cut into tiles of whole word rows.
-
-    A tile is every piece whose owner row lies in [w_lo, w_hi); it runs
-    alone to n_max through _refine_pieces, with its owner rows counted
-    from w_lo.  Its codes are offset by the earlier tiles' words at the
-    depth before, times the cell count, as _mc_series' tiles are, so the
-    tiles' codes, in turn, join to the depth's.  A word's measure is an
-    fsum over its own pieces, which all lie in one tile, and each depth's
-    entropy is one fsum over its tiles' measures, so every bit is that of
-    a whole run.  Each tiled depth keeps its tiles' measures and, with
-    words, codes until the last tile is done; then the depths are yielded
-    in order, each after limits.check_word_projection is replayed for it
-    (depth n's was checked before the cut), so a refusal comes after the
-    same depth lines as in a whole run.
-    """
-    m = part.n_cells
-    depths = range(n, n_max + 1)
-    code_parts = [[] for _ in depths]
-    measure_parts = [[] for _ in depths]
-    done = [0] * len(depths)  # the words of the tiles done, per depth
+    else:
+        return  # every depth ran whole
+    depths = [[] for _ in range(n, n_max + 1)]
     verts, counts, owner = store
-    store.clear()
+    del store
     for i, (lo, hi) in enumerate(tiles):
         # a subsequence of the store is still grouped by count
         keep = (owner >= lo) & (owner < hi)
@@ -464,32 +445,58 @@ def _tiled_depths(store: list, tiles: list, torus_map: TorusMap,
         if i == len(tiles) - 1:
             # the last tile is cut, so the whole store goes
             del verts, counts, owner
-        offset = lo  # the earlier tiles' words at the depth before
-        for j, d in enumerate(depths):
+        for d, parts in enumerate(depths, n):
             codes, measures, *tile = _refine_pieces(*tile, torus_map, part,
                                                     d < n_max)
-            if words:
-                codes += offset * m
-                code_parts[j].append(codes)
-            measure_parts[j].append(measures)
-            offset = done[j]
-            done[j] += len(codes)
+            parts.append((codes if words else None, measures))
             del codes, measures
-    for j, d in enumerate(depths):
-        if d > n:
-            limits.check_word_projection(n_words[-1], n_words[-2], d, n_max,
-                                         what)
-        n_words.append(done[j])
-        if words:
-            codes = np.concatenate(code_parts[j])
-            measures = np.concatenate(measure_parts[j])
-            code_parts[j] = measure_parts[j] = None
-            yield entropy_nats(measures), done[j], codes, measures
-            del codes, measures
-        else:
-            parts, measure_parts[j] = measure_parts[j], None
-            yield _entropy_of_parts(parts), done[j], None, None
-            del parts
+
+    def checked():
+        for d, parts in enumerate(depths, n):
+            if d > n:
+                limits.check_word_projection(n_words[-1], n_words[-2], d,
+                                             n_max, what)
+            n_words.append(sum(len(v) for _, v in parts))
+            yield parts
+
+    yield from _join_tiles(checked(), [hi - lo for lo, hi in tiles],
+                           part.n_cells, lambda parts: (
+                               _entropy_of_parts(parts),
+                               np.concatenate(parts) if words else None))
+
+
+def _join_tiles(depths: Iterable[list], before: list, m: int,
+                join: Callable[[list], tuple[float, Optional[np.ndarray]]]
+                ) -> Iterator[tuple[float, int, Optional[np.ndarray],
+                                    Optional[np.ndarray]]]:
+    """Yield the entropy, word count, codes and measures of each depth
+    from its tiles, the one join of exact and Monte Carlo refinement.
+
+    depths yields, per depth, a list of each tile's (codes, values) in
+    tile order.  A tile's codes are keys of its own word rows at the depth
+    before, counted from 0, times m plus a symbol, in lex order, or None
+    without words; before holds each tile's words at the depth before the
+    first.  Each tile's codes are offset in place by the earlier tiles'
+    words at the depth before, times m, so that, in turn, they join to the
+    depth's.  join takes a list of the value parts, which it may empty as
+    it uses them, and returns the entropy and the measures.  The depth's
+    list is emptied before join runs, and join's list is let go before the
+    depth is yielded, so no part outlives its use, whoever else holds the
+    depth's list.
+    """
+    for parts in depths:
+        codes = None
+        if parts[0][0] is not None:
+            offsets = itertools.accumulate(before, initial=0)
+            codes = np.concatenate([np.add(c, at * m, out=c)
+                                    for (c, _), at in zip(parts, offsets)])
+        before = [len(v) for _, v in parts]
+        values = [v for _, v in parts]
+        parts.clear()
+        entropy, measures = join(values)
+        del values
+        yield entropy, sum(before), codes, measures
+        del codes, measures
 
 
 # --- Monte-Carlo refinement -------------------------------------------------
@@ -572,22 +579,6 @@ def _mc_entropy(count_parts: list, n_samples: int, estimator: str,
     return float(-np.sum(terms)), measures
 
 
-def _mc_depth(code_parts: list, count_parts: list, cfg: McConfig,
-              words: bool) -> tuple[float, int, Optional[np.ndarray],
-                                    Optional[np.ndarray]]:
-    """The entropy, word count, codes and measures (both None without
-    words) of one depth from its tiles' codes and counts, in lex order.
-
-    Both lists are emptied as they are joined, so no part outlives its use.
-    """
-    codes = np.concatenate(code_parts) if words else None
-    code_parts.clear()
-    n_words = sum(len(c) for c in count_parts)
-    entropy, measures = _mc_entropy(count_parts, cfg.n_samples,
-                                    cfg.estimator, words)
-    return entropy, n_words, codes, measures
-
-
 def _mc_tiles(starts: np.ndarray, n_samples: int) -> list[tuple[int, int]]:
     """Row ranges of runs of whole depth-0 cells, each cut at the first
     cell start at least limits.MC_TILE_SAMPLES rows past its own."""
@@ -650,36 +641,35 @@ def _mc_place(part: GridPartition, cfg: McConfig, cell_counts: np.ndarray,
 
 def _mc_steps(torus_map: TorusMap, part: GridPartition, n_max: int,
               cloud: np.ndarray, ids: np.ndarray, tiles: list, words: bool
-              ) -> Iterator[tuple[list, list]]:
-    """Yield the code parts (none without words) and count parts of the
-    tiles' words at each depth 1..n_max; the cloud and ids, which no caller
-    may hold, go before the last.  ids counts word rows from the first
-    tile's, so the codes are a record's less m times the words before."""
+              ) -> Iterator[list]:
+    """Yield each tile's (codes, counts) at each depth 1..n_max, codes
+    None without words, as _join_tiles takes them: a tile's ids are
+    counted from its first row's, so its codes count its own word rows.
+    The cloud and ids, which no caller may hold, go before the last."""
     m = part.n_cells
+    for lo, hi in tiles:
+        ids[lo:hi] -= ids[lo]
     for n in range(1, n_max + 1):
-        code_parts, count_parts, n_words = [], [], 0
+        parts = []
         for lo, hi in tiles:
             pts = torus_map.step_batch(cloud[lo:hi].view(float).reshape(-1, 2))
             order, starts, codes, local = group_prefixes(
                 ids[lo:hi].astype(np.int64) * m + part.cell_index_batch(pts))
             if n < n_max:
-                local += n_words
                 ids[lo:hi] = local
                 # order is a permutation, so nothing is clipped, and a
                 # clipped take writes out directly, with no buffer
                 np.take(pts.view(complex)[:, 0], order, out=cloud[lo:hi],
                         mode="clip")
-            if words:
-                code_parts.append(codes)
-            count_parts.append(np.diff(starts, append=hi - lo))
-            n_words += len(codes)
+            parts.append((codes if words else None,
+                          np.diff(starts, append=hi - lo)))
             # the tile's scratch goes before the next tile is made, and
             # is not held while the depth's record is
             del pts, order, starts, codes, local
         if n == n_max:
             # the last record is the largest, so the cloud makes room for it
             del cloud, ids
-        yield code_parts, count_parts
+        yield parts
 
 
 def _mc_series(torus_map: TorusMap, part: GridPartition, n_max: int,
@@ -699,24 +689,21 @@ def _mc_series(torus_map: TorusMap, part: GridPartition, n_max: int,
     # of the cloud is the sample whose word row is ids[i], and ids ascend.
     # A depth-0 cell is then a run of rows that no later word leaves, so
     # each depth runs one tile of whole cells at a time (_mc_tiles), and
-    # every temporary is tile-sized.  Keys are prefix rows times m plus a
-    # cell, so a tile's codes are the record's; its local word rows are
-    # offset by the words of the tiles before it, and the tiles' codes, in
-    # lex order, concatenate to the depth's.  Each point's arithmetic does
-    # not depend on its row, and codes and counts do not depend on the
-    # order of the samples inside a word.  The gather takes each row as one
-    # complex item, which numpy moves faster than a row of two floats.
+    # every temporary is tile-sized.  Each tile counts its word rows from
+    # 0, and _join_tiles joins the tiles' codes and counts, in lex order,
+    # to the depth's.  Each point's arithmetic does not depend on its row,
+    # and codes and counts do not depend on the order of the samples
+    # inside a word.  The gather takes each row as one complex item, which
+    # numpy moves faster than a row of two floats.
     #
     # Depth 0 and the tiles come from the cells' counts (_mc_counts), so
     # tiles never meet, and with two tiles or more and forking.may_fork(),
     # the run forks once, before any point is placed.  A child takes the
     # tiles from the one that starts nearest the middle sample, base: it
-    # places rows [base, N) itself, with word rows counted from 0, so
-    # neither process holds the other's rows.  At each depth it yields each
-    # tile's codes (with words) and counts, which forking.stream sends
-    # back.  This process places and runs rows [0, base), adds its own
-    # words at depth n - 1 times m to the child's codes and joins both
-    # halves in lex order, so every bit and every progress line is the
+    # places rows [base, N) itself, so neither process holds the other's
+    # rows.  At each depth it sends each tile's codes (with words) and
+    # counts through forking.stream, and they follow this process's tiles
+    # in the depth's list, so every bit and every progress line is the
     # same.  Each side's parts are tile-sized, so this process holds what a
     # one-process run would, less the child's rows.  With no split this
     # process places and runs every row, the child's share is empty, and
@@ -726,33 +713,41 @@ def _mc_series(torus_map: TorusMap, part: GridPartition, n_max: int,
     counts = cell_counts[codes]
     starts = np.cumsum(counts) - counts
     tiles = _mc_tiles(starts, cfg.n_samples)
-    yield _mc_depth([codes], [counts], cfg, words)
+    # each tile's words at depth 0: the cells that start in it
+    before = np.diff(np.searchsorted(
+        starts, [lo for lo, _ in tiles] + [cfg.n_samples])).tolist()
+    depth0 = [(codes if words else None, counts)]
+    del codes, counts, starts
+
+    def join(count_parts):
+        return _mc_entropy(count_parts, cfg.n_samples, cfg.estimator, words)
+
+    yield from _join_tiles([depth0], [1], part.n_cells, join)
     k = min(range(1, len(tiles)), default=0,
             key=lambda t: abs(2 * tiles[t][0] - cfg.n_samples))
     if not (n_max and k and may_fork()):
         k = len(tiles)
     base = tiles[k - 1][1]
     theirs = [(lo - base, hi - base) for lo, hi in tiles[k:]]
-    # this process's words at depth 0: base starts a depth-0 cell or ends
-    # the cloud
-    offset = int(np.searchsorted(starts, base))
-    del codes, starts, counts
 
     def child():
-        half = _mc_steps(torus_map, part, n_max, *_mc_place(
-            part, cfg, cell_counts, base, cfg.n_samples), theirs, words)
-        yield from (codes + counts for codes, counts in half)
+        for parts in _mc_steps(torus_map, part, n_max, *_mc_place(
+                part, cfg, cell_counts, base, cfg.n_samples), theirs, words):
+            arrays = [a for tile in parts for a in tile if a is not None]
+            parts.clear()
+            yield arrays
+            # sent, so the depth's parts go before the next depth runs
+            arrays.clear()
 
     with stream(child if theirs else None) as receive:
-        depths = _mc_steps(torus_map, part, n_max, *_mc_place(
-            part, cfg, cell_counts, 0, base), tiles[:k], words)
-        for code_parts, count_parts in depths:
-            if words:
-                code_parts += [receive() + offset * part.n_cells
-                               for _ in theirs]
-            offset = sum(len(c) for c in count_parts)
-            count_parts += [receive() for _ in theirs]
-            yield _mc_depth(code_parts, count_parts, cfg, words)
+        def depths():
+            for parts in _mc_steps(torus_map, part, n_max, *_mc_place(
+                    part, cfg, cell_counts, 0, base), tiles[:k], words):
+                parts += [(receive() if words else None, receive())
+                          for _ in theirs]
+                yield parts
+
+        yield from _join_tiles(depths(), before, part.n_cells, join)
 
 
 def refine_series(torus_map: TorusMap, part: GridPartition, n_max: int,

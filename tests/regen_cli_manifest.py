@@ -40,6 +40,14 @@ COMMANDS = (
     # the deepest depths run in tiles of whole words
     ["prescription", "--source", "classical", "--map", "baker",
      "--grid", "2x1", "--depth", "16", "--seed", "1"],
+    # the same tiles with summary records
+    ["ks-entropy", "--map", "baker", "--grid", "2x1", "--depth", "16",
+     "--seed", "1"],
+    # full records over three Monte Carlo tiles, the last run by a forked
+    # child, which sends its codes
+    ["prescription", "--source", "classical", "--map", "cat", "--grid", "4x4",
+     "--depth", "8", "--mode", "mc", "--mc-samples", "40000",
+     "--word-budget", "256", "--seed", "2"],
     ["prescription", "--source", "gamow", "--cells", "3", "--depth", "12",
      "--word-budget", "256", "--seed", "4"],
     ["gamow-evolve", "--n-max", "24", "--cells", "2", "--j", "7",

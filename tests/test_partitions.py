@@ -5,6 +5,7 @@ import os
 import threading
 import time
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -871,21 +872,25 @@ def _mc_peak(name, grid, depth, n_samples, words=True):
 
 
 @pytest.mark.parametrize("name,grid", [("baker", (2, 1)), ("cat", (8, 8))])
-def test_mc_peak_memory_is_within_the_cap_budget(name, grid):
+def test_mc_peak_memory_is_within_the_cap_budget(monkeypatch, name, grid):
     # limits.refinement_bytes counts N (MC_SAMPLE_BYTES + 16 (n + 1))
     # bytes for N samples to depth n beside the records, so a run must stay
-    # in that
+    # in that.  tracemalloc sees only this process, so the run is kept on
+    # one, whatever the host's CPUs
+    _use_cpus(monkeypatch, 1)
     n_samples, depth = 100_000, 10
     peak = _mc_peak(name, grid, depth, n_samples)
     assert peak <= n_samples * (limits.MC_SAMPLE_BYTES + 16 * (depth + 1))
 
 
-def test_mc_tiles_keep_the_peak_below_the_whole_cloud_loop():
+def test_mc_tiles_keep_the_peak_below_the_whole_cloud_loop(monkeypatch):
     # tracemalloc peak of cat 8x8, 10^5 samples to depth 10: 14.37 MiB when
     # each depth ran over the whole cloud at once, 10.35 MiB in tiles, and
     # 9.30 MiB with depth 0 placed by _mc_cloud, of which 6.75 MiB are the
     # records; 10.03 MiB when it is the process's first refinement, which
-    # the bound leaves 0.47 MiB of margin
+    # the bound leaves 0.47 MiB of margin.  On one process, since
+    # tracemalloc sees only this one: a forked run's half read 9.31 MiB
+    _use_cpus(monkeypatch, 1)
     assert _mc_peak("cat", (8, 8), 10, 100_000) <= 10.5 * 2 ** 20
 
 
@@ -1025,6 +1030,52 @@ def test_mc_a_forked_run_over_mostly_empty_cells_gives_the_same_bytes(
             assert len(forks) == cpus - 1
             _assert_reaped(forks)
         assert runs[0] == runs[1]
+
+
+def _watch_joins(monkeypatch):
+    """Patch _join_tiles to note, as it yields each depth, the depth's
+    number of tiles and how many of their parts are still alive."""
+    join_tiles, seen = partitions._join_tiles, []
+
+    def spy(depths, before, m, join):
+        refs = []
+
+        def watched():
+            for parts in depths:
+                refs.append([weakref.ref(a) for tile in parts for a in tile
+                             if a is not None])
+                seen.append(len(parts))
+                yield parts
+
+        for depth in join_tiles(watched(), before, m, join):
+            seen[-1] = (seen[-1], sum(r() is not None for r in refs[-1]))
+            yield depth
+
+    monkeypatch.setattr(partitions, "_join_tiles", spy)
+    return seen
+
+
+@pytest.mark.parametrize("words", [True, False], ids=["full", "summary"])
+@pytest.mark.parametrize("mode,cpus", [("exact", 1), ("mc", 1), ("mc", 2)])
+def test_a_joined_depths_tile_parts_are_gone_when_it_is_yielded(
+        monkeypatch, mode, cpus, words):
+    # a generator suspended with a depth's list of parts, or the join's
+    # list of values, in hand would keep the parts alive while the depth's
+    # record is made and the next depth runs.  Baker 2x1 to depth 12 at a
+    # budget of 512 pieces runs depths 9-12 in 8 tiles; 40,000 samples of
+    # cat 8x8 run depths 1-6 in 3 tiles, after depth 0's one
+    monkeypatch.setattr(limits, "EXACT_TILE_PIECES", 512)
+    forks = _use_cpus(monkeypatch, cpus)
+    seen = _watch_joins(monkeypatch)
+    if mode == "exact":
+        refine_series(make_map("baker"), GridPartition(2, 1), 12, words=words)
+        assert seen == [(8, 0)] * 4
+    else:
+        refine_series(make_map("cat"), GridPartition(8, 8), 6, "mc",
+                      McConfig(40_000, seed=2), words=words)
+        assert seen == [(1, 0)] + [(3, 0)] * 6
+    assert len(forks) == cpus - 1
+    _assert_reaped(forks)
 
 
 def _forbid_fork(monkeypatch, cpus):
