@@ -6,9 +6,9 @@ phases), exit 2 on the command line, naming the flags to lower.
 - BYTES_CAP, 2 GiB: check_bytes refuses refinement_bytes, operator_bytes,
   or quantum_run_bytes above it.
 - EXACT_WORD_CAP, 2^20 words, as projected from the last two depths;
-  a refinement run in tiles replays the check of each tiled depth once
-  its last tile is done, before its tiles are joined
-  (partitions._join_tiles) and the depth is handed on.
+  checked once a depth, before the store that finishes the depth refines
+  it: in a refinement run in tiles, that is the last tile's
+  (partitions._exact_series).
 - MAX_LYAP_STEPS, 10^7 steps: 14 s at 0.7 M steps/s on a 2-core Xeon.
 - check_phases: evolution phases past a double; check_off_mass: an
   off-(0, 0) mass ratio past a double; check_underflow: quantum (0, 0)

@@ -5,9 +5,9 @@ partition with its dynamical preimages.  Their measures are obtained either
 exactly, by propagating polygon pieces forward (the piece list of a word is
 the n-step image of its cell, and the map preserves area), or by following a
 cloud of sample points and counting word frequencies.  Either way the
-deepest or largest depths run in tiles of whole words, and one join,
-_join_tiles, offsets each tile's codes and joins its parts into the
-depth's record.
+deepest or largest depths run in tiles of whole words, and one join of a
+depth, _join_tiles, offsets each tile's codes and joins its parts into the
+depth's record as soon as its last tile has made them.
 
 The entropy kernel is shared by every caller so that two code paths fed the
 same measures produce bit-identical entropies.
@@ -393,15 +393,16 @@ def _exact_series(torus_map: TorusMap, part: GridPartition, n_max: int,
 
     Once the store entering a depth n is projected to enter the last depth
     above limits.EXACT_TILE_PIECES pieces (_exact_tiles), it is cut into
-    tiles of whole word rows [w_lo, w_hi).  A word's pieces never leave its
-    ancestor's, so each tile runs alone to n_max, its owner rows counted
-    from w_lo, and only one tile's store is live.  Then _join_tiles joins
-    the tiled depths in order, each after limits.check_word_projection is
-    replayed for it (depth n's ran before the cut), so a refusal comes
-    after the same lines as in a whole run.  A word's measure is an fsum
-    over its own pieces, all in one tile, and a depth's entropy one fsum
-    over its tiles' measures, so every bit is a whole run's.  Without
-    words, a tiled depth's codes and measures are None.
+    tiles of whole word rows [w_lo, w_hi), owner rows counted from w_lo.
+    A word's pieces never leave its ancestor's, so each tile but the last
+    runs alone to n_max, and only one tile's store is live.  The last tile
+    continues this loop, where each depth is checked
+    (limits.check_word_projection) before it is refined, and a tiled depth
+    is joined (_join_tiles) once the last tile has made its part.  A
+    word's measure is an fsum over its own pieces, all in one tile, and a
+    depth's entropy one fsum over its tiles' measures, so every bit, line
+    and refusal is a whole run's.  Without words, a tiled depth's codes
+    and measures are None.
     """
     if torus_map.branches is None:
         raise UnsupportedOperationError(
@@ -418,85 +419,78 @@ def _exact_series(torus_map: TorusMap, part: GridPartition, n_max: int,
     codes = np.arange(part.n_cells)
     store = [verts.reshape(-1, 2), counts, codes]
     n_words = []  # R_0, R_1, ... of the depths made
+    before = None  # once tiled, each tile's words at the depth before
     for n in range(n_max + 1):
         if n >= 2:
             limits.check_word_projection(n_words[-1], n_words[-2], n, n_max,
                                          what)
-        tiles = _exact_tiles(store[2], n_words, n, n_max)
+        tiles = before is None and _exact_tiles(store[2], n_words, n, n_max)
         if tiles:
-            break
+            depths = [[] for _ in range(n, n_max + 1)]
+            before = [hi - lo for lo, hi in tiles]
+            verts, counts, owner = store
+            for lo, hi in tiles:
+                # a subsequence of the store is still grouped by count
+                keep = (owner >= lo) & (owner < hi)
+                store = [verts[np.repeat(keep, counts)], counts[keep],
+                         owner[keep] - lo]
+                del keep
+                if (lo, hi) == tiles[-1]:
+                    break
+                for d, parts in enumerate(depths, n):
+                    codes, measures, *store = _refine_pieces(
+                        *store, torus_map, part, d < n_max)
+                    parts.append((codes if words else None, measures))
+                    del codes, measures
+            # the last tile is cut, so the whole store goes
+            del verts, counts, owner
         if n > 0:
             codes, measures, *store = _refine_pieces(*store, torus_map, part,
                                                      n < n_max)
-        n_words.append(len(codes))
-        yield entropy_nats(measures), len(codes), codes, measures
+        if before is None:
+            entropy, count = entropy_nats(measures), len(codes)
+        else:
+            depths[0].append((codes if words else None, measures))
+            # the join lets the parts go, so this frame must not hold them
+            del codes, measures
+            entropy, count, codes, measures = _join_tiles(
+                depths.pop(0), before, part.n_cells, lambda values: (
+                    _entropy_of_parts(values),
+                    np.concatenate(values) if words else None))
+        n_words.append(count)
+        yield entropy, count, codes, measures
         # a summary's arrays are not held while the next depth refines
         del codes, measures
-    else:
-        return  # every depth ran whole
-    depths = [[] for _ in range(n, n_max + 1)]
-    verts, counts, owner = store
-    del store
-    for i, (lo, hi) in enumerate(tiles):
-        # a subsequence of the store is still grouped by count
-        keep = (owner >= lo) & (owner < hi)
-        tile = [verts[np.repeat(keep, counts)], counts[keep], owner[keep] - lo]
-        del keep
-        if i == len(tiles) - 1:
-            # the last tile is cut, so the whole store goes
-            del verts, counts, owner
-        for d, parts in enumerate(depths, n):
-            codes, measures, *tile = _refine_pieces(*tile, torus_map, part,
-                                                    d < n_max)
-            parts.append((codes if words else None, measures))
-            del codes, measures
-
-    def checked():
-        for d, parts in enumerate(depths, n):
-            if d > n:
-                limits.check_word_projection(n_words[-1], n_words[-2], d,
-                                             n_max, what)
-            n_words.append(sum(len(v) for _, v in parts))
-            yield parts
-
-    yield from _join_tiles(checked(), [hi - lo for lo, hi in tiles],
-                           part.n_cells, lambda parts: (
-                               _entropy_of_parts(parts),
-                               np.concatenate(parts) if words else None))
 
 
-def _join_tiles(depths: Iterable[list], before: list, m: int,
+def _join_tiles(parts: list, before: list, m: int,
                 join: Callable[[list], tuple[float, Optional[np.ndarray]]]
-                ) -> Iterator[tuple[float, int, Optional[np.ndarray],
-                                    Optional[np.ndarray]]]:
-    """Yield the entropy, word count, codes and measures of each depth
-    from its tiles, the one join of exact and Monte Carlo refinement.
+                ) -> tuple[float, int, Optional[np.ndarray],
+                           Optional[np.ndarray]]:
+    """The entropy, word count, codes and measures of one depth from its
+    tiles, the one join of exact and Monte Carlo refinement.
 
-    depths yields, per depth, a list of each tile's (codes, values) in
-    tile order.  A tile's codes are keys of its own word rows at the depth
-    before, counted from 0, times m plus a symbol, in lex order, or None
-    without words; before holds each tile's words at the depth before the
-    first.  Each tile's codes are offset in place by the earlier tiles'
+    parts lists each tile's (codes, values) in tile order.  A tile's codes
+    are keys of its own word rows at the depth before, counted from 0,
+    times m plus a symbol, in lex order, or None without words; before
+    holds each tile's words at the depth before, and is set to this
+    depth's.  Each tile's codes are offset in place by the earlier tiles'
     words at the depth before, times m, so that, in turn, they join to the
     depth's.  join takes a list of the value parts, which it may empty as
-    it uses them, and returns the entropy and the measures.  The depth's
-    list is emptied before join runs, and join's list is let go before the
-    depth is yielded, so no part outlives its use, whoever else holds the
-    depth's list.
+    it uses them, and returns the entropy and the measures.  parts is
+    emptied before join runs, and join's list is let go on return, so no
+    part outlives its use, whoever else holds parts.
     """
-    for parts in depths:
-        codes = None
-        if parts[0][0] is not None:
-            offsets = itertools.accumulate(before, initial=0)
-            codes = np.concatenate([np.add(c, at * m, out=c)
-                                    for (c, _), at in zip(parts, offsets)])
-        before = [len(v) for _, v in parts]
-        values = [v for _, v in parts]
-        parts.clear()
-        entropy, measures = join(values)
-        del values
-        yield entropy, sum(before), codes, measures
-        del codes, measures
+    codes = None
+    if parts[0][0] is not None:
+        offsets = itertools.accumulate(before, initial=0)
+        codes = np.concatenate([np.add(c, at * m, out=c)
+                                for (c, _), at in zip(parts, offsets)])
+    before[:] = [len(v) for _, v in parts]
+    values = [v for _, v in parts]
+    parts.clear()
+    entropy, measures = join(values)
+    return entropy, sum(before), codes, measures
 
 
 # --- Monte-Carlo refinement -------------------------------------------------
@@ -713,16 +707,11 @@ def _mc_series(torus_map: TorusMap, part: GridPartition, n_max: int,
     counts = cell_counts[codes]
     starts = np.cumsum(counts) - counts
     tiles = _mc_tiles(starts, cfg.n_samples)
-    # each tile's words at depth 0: the cells that start in it
-    before = np.diff(np.searchsorted(
-        starts, [lo for lo, _ in tiles] + [cfg.n_samples])).tolist()
-    depth0 = [(codes if words else None, counts)]
+    # depth 0 in tiles: the cells that start in each
+    cuts = np.searchsorted(starts, [lo for lo, _ in tiles[1:]])
+    depth0 = list(zip(np.split(codes, cuts) if words else [None] * len(tiles),
+                      np.split(counts, cuts)))
     del codes, counts, starts
-
-    def join(count_parts):
-        return _mc_entropy(count_parts, cfg.n_samples, cfg.estimator, words)
-
-    yield from _join_tiles([depth0], [1], part.n_cells, join)
     k = min(range(1, len(tiles)), default=0,
             key=lambda t: abs(2 * tiles[t][0] - cfg.n_samples))
     if not (n_max and k and may_fork()):
@@ -741,13 +730,18 @@ def _mc_series(torus_map: TorusMap, part: GridPartition, n_max: int,
 
     with stream(child if theirs else None) as receive:
         def depths():
+            yield depth0
             for parts in _mc_steps(torus_map, part, n_max, *_mc_place(
                     part, cfg, cell_counts, 0, base), tiles[:k], words):
                 parts += [(receive() if words else None, receive())
                           for _ in theirs]
                 yield parts
 
-        yield from _join_tiles(depths(), before, part.n_cells, join)
+        # depth 0's tiles share the one empty word before it
+        before = [0] * len(tiles)
+        for parts in depths():
+            yield _join_tiles(parts, before, part.n_cells, lambda counts: (
+                _mc_entropy(counts, cfg.n_samples, cfg.estimator, words)))
 
 
 def refine_series(torus_map: TorusMap, part: GridPartition, n_max: int,
@@ -765,8 +759,8 @@ def refine_series(torus_map: TorusMap, part: GridPartition, n_max: int,
 
     progress, when given, is called with each depth's line, "depth n/n_max:
     W words, H=h", as soon as that depth is done, so callers can report
-    progress while the sweep runs; exact depths run in tiles are done
-    together, once their last tile is.  The sweep starts at once, so a run
+    progress while the sweep runs; a depth run in tiles is done once its
+    last tile has made it.  The sweep starts at once, so a run
     past a resource limit is refused here, before any cell or sample is
     made.
     """

@@ -43,6 +43,9 @@ COMMANDS = (
     # the same tiles with summary records
     ["ks-entropy", "--map", "baker", "--grid", "2x1", "--depth", "16",
      "--seed", "1"],
+    # refused at the exact word cap after the depth 0 and 1 lines
+    ["ks-entropy", "--map", "cat", "--grid", "8x8", "--depth", "8",
+     "--mode", "exact", "--seed", "1"],
     # full records over three Monte Carlo tiles, the last run by a forked
     # child, which sends its codes
     ["prescription", "--source", "classical", "--map", "cat", "--grid", "4x4",

@@ -342,14 +342,9 @@ def test_default_budget_tiles_only_the_largest_stores():
     assert plans[("baker", 2, 1, 14)] == []
 
 
-@pytest.mark.parametrize("words", [True, False], ids=["full", "summary"])
-@pytest.mark.parametrize("refuse_at", [2, 3, 5, 7])
-def test_a_refused_tiled_depth_prints_the_whole_runs_lines(refuse_at, words,
-                                                           monkeypatch):
-    # the cap drops to one word at depth refuse_at; at this budget baker 2x1
-    # to depth 7 is cut entering depth 2, after that depth's check, into
-    # tiles of one word, so depths 3, 5 and 7 are refused in the replay
-    # after the tiles, and depth 2 before the cut
+def _capped_check(refuse_at):
+    """limits.check_word_projection with the cap dropped to one word at
+    depth refuse_at."""
     check = limits.check_word_projection
 
     def capped(last, before, n, n_max, what):
@@ -358,7 +353,19 @@ def test_a_refused_tiled_depth_prints_the_whole_runs_lines(refuse_at, words,
                 mp.setattr(limits, "EXACT_WORD_CAP", 1)
             check(last, before, n, n_max, what)
 
-    monkeypatch.setattr(limits, "check_word_projection", capped)
+    return capped
+
+
+@pytest.mark.parametrize("words", [True, False], ids=["full", "summary"])
+@pytest.mark.parametrize("refuse_at", [2, 3, 5, 7])
+def test_a_refused_tiled_depth_prints_the_whole_runs_lines(refuse_at, words,
+                                                           monkeypatch):
+    # the cap drops to one word at depth refuse_at; at this budget baker 2x1
+    # to depth 7 is cut entering depth 2, after that depth's check, into
+    # tiles of one word, so depths 3, 5 and 7 are refused before the last
+    # tile refines them, and depth 2 before the cut
+    monkeypatch.setattr(limits, "check_word_projection",
+                        _capped_check(refuse_at))
     case = ("baker", 2, 1, 7)
     whole = _traced_series(case, words, 2 ** 62)
     tiled = _traced_series(case, words, 4, 10 ** 9)
@@ -385,3 +392,45 @@ def test_tiled_baker_depth16_peak_memory_is_bounded():
     # refined the whole store, 8.3 MiB in four tiles from depth 13, where
     # about 4 MiB are the records themselves
     assert _refinement_peak("baker", 2, 1, 16) < 11 * 2 ** 20
+
+
+def _baker16_events(budget, refuse_at=None):
+    """baker 2x1 refined to depth 16 at a tile budget, as its
+    _refine_pieces calls ("refine") and the depths of its progress lines,
+    in order, ending with the word-cap refusal's message if the cap drops
+    to one word at depth refuse_at."""
+    events, refine = [], partitions._refine_pieces
+
+    def spy_refine(*args):
+        events.append("refine")
+        return refine(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(limits, "EXACT_TILE_PIECES", budget)
+        mp.setattr(partitions, "_refine_pieces", spy_refine)
+        mp.setattr(limits, "check_word_projection", _capped_check(refuse_at))
+        try:
+            refine_series(make_map("baker"), GridPartition(2, 1), 16,
+                          progress=lambda line: events.append(
+                              int(line.split()[1].split("/")[0])),
+                          words=False)
+        except ResourceLimitError as exc:
+            events.append(str(exc))
+    return events
+
+
+def test_tiled_exact_depths_stream_as_the_last_tile_makes_them():
+    # at the default budget the store entering depth 13 is cut into four
+    # tiles; the first three run to depth 16 (12 refinements), then each
+    # of depths 13-16 is handed on as soon as the last tile refines it
+    whole = [0] + [e for n in range(1, 17) for e in ("refine", n)]
+    assert _baker16_events(2 ** 62) == whole
+    tiled = whole[:25] + ["refine"] * 12 + whole[25:]
+    assert _baker16_events(limits.EXACT_TILE_PIECES) == tiled
+    # a refusal at depth 15 comes after the depth 14 line, as in a whole
+    # run, and before the last tile refines depth 15
+    whole_refused = _baker16_events(2 ** 62, 15)
+    assert "above the cap of 1;" in whole_refused[-1]
+    assert whole_refused == whole[:29] + whole_refused[-1:]
+    assert _baker16_events(limits.EXACT_TILE_PIECES, 15) == \
+        tiled[:41] + whole_refused[-1:]

@@ -721,6 +721,11 @@ def test_mc_depth0_peak_is_one_cloud_and_ids(monkeypatch):
     # the whole cloud and gathered it into a second one
     rows, n_samples = 2 ** 12, 100_000
     monkeypatch.setattr(partitions, "_DRAW_ROWS", rows)
+    # the first refinement in a process pays one-time allocations (0.6-0.7
+    # MiB more by tracemalloc), so a small one runs first, and the peak
+    # does not depend on which tests ran before
+    refine_series(make_map("cat"), GridPartition(8, 8), 0, "mc",
+                  McConfig(1000))
     assert _mc_peak("cat", (8, 8), 0, n_samples) <= \
         n_samples * (16 + 4) + rows * 128 + 2 ** 16
 
@@ -1033,26 +1038,24 @@ def test_mc_a_forked_run_over_mostly_empty_cells_gives_the_same_bytes(
 
 
 def _watch_joins(monkeypatch):
-    """Patch _join_tiles to note, as it yields each depth, the depth's
-    number of tiles and how many of their parts are still alive."""
-    join_tiles, seen = partitions._join_tiles, []
+    """Patch _join_tiles to take a weakref to every tile part it is handed.
+    Returns seen and a progress sink that notes in seen, as each depth is
+    handed on, the joins made since the depth before, each as its number
+    of tiles and how many of their parts are still alive."""
+    join_tiles, joins, seen = partitions._join_tiles, [], []
 
-    def spy(depths, before, m, join):
-        refs = []
+    def spy(parts, before, m, join):
+        joins.append((len(parts), [weakref.ref(a) for tile in parts
+                                   for a in tile if a is not None]))
+        return join_tiles(parts, before, m, join)
 
-        def watched():
-            for parts in depths:
-                refs.append([weakref.ref(a) for tile in parts for a in tile
-                             if a is not None])
-                seen.append(len(parts))
-                yield parts
-
-        for depth in join_tiles(watched(), before, m, join):
-            seen[-1] = (seen[-1], sum(r() is not None for r in refs[-1]))
-            yield depth
+    def progress(line):
+        seen.append([(tiles, sum(r() is not None for r in refs))
+                     for tiles, refs in joins])
+        joins.clear()
 
     monkeypatch.setattr(partitions, "_join_tiles", spy)
-    return seen
+    return seen, progress
 
 
 @pytest.mark.parametrize("words", [True, False], ids=["full", "summary"])
@@ -1062,18 +1065,20 @@ def test_a_joined_depths_tile_parts_are_gone_when_it_is_yielded(
     # a generator suspended with a depth's list of parts, or the join's
     # list of values, in hand would keep the parts alive while the depth's
     # record is made and the next depth runs.  Baker 2x1 to depth 12 at a
-    # budget of 512 pieces runs depths 9-12 in 8 tiles; 40,000 samples of
-    # cat 8x8 run depths 1-6 in 3 tiles, after depth 0's one
+    # budget of 512 pieces runs depths 0-8 whole and 9-12 in 8 tiles, each
+    # joined once; 40,000 samples of cat 8x8 run depths 0-6 in 3 tiles
     monkeypatch.setattr(limits, "EXACT_TILE_PIECES", 512)
     forks = _use_cpus(monkeypatch, cpus)
-    seen = _watch_joins(monkeypatch)
+    seen, progress = _watch_joins(monkeypatch)
     if mode == "exact":
-        refine_series(make_map("baker"), GridPartition(2, 1), 12, words=words)
-        assert seen == [(8, 0)] * 4
+        refine_series(make_map("baker"), GridPartition(2, 1), 12,
+                      progress=progress, words=words)
+        assert seen == [[]] * 9 + [[(8, 0)]] * 4
     else:
         refine_series(make_map("cat"), GridPartition(8, 8), 6, "mc",
-                      McConfig(40_000, seed=2), words=words)
-        assert seen == [(1, 0)] + [(3, 0)] * 6
+                      McConfig(40_000, seed=2), progress=progress,
+                      words=words)
+        assert seen == [[(3, 0)]] * 7
     assert len(forks) == cpus - 1
     _assert_reaped(forks)
 
