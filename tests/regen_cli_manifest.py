@@ -57,6 +57,32 @@ COMMANDS = (
      "--seed", "6"],
     # refused before any operator is drawn
     ["gamow-evolve", "--n-max", "20000", "--seed", "0"],
+    # one format each: JSON with no plot script, CSV with it, a CSV row
+    ["prescription", "--source", "gamow", "--cells", "2", "--depth", "8",
+     "--word-budget", "64", "--seed", "3", "--format", "json"],
+    ["prescription", "--source", "classical", "--map", "baker",
+     "--grid", "2x1", "--depth", "8", "--seed", "3", "--format", "csv"],
+    ["lyapunov", "--map", "baker", "--steps", "1000", "--seed", "2",
+     "--format", "csv"],
+    # pesin's ladder document
+    ["pesin", "--map", "baker", "--ladder", "2x1,4x2", "--depth", "6",
+     "--lyap-steps", "1000", "--seed", "1"],
+    # refused: a ladder entry that is no grid, words asked of a ladder,
+    # (0,0) weights summing above 1 at depth 0, an off-(0,0) mass ratio
+    # past a double, and an onset that leaves fewer than 4 tail points
+    ["ks-entropy", "--map", "baker", "--ladder", "2x1,abc"],
+    ["ks-entropy", "--map", "baker", "--ladder", "2x1,4x2",
+     "--include-words"],
+    ["prescription", "--source", "gamow", "--cells", "3", "--depth", "8",
+     "--word-budget", "64", "--total-mass", "1.0", "--seed", "0"],
+    ["gamow-evolve", "--off-scale", "1e300", "--n-max", "8"],
+    ["prescription", "--source", "gamow", "--cells", "2", "--depth", "8",
+     "--word-budget", "64", "--onset", "6"],
+    # the Monte Carlo estimators other than the default chao_shen
+    *(["ks-entropy", "--map", "cat", "--grid", "4x4", "--depth", "4",
+       "--mode", "mc", "--mc-samples", "5000", "--seed", "1",
+       "--estimator", name]
+      for name in ("plugin", "miller_madow", "grassberger")),
 )
 
 
