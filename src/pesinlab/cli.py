@@ -6,6 +6,15 @@ built-in defaults, a JSON --config file, and explicit flags; the resolved
 values are echoed into the output metadata so a result is reproducible
 from the file alone.  Outputs land in --out as JSON and/or CSV.
 
+main is the one runner.  Each command, cmd_x(cfg, opt), takes the
+resolved config and the checked values and returns (doc, header, rows,
+lines): its own JSON fields, its CSV header and rows, and its stdout
+summary lines; it writes no file and prints only progress and warnings,
+to stderr.  main adds the command and the echoed config to the document,
+writes <command>.json and/or .csv (and prescription's plot script beside
+its CSV), then prints the lines and what it wrote.  So a run that is
+refused or fails inside its command writes no output file.
+
 Exit status: 0 when the run completed (verdicts like NOT PROVEN CHAOTIC
 do not change it), 1 when the computation itself failed, 2 for
 configuration or usage errors.
@@ -297,7 +306,9 @@ def _prologue(args):
     return cfg, opt, out_dir
 
 
-def _echo(cfg, groups=_ECHO_ALL):
+def _echo(cfg):
+    # only prescription has a source, and it echoes that source's group
+    groups = ("any", cfg["source"]) if "source" in cfg else _ECHO_ALL
     keys = {p.key for p in PARAMS if p.echo in groups}
     return {k: cfg[k] for k in sorted(cfg) if k in keys}
 
@@ -310,6 +321,9 @@ def _emit(out_dir, stem, fmt, doc, header, rows):
     if fmt in ("csv", "both"):
         serialize.write_csv(out_dir / f"{stem}.csv", header, rows)
         written.append(f"{stem}.csv")
+        if stem == "prescription":
+            serialize.write_plot_script(out_dir)
+            written.append("prescription_plot.py")
     return written
 
 
@@ -402,25 +416,20 @@ def _spectrum(torus_map, seed, steps):
     return lyapunov.lyapunov_spectrum(torus_map, x0, steps)
 
 
-def cmd_lyapunov(args):
-    cfg, opt, out_dir = _prologue(args)
+def cmd_lyapunov(cfg, opt):
     torus_map = make_map(_required(opt, "map", MAP_NAMES))
     steps = opt["steps"]
     spectrum = _spectrum(torus_map, opt["seed"], steps)
 
-    doc = {"command": "lyapunov", "config": _echo(cfg),
-           "spectrum": serialize.spectrum_doc(spectrum)}
+    doc = {"spectrum": serialize.spectrum_doc(spectrum)}
     header = ("sigma1", "sigma2", "positive_sum")
     rows = [[serialize.fmt_float(spectrum.exponents[0]),
              serialize.fmt_float(spectrum.exponents[1]),
              serialize.fmt_float(spectrum.positive_sum)]]
-    written = _emit(out_dir, "lyapunov", opt["format"], doc, header, rows)
-
-    print(f"map {opt['map']}: exponents [{_fmt(spectrum.exponents[0])}, "
-          f"{_fmt(spectrum.exponents[1])}] over {steps} iterations")
-    print(f"sum of positive exponents {_fmt(spectrum.positive_sum)}")
-    print("wrote " + ", ".join(written))
-    return 0
+    lines = [f"map {opt['map']}: exponents [{_fmt(spectrum.exponents[0])}, "
+             f"{_fmt(spectrum.exponents[1])}] over {steps} iterations",
+             f"sum of positive exponents {_fmt(spectrum.positive_sum)}"]
+    return doc, header, rows, lines
 
 
 def _entropy_side(cfg, opt):
@@ -446,8 +455,7 @@ def _profile_doc(est):
     return [{"grid": [mq, mp], "h_mu": h} for mq, mp, h in est.profile]
 
 
-def cmd_ks_entropy(args):
-    cfg, opt, out_dir = _prologue(args)
+def cmd_ks_entropy(cfg, opt):
     if opt["include_words"] and cfg["ladder"] is not None:
         raise ConfigurationError(
             "--include-words needs one --grid; a --ladder embeds no words")
@@ -460,39 +468,31 @@ def cmd_ks_entropy(args):
                 serialize.refinement_record_doc(r) for r in recs]})
             rows += [[f"{mq}x{mp}", *row]
                      for row in serialize.refinement_rows(recs)]
-        doc = {"command": "ks-entropy", "config": _echo(cfg),
-               "h_ks": est.value, "profile": _profile_doc(est),
+        doc = {"h_ks": est.value, "profile": _profile_doc(est),
                "ladders": ladders}
-        written = _emit(out_dir, "ks_entropy", opt["format"], doc,
-                        ("grid", *serialize.REFINEMENT_CSV_HEADER), rows)
-        for mq, mp, h in est.profile:
-            print(f"grid {mq}x{mp}: h_mu {_fmt(h)} nats/step")
-        print(f"h_KS (max over ladder) {_fmt(est.value)} nats/step")
-    else:
-        records = est.records[0]
-        ratio = h_mu_ratio(records)
-        doc = {"command": "ks-entropy", "config": _echo(cfg),
-               "records": [serialize.refinement_record_doc(
-                   r, word_rows(records[:r.n + 1])[0]
-                   if opt["include_words"] else None)
-                   for r in records],
-               "h_mu": est.value, "h_mu_ratio": ratio}
-        written = _emit(out_dir, "ks_entropy", opt["format"], doc,
-                        serialize.REFINEMENT_CSV_HEADER,
-                        serialize.refinement_rows(records))
-        final = records[-1]
-        (mq, mp), depth = final.grid, final.n
-        print(f"map {opt['map']} grid {mq}x{mp} mode {opt['mode']}: "
-              f"depth {depth}, R_{depth} = {final.nonempty_words}, "
-              f"H = {_fmt(final.entropy)}")
-        print(f"h_mu slope {_fmt(est.value)} nats/step, "
-              f"H(n)/n at depth {depth}: {_fmt(ratio)}")
-    print("wrote " + ", ".join(written))
-    return 0
+        lines = [f"grid {mq}x{mp}: h_mu {_fmt(h)} nats/step"
+                 for mq, mp, h in est.profile]
+        lines.append(f"h_KS (max over ladder) {_fmt(est.value)} nats/step")
+        return doc, ("grid", *serialize.REFINEMENT_CSV_HEADER), rows, lines
+    records = est.records[0]
+    ratio = h_mu_ratio(records)
+    doc = {"records": [serialize.refinement_record_doc(
+               r, word_rows(records[:r.n + 1])[0]
+               if opt["include_words"] else None)
+               for r in records],
+           "h_mu": est.value, "h_mu_ratio": ratio}
+    final = records[-1]
+    (mq, mp), depth = final.grid, final.n
+    lines = [f"map {opt['map']} grid {mq}x{mp} mode {opt['mode']}: "
+             f"depth {depth}, R_{depth} = {final.nonempty_words}, "
+             f"H = {_fmt(final.entropy)}",
+             f"h_mu slope {_fmt(est.value)} nats/step, "
+             f"H(n)/n at depth {depth}: {_fmt(ratio)}"]
+    return (doc, serialize.REFINEMENT_CSV_HEADER,
+            serialize.refinement_rows(records), lines)
 
 
-def cmd_pesin(args):
-    cfg, opt, out_dir = _prologue(args)
+def cmd_pesin(cfg, opt):
     torus_map, est, laddered = _entropy_side(cfg, opt)
     lyap_steps = opt["lyap_steps"]
     if laddered:
@@ -507,7 +507,7 @@ def cmd_pesin(args):
     positive = _spectrum(torus_map, opt["seed"], lyap_steps).positive_sum
     report = lyapunov.pesin_residual(max(est.value, 0.0), positive)
 
-    doc = {"command": "pesin", "config": _echo(cfg), "h_estimate": h_doc,
+    doc = {"h_estimate": h_doc,
            "lyapunov": {"positive_sum": positive, "steps": lyap_steps},
            "report": serialize.pesin_doc(report)}
     header = ("h_ks", "positive_sum", "residual", "relative_residual")
@@ -515,18 +515,14 @@ def cmd_pesin(args):
              serialize.fmt_float(report.lyapunov_positive_sum),
              serialize.fmt_float(report.residual),
              serialize.fmt_float(report.relative_residual)]]
-    written = _emit(out_dir, "pesin", opt["format"], doc, header, rows)
-
-    print(f"map {opt['map']}: entropy side {_fmt(report.h_ks_estimate)}, "
-          f"sum of positive exponents {_fmt(positive)}")
-    print(f"residual (entropy minus exponent sum) {_fmt(report.residual)} "
-          f"(relative {_fmt(report.relative_residual)})")
-    print("wrote " + ", ".join(written))
-    return 0
+    lines = [f"map {opt['map']}: entropy side {_fmt(report.h_ks_estimate)}, "
+             f"sum of positive exponents {_fmt(positive)}",
+             f"residual (entropy minus exponent sum) {_fmt(report.residual)} "
+             f"(relative {_fmt(report.relative_residual)})"]
+    return doc, header, rows, lines
 
 
-def cmd_prescription(args):
-    cfg, opt, out_dir = _prologue(args)
+def cmd_prescription(cfg, opt):
     source_name = _required(opt, "source", SOURCES)
     if source_name == "classical":
         torus_map = make_map(_required(opt, "map", MAP_NAMES))
@@ -552,36 +548,25 @@ def cmd_prescription(args):
         r2_threshold=opt["r2_threshold"], onset=opt["onset"],
         progress=_progress)
 
-    doc = {"command": "prescription",
-           "config": _echo(cfg, ("any", source_name)),
-           **serialize.prescription_doc(run)}
-    written = _emit(out_dir, "prescription", opt["format"], doc,
-                    serialize.PRESCRIPTION_CSV_HEADER,
-                    serialize.prescription_rows(run))
-    if opt["format"] in ("csv", "both"):
-        serialize.write_plot_script(out_dir)
-        written.append("prescription_plot.py")
-
-    rep = run.report
-    print(f"source {source_name}, depth {run.n_max}, "
-          f"{run.words.shape[0]} words ({run.sampling})")
-    print(f"headline fit: rate {_fmt(rep.fit_rate)} per step, "
-          f"R^2 {_fmt(rep.fit_quality)}, onset {rep.onset}, "
-          f"verdict {rep.verdict}")
-    print(f"per-word exponential fraction {_fmt(run.passing_fraction)}")
-    print(f"semiclassical entropy rate {_fmt(run.semiclassical_h_mu)} "
-          f"nats/step")
     if run.imag_flag:
         print("warning: trace imaginary parts above 1e-6 of magnitude",
               file=sys.stderr)
-    print("CHAOTIC (sufficient condition met)" if run.chaotic
-          else "NOT PROVEN CHAOTIC")
-    print("wrote " + ", ".join(written))
-    return 0
+    rep = run.report
+    lines = [f"source {source_name}, depth {run.n_max}, "
+             f"{run.words.shape[0]} words ({run.sampling})",
+             f"headline fit: rate {_fmt(rep.fit_rate)} per step, "
+             f"R^2 {_fmt(rep.fit_quality)}, onset {rep.onset}, "
+             f"verdict {rep.verdict}",
+             f"per-word exponential fraction {_fmt(run.passing_fraction)}",
+             f"semiclassical entropy rate {_fmt(run.semiclassical_h_mu)} "
+             f"nats/step",
+             "CHAOTIC (sufficient condition met)" if run.chaotic
+             else "NOT PROVEN CHAOTIC"]
+    return (serialize.prescription_doc(run), serialize.PRESCRIPTION_CSV_HEADER,
+            serialize.prescription_rows(run), lines)
 
 
-def cmd_gamow_evolve(args):
-    cfg, opt, out_dir = _prologue(args)
+def cmd_gamow_evolve(cfg, opt):
     cell = _as_int("cell", opt["cell"], high=opt["cells"] - 1)
     j = opt["j"]
     spec, ops = _cell_operators(cfg, opt, j, "--j",
@@ -590,19 +575,15 @@ def cmd_gamow_evolve(args):
     evolved = gamow.evolve_operator(spec, ops[cell], j)
     ratio = limits.check_off_mass(gamow.off_mass_ratio(evolved))
 
-    doc = {"command": "gamow-evolve", "config": _echo(cfg),
-           "t_r": spec.t_r, "j": j, "off_mass_ratio": ratio,
+    doc = {"t_r": spec.t_r, "j": j, "off_mass_ratio": ratio,
            "operator": serialize.biorth_doc(evolved)}
-    written = _emit(out_dir, "gamow_evolve", opt["format"], doc,
-                    serialize.BIORTH_CSV_HEADER, serialize.biorth_rows(evolved))
-
-    print(f"spec: omega0 {_fmt(spec.omega0)}, gamma0 {_fmt(spec.gamma0)}, "
-          f"hbar {_fmt(spec.hbar)}, alpha {_fmt(spec.alpha)}, "
-          f"n_max {spec.n_max}; relaxation time {_fmt(spec.t_r)}")
-    print(f"cell {cell} ({ops[cell].label or 'unlabeled'}) evolved j = {j} "
-          f"steps: off-(0,0) mass ratio {_fmt(ratio)}")
-    print("wrote " + ", ".join(written))
-    return 0
+    lines = [f"spec: omega0 {_fmt(spec.omega0)}, gamma0 {_fmt(spec.gamma0)}, "
+             f"hbar {_fmt(spec.hbar)}, alpha {_fmt(spec.alpha)}, "
+             f"n_max {spec.n_max}; relaxation time {_fmt(spec.t_r)}",
+             f"cell {cell} ({ops[cell].label or 'unlabeled'}) evolved j = {j} "
+             f"steps: off-(0,0) mass ratio {_fmt(ratio)}"]
+    return (doc, serialize.BIORTH_CSV_HEADER, serialize.biorth_rows(evolved),
+            lines)
 
 
 # --- parser ---------------------------------------------------------------
@@ -653,7 +634,13 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return 2
     try:
-        return args.func(args)
+        cfg, opt, out_dir = _prologue(args)
+        doc, header, rows, lines = args.func(cfg, opt)
+        doc = {"command": args.command, "config": _echo(cfg), **doc}
+        written = _emit(out_dir, args.command.replace("-", "_"),
+                        opt["format"], doc, header, rows)
+        print(*lines, "wrote " + ", ".join(written), sep="\n")
+        return 0
     except (ConfigurationError, UnsupportedOperationError,
             ResourceLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
