@@ -568,6 +568,7 @@ def cmd_prescription(cfg, opt):
 
 def cmd_gamow_evolve(cfg, opt):
     cell = _as_int("cell", opt["cell"], high=opt["cells"] - 1)
+    limits.check_relaxation(opt["hbar"], opt["gamma0"])
     j = opt["j"]
     spec, ops = _cell_operators(cfg, opt, j, "--j",
                                 limits.EVOLVE_ENTRY_BYTES * opt["n_max"] ** 2)

@@ -4,17 +4,23 @@ A run fits them, or stops with ResourceLimitError (ConfigurationError for
 phases), exit 2 on the command line, naming the flags to lower.
 
 - BYTES_CAP, 2 GiB: check_bytes refuses refinement_bytes, operator_bytes,
-  or quantum_run_bytes above it.
+  or quantum_run_bytes above it, and check_cells a grid's depth-0 cells.
 - EXACT_WORD_CAP, 2^20 words, as projected from the last two depths;
   checked once a depth, before the store that finishes the depth refines
   it: in a refinement run in tiles, that is the last tile's
   (partitions._exact_series).
 - MAX_LYAP_STEPS, 10^7 steps: 14 s at 0.7 M steps/s on a 2-core Xeon.
-- check_phases: evolution phases past a double; check_off_mass: an
+- check_phases: evolution phases past a double; check_relaxation: a
+  relaxation time hbar / gamma0 past a double; check_off_mass: an
   off-(0, 0) mass ratio past a double; check_underflow: quantum (0, 0)
   lead products below the normal doubles.
 
 Bytes per unit, measured with tracemalloc:
+- CELL_BYTES a depth-0 grid cell, checked before any cell is made: exact
+  depth 0 builds one polygon per cell, 472 bytes a cell by tracemalloc
+  and 545 of RSS from 200x200 to 1000x1000 (RSS grows 1,460 a cell while
+  tracemalloc itself runs); Monte Carlo counts each cell, 17 bytes a cell
+  at 1,000 samples.  1024 admits 2^21 cells.
 - RECORD_BYTES a refinement depth, for its record, progress and output:
   ks-entropy took 2,375 a depth on exact identity 2x1 and 3,381 on Monte
   Carlo baker 2x1 with one sample (depths 1,000-3,000).
@@ -78,6 +84,7 @@ import numpy as np
 from .errors import ConfigurationError, ResourceLimitError
 
 BYTES_CAP = 2 * 2 ** 30
+CELL_BYTES = 1024
 EXACT_WORD_CAP = 2 ** 20
 MAX_LYAP_STEPS = 10 ** 7
 RECORD_BYTES = 4096
@@ -100,6 +107,13 @@ def check_bytes(need: int, what: str, flags: str) -> None:
         raise ResourceLimitError(
             f"{what} may need {gib:.3g} GiB, above the "
             f"{BYTES_CAP / 2 ** 30:.3g} GiB cap; lower {flags}")
+
+
+def check_cells(part, flag: str) -> None:
+    """Refuse a grid part whose depth-0 cells top BYTES_CAP; flag sizes it."""
+    check_bytes(CELL_BYTES * part.n_cells,
+                f"the {part.n_cells} depth-0 cells of the "
+                f"{part.m_q}x{part.m_p} grid", flag)
 
 
 def refinement_bytes(n_samples: int, depth: int, grids: int = 1) -> int:
@@ -150,6 +164,15 @@ def check_phases(spec, steps: int, step_flag: str) -> None:
             f"evolution phases up to step {steps} overflow a double; lower "
             f"--omega0, --gamma0, --alpha, --n-max or {step_flag}, or raise "
             "--hbar")
+
+
+def check_relaxation(hbar: float, gamma0: float) -> None:
+    """Refuse a relaxation time hbar / gamma0 past a double, which
+    gamow-evolve reports; checked before any operator is drawn."""
+    if not math.isfinite(hbar / gamma0):
+        raise ConfigurationError(
+            "the relaxation time hbar/gamma0 overflows a double; lower "
+            "--hbar or raise --gamma0")
 
 
 def check_off_mass(ratio: float) -> float:

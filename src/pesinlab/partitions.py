@@ -766,6 +766,7 @@ def refine_series(torus_map: TorusMap, part: GridPartition, n_max: int,
     """
     if n_max < 0:
         raise ValueError("refinement depth must be nonnegative")
+    limits.check_cells(part, "--grid")
     if measure_mode == "exact":
         depths, meta = _exact_series(torus_map, part, n_max, words), {}
     elif measure_mode == "mc":
@@ -884,9 +885,9 @@ def hks_estimate(torus_map: TorusMap, ladder, n_max: int,
     progress and words are passed to each grid's refine_series; on a
     ladder of two or more grids each progress line starts with its grid,
     "grid AxB ", and with words false every record is a summary.  A
-    ladder keeps every grid's records, so all of them are checked against
-    the byte cap before the first grid runs; one grid is checked by
-    refine_series.
+    ladder keeps every grid's records, so all of them, and its finest
+    grid's depth-0 cells, are checked against the byte cap before the
+    first grid runs; one grid is checked by refine_series.
     """
     ladder = list(ladder)
     if not ladder:
@@ -902,6 +903,8 @@ def hks_estimate(torus_map: TorusMap, ladder, n_max: int,
             limits.refinement_bytes(n_samples, n_max, len(ladder)),
             f"a ladder of {len(ladder)} grids refined to depth {n_max}",
             "--ladder, --mc-samples or --depth" if mc else "--ladder or --depth")
+        # the last grid has the most cells
+        limits.check_cells(ladder[-1], "--ladder")
     all_records = []
     for part in ladder:
         sink = progress

@@ -185,9 +185,11 @@ def quantum_fit_onset(spec: GamowSpec, n_max: int) -> int:
     falls back to half the depth range when that would leave fewer than 8
     tail points to fit.
     """
-    target = math.ceil(10.0 * spec.t_r / spec.alpha)
-    if n_max - target + 1 >= 8:
-        return target
+    # compared before it is rounded, so a target past the doubles falls
+    # back too (ceil(x) <= k exactly when x <= k, for an integer k)
+    target = 10.0 * spec.t_r / spec.alpha
+    if target <= n_max - 7:
+        return math.ceil(target)
     return n_max // 2
 
 

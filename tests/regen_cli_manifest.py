@@ -83,6 +83,11 @@ COMMANDS = (
        "--mode", "mc", "--mc-samples", "5000", "--seed", "1",
        "--estimator", name]
       for name in ("plugin", "miller_madow", "grassberger")),
+    # a relaxation time past the doubles: the fits start halfway, and
+    # gamow-evolve, which reports it, is refused
+    ["prescription", "--source", "gamow", "--cells", "2", "--depth", "8",
+     "--alpha", "1e-300", "--gamma0", "1e-300"],
+    ["gamow-evolve", "--hbar", "1e300", "--gamma0", "1e-300"],
 )
 
 

@@ -145,6 +145,11 @@ def test_onset_rule_for_quantum_fits():
     assert quantum_fit_onset(GamowSpec(), 200) == 100
     assert quantum_fit_onset(GamowSpec(), 80) == 40
     assert quantum_fit_onset(GamowSpec(gamma0=0.5), 32) == 20
+    # 10 t_R / alpha past the doubles falls back to half the depths
+    assert quantum_fit_onset(GamowSpec(gamma0=1e-300, alpha=1e-300), 8) == 4
+    # at depth 32, 8 tail points remain from onset 25 at the latest
+    assert quantum_fit_onset(GamowSpec(gamma0=1 / 2.45), 32) == 25
+    assert quantum_fit_onset(GamowSpec(gamma0=1 / 2.55), 32) == 16
 
 
 # --- end-to-end runs ---------------------------------------------------------

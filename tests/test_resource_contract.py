@@ -10,10 +10,12 @@ process, one at a time, under a timeout and an address-space limit of
 limits.BYTES_CAP plus 1 GiB.  A run must exit 0 with finite outputs, or
 exit 2 with an `error:` line and no output file.
 
-The text rows, grid and ladder, are not drawn: an exact run on a huge
+The text rows, grid and ladder, are not drawn: a grid's depth-0 cells
+are bounded (limits.check_cells), but an exact run's depth 1 on a huge
 grid, such as --grid 1000x1000, has no up-front bound yet (ROADMAP item
-3).  Examples are derandomized and few, so the test costs tier-1 well
-under a minute.
+3); the examples hold two grids whose depth 0 alone tops the cap.
+Examples are derandomized and few, so the test costs tier-1 well under a
+minute.
 """
 
 import json
@@ -91,6 +93,15 @@ def _assert_finite(path):
 @example(("gamow-evolve", {"j": 10 ** 400}))
 @example(("gamow-evolve", {"n_max": 10 ** 400}))
 @example(("gamow-evolve", {"off_scale": 1e300}))
+# a relaxation time past the doubles failed to round to a fit onset, and
+# failed to serialize, with exit 1; a grid of 10^10 cells ran out of
+# memory at depth 0 with exit 1 here, and was killed outside this child
+@example(("prescription", {"source": "gamow", "alpha": 1e-300,
+                           "gamma0": 1e-300}))
+@example(("gamow-evolve", {"hbar": 1e300, "gamma0": 1e-300}))
+@example(("ks-entropy", {"map": "baker", "grid": "100000x100000"}))
+@example(("ks-entropy", {"map": "baker", "grid": "100000x100000",
+                         "mode": "mc"}))
 def test_accepted_configs_finish_or_exit_2(tmp_path_factory, drawn):
     command, cfg = drawn
     work = tmp_path_factory.mktemp("contract")
