@@ -6,14 +6,9 @@ built-in defaults, a JSON --config file, and explicit flags; the resolved
 values are echoed into the output metadata so a result is reproducible
 from the file alone.  Outputs land in --out as JSON and/or CSV.
 
-main is the one runner.  Each command, cmd_x(cfg, opt), takes the
-resolved config and the checked values and returns (doc, header, rows,
-lines): its own JSON fields, its CSV header and rows, and its stdout
-summary lines; it writes no file and prints only progress and warnings,
-to stderr.  main adds the command and the echoed config to the document,
-writes <command>.json and/or .csv (and prescription's plot script beside
-its CSV), then prints the lines and what it wrote.  So a run that is
-refused or fails inside its command writes no output file.
+main runs every command: cmd_x(cfg, opt) returns its JSON fields, CSV
+header and rows, and stdout lines, and only then does main write and
+print them, so a run refused inside its command writes no file.
 
 Exit status: 0 when the run completed (verdicts like NOT PROVEN CHAOTIC
 do not change it), 1 when the computation itself failed, 2 for

@@ -162,7 +162,12 @@ def _gemm_rows(k: int, k_prev: int) -> int:
 
     OpenBLAS starts a second thread once m n k reaches 2^16; a GEMM of r
     rows of k x k_prev by one k_prev x k link stays below that whenever
-    r > 1.
+    r > 1.  One GEMM per symbol group instead gives the same bits and,
+    under the package's one-thread pin, ran the default 4096 words to
+    depth 80 in 0.30-0.40 s against 0.33-0.40 s; with numpy imported
+    first (a two-thread OpenBLAS pool) it took 4.9-5.6 s against 0.37 s
+    when the kernel forked, and 1.14 against 0.70 CPU s when it did not
+    (medians of 7 on a 2-core Xeon), so the split stays.
     """
     return max(1, GEMM_ONE_THREAD // (k * k * k_prev))
 
